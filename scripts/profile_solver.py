@@ -1,5 +1,10 @@
 #!/usr/bin/env python3
-"""Time the inner convex solves across planner iterations on one scenario."""
+"""Time the convex trajectory steps across planner iterations on one scenario.
+
+Each iteration solves its convex step once, through ``solve_step``; the
+Newton steps, time and gap printed are those of the solve whose trajectory
+is carried forward.
+"""
 import argparse
 import sys
 import time
@@ -7,11 +12,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secuav.convex_backend import solve
+from secuav import convex_backend
 from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.power_alloc import optimize_power
-from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
+from secuav.trajectory_sca import initialize_slacks, solve_step
 
 
 def main() -> int:
@@ -27,19 +32,32 @@ def main() -> int:
     powers = equal_power(scen)
     u, _, _ = initialize_slacks(traj, scen)
     print(f"N = {scen.n_slots} slots, K = {scen.n_eves} eavesdroppers")
-    for m in range(1, args.steps + 1):
-        prog = assemble(traj, u, powers, scen)
+
+    solve = convex_backend.solve
+    solves = []
+
+    def timed_solve(prog, settings=None):
         t0 = time.perf_counter()
-        res = solve(prog)
-        dt_solve = time.perf_counter() - t0
-        print(f"iter {m}: {res.status:9s} {res.newton_iters:4d} newton steps "
-              f"{1e3 * dt_solve:7.1f} ms  gap {res.duality_gap:.2e} "
-              f"objective {res.objective:+.6f}")
-        sol = solve_step(traj, u, powers, scen)
-        if sol.status == "numerical_trouble":
-            break
-        traj, u = sol.trajectory, sol.u
-        powers = optimize_power(traj, scen).schedule
+        res = solve(prog, settings)
+        solves.append((res, time.perf_counter() - t0))
+        return res
+
+    # solve_step looks the solver up as convex_backend.solve
+    convex_backend.solve = timed_solve
+    try:
+        for m in range(1, args.steps + 1):
+            solves.clear()
+            sol = solve_step(traj, u, powers, scen)
+            res, dt_solve = solves[0]
+            print(f"iter {m}: {res.status:9s} {res.newton_iters:4d} newton steps "
+                  f"{1e3 * dt_solve:7.1f} ms  gap {res.duality_gap:.2e} "
+                  f"objective {res.objective:+.6f}")
+            if sol.status == "numerical_trouble":
+                break
+            traj, u = sol.trajectory, sol.u
+            powers = optimize_power(traj, scen).schedule
+    finally:
+        convex_backend.solve = solve
     return 0
 
 

@@ -4,7 +4,7 @@ from .convex_backend import SolverResult, SolverSettings, solve
 from .geometry import (WorstCaseGeometry, avg_worst_case_secrecy_rate, rate_bob,
                        rate_coefficients, secrecy_sum, worst_case_dist_sq,
                        worst_case_dist_sq_oracle, worst_case_rate_eves)
-from .harness import SweepSpec, export_csv, load_scenario, run_sweep
+from .harness import SweepSpec, load_scenario, run_sweep
 from .planner import (IterationRecord, PlannerOptions, PlanResult,
                       best_effort_trajectory, equal_power, optimize,
                       optimize_non_robust, run_best_effort)

@@ -26,11 +26,37 @@ Variables are packed slot-major, block ``[x, y, u, t, xi_*]``; u entries of
 slots with zero transmit power have no effect on the objective or on any
 binding constraint and are frozen at their start value to keep the KKT matrix
 nonsingular.
+
+Constraint families.  Every margin is a quadratic in the variables, so one
+table describes all six families (mobility ball, ball epigraph, rotated cone,
+affine row, t bound, xi bound).  At a point each family gives its margins m
+over (rows, slots), with eavesdroppers as rows, the gradient of m per block
+column and the constant entries of its Hessian.  The mobility family is
+written in the step differences (x[j]-x[j-1], y[j]-y[j-1]) and reaches the
+two slots of each step through the chain rule; all others are slot-local.
+Both phases read the same table (the pull-in phase drops the ball epigraph):
+
+  * the margins serve the domain check, the pull-in deficit and the post-hoc
+    margin of the result;
+  * the Newton system adds -grad m / m to the gradient and
+    grad m grad m^T / m^2 - hess m / m to the Hessian, written straight into
+    the lower band array that ``cholesky_banded`` reads;
+  * along a Newton ray each margin is the polynomial m0 + a*m1 + a^2*m2 in the
+    step length a, with m1 = grad m . d and m2 = d^T (hess m) d / 2.
+
+Line search.  Once per Newton step the polynomials are built.  Their smallest
+positive root bounds the step (the exact fraction-to-boundary rule of Nocedal
+& Wright, Numerical Optimization, sect. 19.2); halving starts at the largest
+power of two below it, and every Armijo trial evaluates the merit from the
+polynomials plus the objective along the ray.  The table at the accepted point
+is evaluated directly: it confirms strict interiority and supplies the next
+step's m0 and Newton system, so each step makes one pass over the families.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
@@ -76,324 +102,293 @@ TROUBLE = "numerical_trouble"
 
 _RIDGES = (0.0, 1e-13, 1e-10, 1e-7)
 
+# keys of a family's gradient and Hessian entries: block columns x, y, u, t;
+# XI is the xi column of the row's own eavesdropper (column 4 + row); S is the
+# pull-in slack
+X, Y, U, T, XI, S = range(6)
+
+
+class _Family(NamedTuple):
+    """One constraint family at one point."""
+
+    m: np.ndarray                  # margins: (rows, slots), (slots,) or chain steps
+    grad: dict                     # key -> dm/dkey, broadcastable to m
+    hess: dict                     # (ki, kj), ki <= kj -> constant d2m/dki dkj
+    slots: np.ndarray | None = None  # m covers only these slots, grad all slots
+    chain: bool = False            # rows are the mobility steps j-1 -> j
+
+
+def _flat(parts) -> np.ndarray:
+    return np.concatenate([np.ravel(p) for p in parts])
+
+
+def _total(terms):
+    """Sum of arrays, or None for no terms."""
+    out = None
+    for term in terms:
+        out = term if out is None else out + term
+    return out
+
+
+def _steps(v, first, last) -> np.ndarray:
+    """The N+1 differences of [first, *v, last]."""
+    out = np.empty(v.size + 1)
+    out[:-1] = v
+    out[-1] = last
+    out[1:] -= v
+    out[0] -= first
+    return out
+
+
+def first_step(m0, m1, m2):
+    """Largest 2^-k (k < 96) below the first root of every m0 + a*m1 + a^2*m2.
+
+    ``m0`` must be positive.  Returns None when no such step exists.
+    """
+    disc = m1 * m1 - 4.0 * m0 * m2
+    # the smallest positive root is 2*m0/den when den > 0 and disc >= 0
+    inv = (np.sqrt(np.maximum(disc, 0.0)) - m1) / (2.0 * m0)
+    inv[disc < 0.0] = 0.0
+    top = float(inv.max())
+    a_max = 1.0 / top if top > 0.0 else math.inf
+    step = 1.0
+    for _ in range(96):
+        if step < a_max:
+            return step
+        step *= 0.5
+    return None
+
 
 class _Workspace:
-    """Precomputed layout and vectorized evaluators for one program."""
+    """Layout, constraint-family table and Newton system of one program."""
 
     def __init__(self, prog):
         self.prog = prog
         self.N = N = prog.n_slots
         self.Kr = Kr = prog.cone_q2.shape[0]
         self.Ka = Ka = prog.aff_kx.shape[0]
-        self.B = B = 4 + Kr
-        self.nz = N * B
-        self.ub = B + 1
+        self.B = 4 + Kr
+        self.nz = N * self.B
+        self.kd = self.B + 1  # bandwidth: x, y couple to the next slot's x, y
         self.h2 = prog.h2
         self.L2 = prog.step_sq_max
         self.u_active = prog.g_u > 0.0
         self.n_u_active = int(self.u_active.sum())
+        self.act = None if self.n_u_active == N else np.flatnonzero(self.u_active)
         self.m_bar = (N + 1) + self.n_u_active + (2 * Kr + Ka + 1) * N
         self.scale_ref = max(self.L2, 1e-9 * self.h2)
 
-        iu, ju = np.triu_indices(B)
-        self._iu, self._ju = iu, ju
-        n_idx = np.arange(N)[:, None]
-        rowD = n_idx * B + iu[None, :]
-        colD = n_idx * B + ju[None, :]
-        self._idxD = ((self.ub + rowD - colD) * self.nz + colD).ravel()
-        if N > 1:
-            m_idx = np.arange(N - 1)[:, None]
-            ie = np.array([0, 0, 1, 1])
-            je = np.array([0, 1, 0, 1])
-            rowE = m_idx * B + ie[None, :]
-            colE = (m_idx + 1) * B + je[None, :]
-            self._ie, self._je = ie, je
-            self._idxE = ((self.ub + rowE - colE) * self.nz + colE).ravel()
-        else:
-            self._idxE = np.empty(0, dtype=int)
-
-        self._ox = np.arange(N) * B
-        self._oy = self._ox + 1
-        self._ou = self._ox + 2
-        self._ot = self._ox + 3
-
     # -- packing ---------------------------------------------------------
     def pack(self, x, y, u, t, xi) -> np.ndarray:
-        z = np.empty(self.nz)
-        z[self._ox] = x
-        z[self._oy] = y
-        z[self._ou] = u
-        z[self._ot] = t
-        for k in range(self.Kr):
-            z[self._ox + 4 + k] = xi[k]
-        return z
+        return np.column_stack((x, y, u, t, *xi)).ravel()
+
+    def rows(self, z) -> np.ndarray:
+        """z as contiguous (B, N) rows x, y, u, t, xi_*."""
+        return z.reshape(self.N, self.B).T.copy()
 
     def unpack(self, z):
-        x = z[self._ox].copy()
-        y = z[self._oy].copy()
-        u = z[self._ou].copy()
-        t = z[self._ot].copy()
-        xi = np.empty((self.Kr, self.N))
-        for k in range(self.Kr):
-            xi[k] = z[self._ox + 4 + k]
-        return x, y, u, t, xi
+        R = self.rows(z)
+        return R[X], R[Y], R[U], R[T], R[4:]
 
-    # -- margins ---------------------------------------------------------
-    def margins(self, z, s: float = 0.0):
-        """All constraint margins; strictly positive means interior.
+    @staticmethod
+    def _direction(D, ds, f: _Family) -> dict:
+        """A direction (rows D, slack ds) in the keys of one family."""
+        d = {}
+        for k in f.grad:
+            if k == S:
+                if ds:
+                    d[k] = ds
+            elif f.chain:  # the pins do not move
+                d[k] = _steps(D[k], 0.0, 0.0)
+            else:
+                d[k] = D[4:] if k == XI else D[k]
+        return d
 
-        With a nonzero slack the cone margin is a*(d+s)-b^2-c^2 and every
-        other relaxable margin is shifted by +s.
+    # -- constraint-family table -----------------------------------------
+    def table(self, z, s: float = 0.0, pull_in: bool = False) -> list[_Family]:
+        """Every constraint family at (z, s).
+
+        With a nonzero slack the cone margin is a*(d+s)-b^2-c^2 and every other
+        relaxable margin is shifted by +s; xi >= 0 is never relaxed.  The
+        pull-in phase drops the ball epigraphs.
         """
         p = self.prog
-        x, y, u, t, xi = self.unpack(z)
-        xpad = np.concatenate(([p.pin_start[0]], x, [p.pin_end[0]]))
-        ypad = np.concatenate(([p.pin_start[1]], y, [p.pin_end[1]]))
-        mob = self.L2 - np.diff(xpad) ** 2 - np.diff(ypad) ** 2 + s
-        u_m = u - x**2 - y**2 - self.h2 + s
-        cone = np.empty((self.Kr, self.N))
-        for k in range(self.Kr):
-            a = xi[k] + 1.0
-            b = p.cone_eve_x[k] - x
-            c = p.cone_eve_y[k] - y
-            d = p.cone_kx[k] * x + p.cone_ky[k] * y - t - p.cone_q2[k] * xi[k] + p.cone_k0[k]
-            cone[k] = a * (d + s) - b**2 - c**2
-        aff = np.empty((self.Ka, self.N))
-        for k in range(self.Ka):
-            aff[k] = p.aff_kx[k] * x + p.aff_ky[k] * y - t + p.aff_k0[k] + s
-        tb = t - self.h2 + s
-        xib = xi
-        return mob, u_m, cone, aff, tb, xib
+        Z = self.rows(z)
+        x, y, u, t, xi = Z[X], Z[Y], Z[U], Z[T], Z[4:]
+        dx = _steps(x, p.pin_start[0], p.pin_end[0])
+        dy = _steps(y, p.pin_start[1], p.pin_end[1])
+        two = {(X, X): -2.0, (Y, Y): -2.0}
+        fams = [
+            _Family(self.L2 - dx**2 - dy**2 + s,
+                    {X: -2.0 * dx, Y: -2.0 * dy, S: 1.0}, two, chain=True),
+            _Family(t - self.h2 + s, {T: 1.0, S: 1.0}, {}),
+        ]
+        if self.n_u_active and not pull_in:
+            m = u - x**2 - y**2 - self.h2 + s
+            fams.append(_Family(m if self.act is None else m[self.act],
+                                {X: -2.0 * x, Y: -2.0 * y, U: 1.0, S: 1.0},
+                                two, slots=self.act))
+        if self.Kr:
+            kx, ky, q2 = p.cone_kx, p.cone_ky, p.cone_q2[:, None]
+            a = xi + 1.0
+            b = p.cone_eve_x[:, None] - x
+            c = p.cone_eve_y[:, None] - y
+            d_s = kx * x + ky * y - t - q2 * xi + p.cone_k0 + s   # d + s
+            fams.append(_Family(
+                a * d_s - b**2 - c**2,
+                {X: a * kx + 2.0 * b, Y: a * ky + 2.0 * c, T: -a,
+                 XI: d_s - q2 * a, S: a},
+                {**two, (X, XI): kx, (Y, XI): ky, (T, XI): -1.0,
+                 (XI, XI): -2.0 * q2, (XI, S): 1.0}))
+            fams.append(_Family(xi, {XI: 1.0}, {}))
+        if self.Ka:
+            fams.append(_Family(p.aff_kx * x + p.aff_ky * y - t + p.aff_k0 + s,
+                                {X: p.aff_kx, Y: p.aff_ky, T: -1.0, S: 1.0}, {}))
+        return fams
 
-    def domain_ok(self, z, s: float = 0.0, pull_in: bool = False) -> bool:
-        mob, u_m, cone, aff, tb, xib = self.margins(z, s)
-        if not pull_in and self.n_u_active and u_m[self.u_active].min() <= 0.0:
-            return False
-        return (mob.min() > 0.0
-                and (cone.min() > 0.0 if self.Kr else True)
-                and (aff.min() > 0.0 if self.Ka else True)
-                and tb.min() > 0.0
-                and (xib.min() > 0.0 if self.Kr else True))
+    def margins(self, z, s: float = 0.0, pull_in: bool = False) -> np.ndarray:
+        """All constraint margins, flat; strictly positive means interior."""
+        return _flat(f.m for f in self.table(z, s, pull_in))
 
     def interior_deficit(self, z, include_u: bool = True) -> float:
         """Largest slack (step^2 units) still needed for strict interiority."""
-        mob, u_m, cone, aff, tb, xib = self.margins(z, 0.0)
-        if self.Kr and xib.min() <= 0.0:
-            raise ValueError("xi start must be strictly positive")
-        worst = max(-mob.min(), -tb.min())
-        if include_u and self.n_u_active:
-            worst = max(worst, -u_m[self.u_active].min())
-        if self.Kr:
-            xi = np.stack([z[self._ox + 4 + k] for k in range(self.Kr)])
-            worst = max(worst, float((-cone / (xi + 1.0)).max()))
-        if self.Ka:
-            worst = max(worst, -aff.min())
-        return float(worst)
+        worst = -math.inf
+        for f in self.table(z, 0.0, pull_in=not include_u):
+            if S not in f.grad:
+                if f.m.min() <= 0.0:
+                    raise ValueError("xi start must be strictly positive")
+                continue
+            worst = max(worst, float((-f.m / f.grad[S]).max()))
+        return worst
 
-    def barrier(self, z, s: float = 0.0, pull_in: bool = False) -> float:
-        mob, u_m, cone, aff, tb, xib = self.margins(z, s)
-        parts = [np.log(mob).sum(), np.log(tb).sum()]
-        if self.n_u_active and not pull_in:
-            parts.append(np.log(u_m[self.u_active]).sum())
-        if self.Kr:
-            parts.append(np.log(cone).sum())
-            parts.append(np.log(xib).sum())
-        if self.Ka:
-            parts.append(np.log(aff).sum())
-        return -float(sum(parts))
+    def scaled_margin(self, fams) -> float:
+        """Smallest margin in step^2 units (slack units; xi times scale_ref)."""
+        return min(float((f.m / f.grad[S] if S in f.grad
+                          else f.m * self.scale_ref).min()) for f in fams)
 
     def f0(self, z) -> float:
         p = self.prog
-        u = z[self._ou]
-        t = z[self._ot]
-        return float((p.g_u * u).sum() + (np.log1p(p.p_scaled / t) / LN2).sum())
+        Z = z.reshape(self.N, self.B)
+        return float((p.g_u * Z[:, U]).sum()
+                     + (np.log1p(p.p_scaled / Z[:, T]) / LN2).sum())
 
     # -- Newton system ----------------------------------------------------
-    def assemble(self, z, s, tau, pull_in: bool):
-        """Gradient and Hessian of tau*f0 + barrier at (z, s).
+    @staticmethod
+    def _add_vec(G, f: _Family, key, vals):
+        """Add per-row values of one key into the (B, N) rows G of a vector."""
+        if f.chain:
+            G[key] += vals[:-1] - vals[1:]
+        elif key == XI:
+            G[4:] += vals
+        else:
+            G[key] += vals.sum(0) if vals.ndim == 2 else vals
 
-        Returns (gz, D, E, gs, v, h): per-slot upper blocks D, 2x2 mobility
-        cross blocks E, and, in pull-in mode, the dense slack border (v, h)
-        plus its gradient entry gs.
+    def _add_band(self, V, f: _Family, ki, kj, W):
+        """Add per-row Hessian entries (ki, kj) into the band view V, where
+        V[d, n, c] holds the matrix entry (n*B + c + d, n*B + c)."""
+        B = self.B
+        if f.chain:
+            # a step's rows touch its head slot with +1 and its tail with -1
+            V[kj - ki, :, ki] += W[:-1] + W[1:]
+            V[B + kj - ki, :-1, ki] -= W[1:-1]
+            if ki != kj:
+                V[B + ki - kj, :-1, kj] -= W[1:-1]
+        elif kj == XI:
+            for k in range(self.Kr):
+                c = 4 + k
+                lo = c if ki == XI else ki
+                V[c - lo, :, lo] += W[k]
+        else:
+            V[kj - ki, :, ki] += W.sum(0) if W.ndim == 2 else W
+
+    def assemble(self, fams, z, tau, pull_in: bool):
+        """Gradient and Hessian of tau*f0 + barrier from the table at z.
+
+        Returns (gz, ab, gs, v, h): the Hessian in the lower band form that
+        ``cholesky_banded`` reads and, in pull-in mode, the dense slack border
+        (v, h) plus its gradient entry gs.
         """
-        p = self.prog
-        N, B, Kr, Ka = self.N, self.B, self.Kr, self.Ka
-        x, y, u, t, xi = self.unpack(z)
-        gz = np.zeros(self.nz)
-        D = np.zeros((N, B, B))
-        E = np.zeros((max(N - 1, 0), 2, 2))
-        v = np.zeros(self.nz) if pull_in else None
+        N, B, kd = self.N, self.B, self.kd
+        G = np.zeros((B, N))   # objective gradient, as rows like z
+        Gb = np.zeros((B, N))  # sum of grad m / m
+        # column-major, as LAPACK stores it; V[d, n, c] = ab[d, n*B + c]
+        band = np.zeros((N, B, kd + 1))
+        ab = band.reshape(self.nz, kd + 1).T
+        V = band.transpose(2, 0, 1)
+        vr = np.zeros((B, N)) if pull_in else None
         h = 0.0
         gs = tau if pull_in else 0.0  # pull-in objective is the slack itself
-
-        if not pull_in:
-            gz[self._ou] += tau * p.g_u
-            pt = p.p_scaled
-            gz[self._ot] += tau * (1.0 / (t + pt) - 1.0 / t) / LN2
-            D[:, 3, 3] += tau * (1.0 / t**2 - 1.0 / (t + pt) ** 2) / LN2
-            D[:, 2, 2] += np.where(self.u_active, 0.0, 1.0)  # freeze unused u
-        else:
+        if pull_in:
             # feasibility never hinges on u (it can always be lifted above the
             # quadratic), so the pull-in phase freezes it and drops its rows
-            D[:, 2, 2] += 1.0
+            V[0, :, U] = 1.0
+        else:
+            p = self.prog
+            t = z.reshape(N, B)[:, T]
+            i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
+            G[U] = tau * p.g_u
+            G[T] = (tau / LN2) * (i2 - i1)
+            V[0, :, T] = (tau / LN2) * (i1 * i1 - i2 * i2)
+            V[0, :, U] = ~self.u_active  # freeze unused u
+        for f in fams:
+            w1 = 1.0 / f.m
+            if f.slots is not None:  # no weight on the slots m leaves out
+                w1 = np.zeros(N)
+                w1[f.slots] = 1.0 / f.m
+            # grad m / m per key; the slack's column of the Hessian is v
+            gw = {k: g * w1 for k, g in sorted(f.grad.items()) if pull_in or k != S}
+            keys = list(gw)
+            for i, ki in enumerate(keys):
+                if ki == S:
+                    gs -= float(gw[S].sum())
+                    h += float((gw[S] * gw[S]).sum())
+                    break
+                self._add_vec(Gb, f, ki, gw[ki])
+                for kj in keys[i:]:
+                    W = gw[ki] * gw[kj]
+                    if (ki, kj) in f.hess:
+                        W = W - f.hess[ki, kj] * w1
+                    if kj == S:
+                        self._add_vec(vr, f, ki, W)
+                    else:
+                        self._add_band(V, f, ki, kj, W)
+        v = vr.T.ravel() if pull_in else None
+        return (G - Gb).T.ravel(), ab, gs, v, h
 
-        # ball epigraphs: m = u - x^2 - y^2 - H^2 (absent from the pull-in phase)
-        if self.n_u_active and not pull_in:
-            act = self.u_active
-            m = (u - x**2 - y**2 - self.h2)
-            w1 = np.where(act, 1.0 / np.where(act, m, 1.0), 0.0)
-            w2 = w1 * w1
-            gmx, gmy = -2.0 * x, -2.0 * y
-            gz[self._ox] += -gmx * w1
-            gz[self._oy] += -gmy * w1
-            gz[self._ou] += -1.0 * w1
-            D[:, 0, 0] += gmx * gmx * w2 + 2.0 * w1
-            D[:, 1, 1] += gmy * gmy * w2 + 2.0 * w1
-            D[:, 2, 2] += w2 * act
-            D[:, 0, 1] += gmx * gmy * w2
-            D[:, 0, 2] += gmx * w2
-            D[:, 1, 2] += gmy * w2
-
-        # rotated cones: q = a*(d+s) - b^2 - c^2
-        for k in range(Kr):
-            a = xi[k] + 1.0
-            b = p.cone_eve_x[k] - x
-            c = p.cone_eve_y[k] - y
-            d = p.cone_kx[k] * x + p.cone_ky[k] * y - t - p.cone_q2[k] * xi[k] + p.cone_k0[k]
-            q = a * (d + s) - b**2 - c**2
-            iw = 1.0 / q
-            iw2 = iw * iw
-            gqx = a * p.cone_kx[k] + 2.0 * b
-            gqy = a * p.cone_ky[k] + 2.0 * c
-            gqt = -a
-            gqxi = (d + s) - p.cone_q2[k] * a
-            oxi = 4 + k
-            gz[self._ox] += -gqx * iw
-            gz[self._oy] += -gqy * iw
-            gz[self._ot] += -gqt * iw
-            gz[self._ox + oxi] += -gqxi * iw
-            # rank-one part g g^T / q^2
-            D[:, 0, 0] += gqx * gqx * iw2
-            D[:, 0, 1] += gqx * gqy * iw2
-            D[:, 0, 3] += gqx * gqt * iw2
-            D[:, 0, oxi] += gqx * gqxi * iw2
-            D[:, 1, 1] += gqy * gqy * iw2
-            D[:, 1, 3] += gqy * gqt * iw2
-            D[:, 1, oxi] += gqy * gqxi * iw2
-            D[:, 3, 3] += gqt * gqt * iw2
-            D[:, 3, oxi] += gqt * gqxi * iw2
-            D[:, oxi, oxi] += gqxi * gqxi * iw2
-            # minus Hessian of q over q
-            D[:, 0, 0] += 2.0 * iw
-            D[:, 1, 1] += 2.0 * iw
-            D[:, 0, oxi] += -p.cone_kx[k] * iw
-            D[:, 1, oxi] += -p.cone_ky[k] * iw
-            D[:, 3, oxi] += 1.0 * iw
-            D[:, oxi, oxi] += 2.0 * p.cone_q2[k] * iw
-            if pull_in:
-                gqs = a
-                gs += float((-gqs * iw).sum())
-                v[self._ox] += gqx * gqs * iw2
-                v[self._oy] += gqy * gqs * iw2
-                v[self._ot] += gqt * gqs * iw2
-                v[self._ox + oxi] += gqxi * gqs * iw2 - 1.0 * iw
-                h += float((gqs * gqs * iw2).sum())
-            # xi >= 0 barrier
-            gz[self._ox + oxi] += -1.0 / xi[k]
-            D[:, oxi, oxi] += 1.0 / xi[k] ** 2
-
-        # affine rows (radius-zero eavesdroppers): m = d (+ s)
-        for k in range(Ka):
-            m = p.aff_kx[k] * x + p.aff_ky[k] * y - t + p.aff_k0[k] + s
-            w1 = 1.0 / m
-            w2 = w1 * w1
-            gz[self._ox] += -p.aff_kx[k] * w1
-            gz[self._oy] += -p.aff_ky[k] * w1
-            gz[self._ot] += w1
-            D[:, 0, 0] += p.aff_kx[k] ** 2 * w2
-            D[:, 0, 1] += p.aff_kx[k] * p.aff_ky[k] * w2
-            D[:, 0, 3] += -p.aff_kx[k] * w2
-            D[:, 1, 1] += p.aff_ky[k] ** 2 * w2
-            D[:, 1, 3] += -p.aff_ky[k] * w2
-            D[:, 3, 3] += w2
-            if pull_in:
-                gs += float((-w1).sum())
-                v[self._ox] += p.aff_kx[k] * w2
-                v[self._oy] += p.aff_ky[k] * w2
-                v[self._ot] += -w2
-                h += float(w2.sum())
-
-        # t >= H^2 (+ s)
-        m = t - self.h2 + s
-        w1 = 1.0 / m
-        w2 = w1 * w1
-        gz[self._ot] += -w1
-        D[:, 3, 3] += w2
-        if pull_in:
-            gs += float((-w1).sum())
-            v[self._ot] += w2
-            h += float(w2.sum())
-
-        # mobility chain (+ s)
-        xpad = np.concatenate(([p.pin_start[0]], x, [p.pin_end[0]]))
-        ypad = np.concatenate(([p.pin_start[1]], y, [p.pin_end[1]]))
-        dx = np.diff(xpad)
-        dy = np.diff(ypad)
-        m = self.L2 - dx**2 - dy**2 + s
-        w1 = 1.0 / m
-        w2 = w1 * w1
-        # head contributions (steps 0..N-1 end at slot j)
-        j = np.arange(N)
-        hx, hy = -2.0 * dx[:-1], -2.0 * dy[:-1]
-        gz[self._ox] += -hx * w1[:-1]
-        gz[self._oy] += -hy * w1[:-1]
-        D[j, 0, 0] += hx * hx * w2[:-1] + 2.0 * w1[:-1]
-        D[j, 1, 1] += hy * hy * w2[:-1] + 2.0 * w1[:-1]
-        D[j, 0, 1] += hx * hy * w2[:-1]
-        # tail contributions (steps 1..N start at slot j-1)
-        tx, ty = 2.0 * dx[1:], 2.0 * dy[1:]
-        gz[self._ox] += -tx * w1[1:]
-        gz[self._oy] += -ty * w1[1:]
-        D[j, 0, 0] += tx * tx * w2[1:] + 2.0 * w1[1:]
-        D[j, 1, 1] += ty * ty * w2[1:] + 2.0 * w1[1:]
-        D[j, 0, 1] += tx * ty * w2[1:]
-        if N > 1:
-            # inner steps j=1..N-1 couple slots j-1 (tail) and j (head)
-            wi = w1[1:-1]
-            wi2 = w2[1:-1]
-            txi, tyi = tx[:-1], ty[:-1]
-            hxi, hyi = hx[1:], hy[1:]
-            E[:, 0, 0] += txi * hxi * wi2 - 2.0 * wi
-            E[:, 0, 1] += txi * hyi * wi2
-            E[:, 1, 0] += tyi * hxi * wi2
-            E[:, 1, 1] += tyi * hyi * wi2 - 2.0 * wi
-        if pull_in:
-            gs += float((-w1).sum())
-            h += float(w2.sum())
-            v[self._ox] += hx * w2[:-1] + tx * w2[1:]
-            v[self._oy] += hy * w2[:-1] + ty * w2[1:]
-        return gz, D, E, gs, v, h
-
-    def solve_kkt(self, D, E, gz, gs, v, h, pull_in: bool, ridge: float):
-        ab = np.zeros((self.ub + 1, self.nz))
-        flat = ab.reshape(-1)
-        flat[self._idxD] = D[:, self._iu, self._ju].ravel()
-        if self.N > 1:
-            flat[self._idxE] = E[:, self._ie, self._je].ravel()
+    def solve_kkt(self, ab, gz, gs, v, h, pull_in: bool, ridge: float):
         if ridge > 0.0:
-            ab[self.ub, :] += ridge * max(1.0, ab[self.ub, :].max())
-        cfac = cholesky_banded(ab, lower=False)
+            ab = ab.copy()
+            ab[0, :] += ridge * max(1.0, ab[0, :].max())
+        # in the lower form LAPACK's unblocked factorization reads contiguous
+        # columns; it ran ~40% faster than the upper form at N = 1600
+        cfac = cholesky_banded(ab, lower=True)
         if not pull_in:
-            dz = cho_solve_banded((cfac, False), -gz)
+            dz = cho_solve_banded((cfac, True), -gz)
             return dz, 0.0
-        pvec = cho_solve_banded((cfac, False), -gz)
-        wvec = cho_solve_banded((cfac, False), v)
+        pvec, wvec = cho_solve_banded((cfac, True), np.column_stack((-gz, v))).T
         denom = h - float(v @ wvec)
         if denom <= 0.0:
             raise np.linalg.LinAlgError("indefinite slack border")
         ds = (-gs - float(v @ pvec)) / denom
         dz = pvec - ds * wvec
         return dz, ds
+
+    # -- line search -------------------------------------------------------
+    def ray(self, fams, dz, ds):
+        """Margins along (z + a*dz, s + a*ds) as flat m0 + a*m1 + a^2*m2."""
+        D = self.rows(dz)
+        m1s, m2s = [], []
+        for f in fams:
+            d = self._direction(D, ds, f)
+            m1 = _total(f.grad[k] * dk for k, dk in d.items())
+            m2 = _total((0.5 * hk if ki == kj else hk) * d[ki] * d[kj]
+                        for (ki, kj), hk in f.hess.items() if kj in d)
+            if f.slots is not None:
+                m1 = m1[f.slots]
+                m2 = None if m2 is None else m2[f.slots]
+            m1s.append(m1)
+            m2s.append(np.zeros(f.m.shape) if m2 is None else m2)
+        return _flat(f.m for f in fams), _flat(m1s), _flat(m2s)
 
 
 # A stage may end slightly off-center when float resolution of the merit
@@ -413,22 +408,18 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
     # measure the objective relative to the entry point: tau*f0 alone can reach
     # 1e13, whose float resolution would swallow the remaining decrements
     f0_ref = 0.0 if pull_in else ws.f0(z)
-
-    def merit(z_, s_):
-        base = s_ if pull_in else ws.f0(z_) - f0_ref
-        return tau * base + ws.barrier(z_, s_, pull_in)
-
-    cur = merit(z, s)
+    fams = ws.table(z, s, pull_in)
+    cur = (tau * s if pull_in else 0.0) - float(np.log(_flat(f.m for f in fams)).sum())
     iters = 0
     no_progress = 0
     lam2 = math.inf
     while iters < min(budget, settings.max_centering_iters):
         resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(cur))
-        gz, D, E, gs, v, h = ws.assemble(z, s, tau, pull_in)
+        gz, ab, gs, v, h = ws.assemble(fams, z, tau, pull_in)
         dz = ds = None
         for ridge in _RIDGES:
             try:
-                dz, ds = ws.solve_kkt(D, E, gz, gs, v, h, pull_in, ridge)
+                dz, ds = ws.solve_kkt(ab, gz, gs, v, h, pull_in, ridge)
                 break
             except np.linalg.LinAlgError:
                 continue
@@ -443,26 +434,27 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
             # remaining progress is below what the merit can resolve
             status = "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
             return z, s, iters, status, lam2
-        step = 1.0
-        for _ in range(96):
-            if ws.domain_ok(z + step * dz, s + step * ds, pull_in):
-                break
-            step *= 0.5
-        else:
+        m0, m1, m2 = ws.ray(fams, dz, ds)
+        step = first_step(m0, m1, m2)
+        if step is None:
             return z, s, iters, "trouble", lam2
-        accepted = False
+        new = None
         for _ in range(60):
-            cand = merit(z + step * dz, s + step * ds)
-            if cand <= cur - 0.25 * step * lam2 + resolution:
-                accepted = True
-                break
+            m = m0 + step * (m1 + step * m2)
+            if m.min() > 0.0:
+                z_new, s_new = z + step * dz, s + step * ds
+                base = s_new if pull_in else ws.f0(z_new) - f0_ref
+                cand = tau * base - float(np.log(m).sum())
+                if cand <= cur - 0.25 * step * lam2 + resolution:
+                    fams_new = ws.table(z_new, s_new, pull_in)
+                    if min(f.m.min() for f in fams_new) > 0.0:
+                        new = cand
+                        break
             step *= 0.5
-        if not accepted:
+        if new is None:
             status = "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
             return z, s, iters, status, lam2
-        z = z + step * dz
-        s = s + step * ds
-        new = merit(z, s)
+        z, s, fams = z_new, s_new, fams_new
         if new > cur + resolution:
             return z, s, iters, "trouble", lam2
         if cur - new <= resolution:
@@ -490,18 +482,20 @@ def _pull_in(ws: _Workspace, z, settings):
         return z, 0, True
 
     def finish(z_):
-        x = z_[ws._ox]
-        y = z_[ws._oy]
         z_ = z_.copy()
-        z_[ws._ou] = (x**2 + y**2 + ws.h2) * (1.0 + 1e-3)
+        Z = z_.reshape(ws.N, ws.B)
+        Z[:, U] = (Z[:, X]**2 + Z[:, Y]**2 + ws.h2) * (1.0 + 1e-3)
         return z_
+
+    def domain_ok(z_, s_):
+        return ws.margins(z_, s_, pull_in=True).min() > 0.0
 
     m_pull = ws.m_bar - ws.n_u_active
     deficit = ws.interior_deficit(z, include_u=False)
     s = max(0.0, deficit) + max(10.0 * delta, 1e-2 * ws.scale_ref)
-    if not ws.domain_ok(z, s, pull_in=True):  # pad again if a margin rounded to zero
+    if not domain_ok(z, s):  # pad again if a margin rounded to zero
         s = 2.0 * s + ws.scale_ref
-        if not ws.domain_ok(z, s, pull_in=True):
+        if not domain_ok(z, s):
             return z, 0, False
     # start with the barrier center near the current slack so the slack only
     # ever travels downward; small weights would first inflate it to ~m/tau
@@ -524,7 +518,7 @@ def _pull_in(ws: _Workspace, z, settings):
         if tau > tau_end:
             break
         tau *= settings.barrier_mu
-    if s < 0.0 and ws.domain_ok(z, 0.0, pull_in=True):
+    if s < 0.0 and domain_ok(z, 0.0):
         return finish(z), total, True
     return z, total, False
 
@@ -544,22 +538,14 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
 
     def result(status, iters, tau, gap):
         x, y, u, t, xi = ws.unpack(z)
-        mob, u_m, cone, aff, tb, xib = ws.margins(z, 0.0)
-        scaled = [mob.min(), tb.min()]
-        if ws.n_u_active:
-            scaled.append(u_m[ws.u_active].min())
-        if ws.Kr:
-            scaled.append(float((cone / (xi + 1.0)).min()))
-            scaled.append(float(xib.min()) * ws.scale_ref)
-        if ws.Ka:
-            scaled.append(aff.min())
-        min_margin = float(min(scaled))
+        fams = ws.table(z)
+        min_margin = ws.scaled_margin(fams)
         if status == OPTIMAL and min_margin <= 0.0:
             status = TROUBLE
         usable = min_margin > 0.0 and tau > 0
         if usable:
             objective = program.obj_const - ws.f0(z)
-            gz = ws.assemble(z, 0.0, tau, False)[0]
+            gz = ws.assemble(fams, z, tau, False)[0]
             kkt = float(np.abs(gz).max() / tau)
         else:
             objective = -math.inf

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -175,34 +174,20 @@ def _run_algorithm(tag: str, scenario: Scenario) -> PlanResult:
 
 
 def run_sweep(spec: SweepSpec, out_dir) -> Path:
-    """Run every (value, algorithm) point, in parallel, and merge into sweep.csv."""
+    """Run every (value, algorithm) point in turn and write sweep.csv."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    parts_dir = out_dir / ".sweep_parts"
-    parts_dir.mkdir(exist_ok=True)
-    points = [(v, a) for v in spec.values for a in sorted(spec.algorithms)]
-
-    def run_point(item):
-        idx, (value, tag) = item
+    rows = []
+    for value in sorted(spec.values):
         scenario = derive_scenario(spec.base, spec.param, value)
-        result = _run_algorithm(tag, scenario)
-        iters = max(len(result.iterations) - 1, 0)
-        row = (f"{spec.param},{_fmt(value)},{tag},"
-               f"{_fmt(result.secrecy_rate)},{iters},0")
-        _atomic_write(parts_dir / f"{idx:05d}.csv", row + "\n")
-        return (float(value), tag, row)
-
-    workers = int(os.environ.get("PLANNER_THREADS", "0")) or (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        rows = list(pool.map(run_point, enumerate(points)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    body = "param,value,algorithm,secrecy_rate_bps_hz,iters,wall_ms\n"
-    body += "".join(r[2] + "\n" for r in rows)
+        for tag in sorted(spec.algorithms):
+            result = _run_algorithm(tag, scenario)
+            iters = max(len(result.iterations) - 1, 0)
+            rows.append(f"{spec.param},{_fmt(value)},{tag},"
+                        f"{_fmt(result.secrecy_rate)},{iters},0\n")
+    body = "param,value,algorithm,secrecy_rate_bps_hz,iters,wall_ms\n" + "".join(rows)
     target = out_dir / "sweep.csv"
     _atomic_write(target, body)
-    for part in parts_dir.glob("*.csv"):
-        part.unlink()
-    parts_dir.rmdir()
     return target
 
 
@@ -249,15 +234,6 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
                                                        sort_keys=True) + "\n")
     return [out_dir / n for n in
             ("trajectory.csv", "power.csv", "iterations.csv", "summary.json")]
-
-
-def export_csv(obj, out_dir):
-    """Write a plan's result files, or a sweep spec's sweep.csv, into out_dir."""
-    if isinstance(obj, PlanResult):
-        return export_plan(obj, out_dir)
-    if isinstance(obj, SweepSpec):
-        return [run_sweep(obj, out_dir)]
-    raise HarnessError(f"cannot export object of type {type(obj).__name__}")
 
 
 # --------------------------------------------------------------------------

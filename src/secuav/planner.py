@@ -29,8 +29,6 @@ BEST_EFFORT = "best_effort"
 @dataclass(frozen=True)
 class PlannerOptions:
     solver: SolverSettings = field(default_factory=SolverSettings)
-    eps_inner: float | None = None   # optional extra trajectory re-solves per iteration
-    max_inner_steps: int = 20
 
 
 @dataclass(frozen=True)
@@ -115,15 +113,6 @@ def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanR
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
                                            time.perf_counter() - t0))
             break
-        if options.eps_inner is not None:
-            for _ in range(options.max_inner_steps - 1):
-                nxt = solve_step(sol.trajectory, sol.u, powers, scenario, options.solver)
-                if nxt.status == TROUBLE:
-                    break
-                improved = _fractional_increase(nxt.true_objective, sol.true_objective)
-                sol = nxt
-                if improved < options.eps_inner:
-                    break
         traj, u = sol.trajectory, sol.u
         dual = optimize_power(traj, scenario)
         powers = dual.schedule

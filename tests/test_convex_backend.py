@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from secuav.convex_backend import solve
+from secuav.convex_backend import SolverSettings, _pull_in, _Workspace, first_step, solve
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, initialize_slacks, solve_step
@@ -247,3 +247,154 @@ class TestScaleRobustness:
         assert np.abs(sol2.trajectory.xs / s - sol.trajectory.xs).max() <= 1e-4
         assert np.abs(sol2.trajectory.ys / s - sol.trajectory.ys).max() <= 1e-4
         assert sol2.true_objective == pytest.approx(sol.true_objective, abs=1e-8)
+
+
+# --------------------------------------------------------------------------
+# Newton-step kernel: derivatives and fraction-to-boundary start
+# --------------------------------------------------------------------------
+
+def kernel_program():
+    """N = 4 with two disks (cone rows), one point eavesdropper (affine row)
+    and a silent slot (g_u = 0, so its u is frozen)."""
+    scen = make_scenario(flight_duration=2.0, n_slots=4,
+                         start_xy=(-10.0, -10.0), end_xy=(10.0, -10.0),
+                         eves=(EveRegion(-10.0, 4.0, 2.0), EveRegion(10.0, 4.0, 3.0),
+                               EveRegion(0.0, 8.0, 0.0)))
+    traj = best_effort_trajectory(scen)
+    u_fea, _, _ = initialize_slacks(traj, scen)
+    prog = assemble(traj, u_fea, PowerSchedule([1e-3, 1e-3, 0.0, 1e-3]), scen)
+    assert prog.cone_q2.shape[0] == 2 and prog.aff_kx.shape[0] == 1
+    assert list(prog.g_u > 0) == [True, True, False, True]
+    return prog
+
+
+def direct_margins(prog, z, s, pull_in):
+    """Every barrier margin, written out from the program data, in the order
+    of the solver's family table."""
+    n = prog.n_slots
+    zz = z.reshape(n, -1)
+    x, y, u, t, xi = zz[:, 0], zz[:, 1], zz[:, 2], zz[:, 3], zz[:, 4:].T
+    xpad = np.concatenate(([prog.pin_start[0]], x, [prog.pin_end[0]]))
+    ypad = np.concatenate(([prog.pin_start[1]], y, [prog.pin_end[1]]))
+    parts = [prog.step_sq_max - np.diff(xpad) ** 2 - np.diff(ypad) ** 2 + s,
+             t - prog.h2 + s]
+    if not pull_in:
+        act = prog.g_u > 0
+        parts.append((u - x**2 - y**2 - prog.h2)[act])
+    for k in range(prog.cone_q2.shape[0]):
+        d = (prog.cone_kx[k] * x + prog.cone_ky[k] * y - t
+             - prog.cone_q2[k] * xi[k] + prog.cone_k0[k])
+        parts.append((xi[k] + 1.0) * (d + s) - (prog.cone_eve_x[k] - x) ** 2
+                     - (prog.cone_eve_y[k] - y) ** 2)
+    parts.append(xi.ravel())
+    for k in range(prog.aff_kx.shape[0]):
+        parts.append(prog.aff_kx[k] * x + prog.aff_ky[k] * y - t + prog.aff_k0[k] + s)
+    return np.concatenate(parts)
+
+
+def merit(prog, z, s, tau, pull_in):
+    m = direct_margins(prog, z, s, pull_in)
+    assert m.min() > 0.0
+    if pull_in:
+        obj = s
+    else:
+        zz = z.reshape(prog.n_slots, -1)
+        obj = (prog.g_u * zz[:, 2]).sum() + (np.log1p(prog.p_scaled / zz[:, 3]) / LN2).sum()
+    return tau * obj - np.log(m).sum()
+
+
+def full_hessian(ws, ab):
+    """The symmetric matrix stored in lower band form."""
+    kd = ab.shape[0] - 1
+    hess = np.zeros((ws.nz, ws.nz))
+    for j in range(ws.nz):
+        for i in range(j, min(ws.nz, j + kd + 1)):
+            hess[i, j] = hess[j, i] = ab[i - j, j]
+    return hess
+
+
+def kernel_points():
+    prog = kernel_program()
+    ws = _Workspace(prog)
+    z0 = ws.pack(prog.x_start, prog.y_start, prog.u_start, prog.t_start, prog.xi_start)
+    z, _, ok = _pull_in(ws, z0, SolverSettings())
+    assert ok
+    # pull-in mode is checked at the start point, main mode at the interior point
+    return prog, ws, {True: (z0, ws.interior_deficit(z0, include_u=False) + 1.0),
+                      False: (z, 0.0)}
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize("pull_in", [True, False])
+    def test_gradient_and_band_hessian_match_finite_differences(self, pull_in):
+        prog, ws, points = kernel_points()
+        z, s = points[pull_in]
+        tau = 7.0
+        gz, ab, gs, v, h = ws.assemble(ws.table(z, s, pull_in), z, tau, pull_in)
+
+        def grad(z_, s_):
+            out = ws.assemble(ws.table(z_, s_, pull_in), z_, tau, pull_in)
+            return out[0], out[2]
+
+        # the frozen u entries (pull-in: all, main: the silent slot) carry a
+        # unit diagonal in place of a zero row
+        frozen = np.zeros(ws.nz, dtype=bool)
+        frozen[2::ws.B] = True if pull_in else ~(prog.g_u > 0)
+        hess = full_hessian(ws, ab)
+        hess[frozen, frozen] -= 1.0
+        fd_grad = np.empty(ws.nz)
+        fd_hess = np.empty((ws.nz, ws.nz))
+        for i in range(ws.nz):
+            e = np.zeros(ws.nz)
+            e[i] = 1e-6 * max(1.0, abs(z[i]))
+            fd_grad[i] = (merit(prog, z + e, s, tau, pull_in)
+                          - merit(prog, z - e, s, tau, pull_in)) / (2 * e[i])
+            fd_hess[:, i] = (grad(z + e, s)[0] - grad(z - e, s)[0]) / (2 * e[i])
+        scale = np.abs(gz).max()
+        assert np.abs(gz - fd_grad).max() <= 1e-6 * scale
+        assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
+        if pull_in:
+            e = 1e-6 * max(1.0, s)
+            fd_gs = (merit(prog, z, s + e, tau, True) - merit(prog, z, s - e, tau, True)) / (2 * e)
+            (gz_p, gs_p), (gz_m, gs_m) = grad(z, s + e), grad(z, s - e)
+            assert gs == pytest.approx(fd_gs, rel=1e-6)
+            assert np.abs(v - (gz_p - gz_m) / (2 * e)).max() <= 1e-6 * np.abs(v).max()
+            assert h == pytest.approx((gs_p - gs_m) / (2 * e), rel=1e-6)
+
+    @pytest.mark.parametrize("pull_in", [True, False])
+    def test_fraction_to_boundary_start_matches_brute_force_halving(self, pull_in):
+        prog, ws, points = kernel_points()
+        z, s = points[pull_in]
+        fams = ws.table(z, s, pull_in)
+        rng = np.random.default_rng(20261018)
+        starts = set()
+        for _ in range(200):
+            # random scales per block column (x, y, u, t, xi_1, xi_2) so that
+            # every family, curved or flat, gets to bind
+            scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
+            dz = (rng.normal(size=(prog.n_slots, ws.B)) * scale).ravel()
+            ds = float(rng.normal()) * s if pull_in else 0.0
+            m0, m1, m2 = ws.ray(fams, dz, ds)
+            # the polynomials are the margins along the ray
+            a = float(rng.uniform(0.0, 2.0))
+            terms = np.abs(m0) + np.abs(a * m1) + np.abs(a * a * m2)
+            direct = direct_margins(prog, z + a * dz, s + a * ds, pull_in)
+            assert np.all(np.abs(m0 + a * (m1 + a * m2) - direct) <= 1e-9 * terms)
+            step = first_step(m0, m1, m2)
+            brute = next((0.5**k for k in range(96)
+                          if direct_margins(prog, z + 0.5**k * dz, s + 0.5**k * ds,
+                                            pull_in).min() > 0.0), None)
+            assert step == brute
+            starts.add(step)
+        assert len(starts) >= 8  # the directions reach several halving depths
+
+    def test_first_step_on_hand_polynomials(self):
+        def start(m0, m1, m2):
+            return first_step(np.array([m0]), np.array([m1]), np.array([m2]))
+
+        assert start(1.0, -4.0, 5.0) == 1.0       # no real root
+        assert start(1.0, -4.0, 3.0) == 0.25      # roots 1/3 and 1
+        assert start(1.0, -3.0, 0.0) == 0.25      # linear, root 1/3
+        assert start(1.0, 0.0, -16.0) == 0.125    # root 1/4 itself is not interior
+        assert start(1.0, 2.0, 1.0) == 1.0        # both roots negative
+        assert start(1.0, -1e40, 0.0) is None     # root below 2^-95
