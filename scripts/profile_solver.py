@@ -3,9 +3,11 @@
 
 Each iteration solves its convex step once, through ``solve_step``; the
 Newton steps, time and gap printed are those of the solve whose trajectory
-is carried forward.
+is carried forward.  ``--slot-len`` replaces the scenario's slot length:
+``--duration 160 --slot-len 0.1`` profiles the fine-slot (N = 1600) case.
 """
 import argparse
+import dataclasses
 import sys
 import time
 from pathlib import Path
@@ -24,10 +26,15 @@ def main() -> int:
     parser.add_argument("--scenario", default=str(
         Path(__file__).resolve().parent.parent / "scenarios" / "paper_fig2.json"))
     parser.add_argument("--duration", type=float, default=80.0)
+    parser.add_argument("--slot-len", type=float, default=None,
+                        help="slot length in seconds (default: the scenario's)")
     parser.add_argument("--steps", type=int, default=8)
     args = parser.parse_args()
 
-    scen = derive_scenario(load_scenario(args.scenario), "T", args.duration)
+    base = load_scenario(args.scenario)
+    if args.slot_len is not None:
+        base = dataclasses.replace(base, slot_len=args.slot_len)
+    scen = derive_scenario(base, "T", args.duration)
     traj = best_effort_trajectory(scen)
     powers = equal_power(scen)
     u, _, _ = initialize_slacks(traj, scen)

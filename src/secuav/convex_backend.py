@@ -51,6 +51,21 @@ power of two below it, and every Armijo trial evaluates the merit from the
 polynomials plus the objective along the ray.  The table at the accepted point
 is evaluated directly: it confirms strict interiority and supplies the next
 step's m0 and Newton system, so each step makes one pass over the families.
+
+The first centering stage of the main phase starts from the pull-in point,
+which is interior but far from the central path (Boyd & Vandenberghe, Convex
+Optimization, sect. 11.3.1).  There the exact start lets a step land as close
+to the boundary as it likes, so single margins can collapse by orders of
+magnitude while their neighbours stay large; the pinned slots then hold the
+mobility chain, and Newton crawls with full steps for hundreds of iterations
+(the first program of paper_fig2 at 0.1 s slots took 1006 steps and ran out
+of budget).  So in that stage, whenever the boundary cuts the full step, the
+halving starts instead at the largest power of two at which every margin keeps
+more than ``_INITIAL_KEEP`` of its current value, a bounded fraction-to-boundary
+rule (Waechter & Biegler, Math. Prog. 2006, sect. 2.2).  Later stages start
+near a central point and keep the exact start: bounding every stage more than
+doubled the Newton steps of the paper_fig2 T sweep, and bounding also the steps
+the boundary does not cut added 5%.
 """
 from __future__ import annotations
 
@@ -61,7 +76,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cholesky_banded, cho_solve_banded
 
-LN2 = math.log(2.0)
+from .geometry import LN2, log2_1p
 
 
 @dataclass(frozen=True)
@@ -270,7 +285,7 @@ class _Workspace:
         p = self.prog
         Z = z.reshape(self.N, self.B)
         return float((p.g_u * Z[:, U]).sum()
-                     + (np.log1p(p.p_scaled / Z[:, T]) / LN2).sum())
+                     + log2_1p(p.p_scaled / Z[:, T]).sum())
 
     # -- Newton system ----------------------------------------------------
     @staticmethod
@@ -397,9 +412,34 @@ class _Workspace:
 # the sqrt(m)*lambda correction, which stays well under one percent.
 _LOOSE_CENTER_TOL = 2.5e-2
 
+# Share of every margin a step of the initial centering stage must keep when
+# the boundary cuts the full step (see "Line search" above).  Keeping 0.75 to
+# 0.85 gave Newton counts within 8% of each other; keeping 0.01 (the textbook
+# fraction-to-boundary 0.99) leaves single margins free to collapse.
+_INITIAL_KEEP = 0.8
 
-def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=None):
+
+def line_search_start(m0, m1, m2, initial: bool):
+    """First trial step along the ray, or None when no step is interior.
+
+    The exact fraction-to-boundary start; in the initial centering stage, when
+    that cuts the full step, the largest 2^-k keeping every margin above
+    ``_INITIAL_KEEP`` times its current value, if one exists.
+    """
+    step = first_step(m0, m1, m2)
+    if initial and step is not None and step < 1.0:
+        bounded = first_step((1.0 - _INITIAL_KEEP) * m0, m1, m2)
+        if bounded is not None:
+            return bounded
+    return step
+
+
+def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=None,
+            initial: bool = False):
     """Damped Newton to the central point at barrier weight tau.
+
+    ``initial`` marks the main phase's first stage, which bounds its
+    boundary-cut steps (``line_search_start``).
 
     Returns (z, s, iters, status, lam2) with status in {"centered", "early",
     "budget", "trouble"}.  The merit tau*f0 + barrier is asserted
@@ -435,7 +475,7 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
             status = "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
             return z, s, iters, status, lam2
         m0, m1, m2 = ws.ray(fams, dz, ds)
-        step = first_step(m0, m1, m2)
+        step = line_search_start(m0, m1, m2, initial)
         if step is None:
             return z, s, iters, "trouble", lam2
         new = None
@@ -563,9 +603,11 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
     total = used
     status = MAX_ITER
     gap = math.inf
+    initial = True
     while True:
         z, _, it, cstat, lam2 = _center(ws, z, 0.0, tau, False, settings,
-                                        settings.max_newton_iters)
+                                        settings.max_newton_iters, initial=initial)
+        initial = False
         total += it
         if cstat == "trouble":
             return result(TROUBLE, total, tau, math.inf)

@@ -22,11 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, planner, power_alloc, robust_lmi, trajectory_sca
+from .geometry import LN2
 from .planner import (BEST_EFFORT, NON_ROBUST, ROBUST, PlanResult,
                       optimize, optimize_non_robust, run_best_effort)
 from .scenario import EveRegion, Scenario, slot_count, validate
-
-LN2 = math.log(2.0)
 
 _SCENARIO_KEYS = {
     "altitude", "flight_duration", "slot_len", "v_max", "start_xy", "end_xy",

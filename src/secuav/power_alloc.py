@@ -6,15 +6,12 @@ one scalar dual variable for the average-power constraint, found by bisection.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import rate_coefficients
+from .geometry import LN2, rate_coefficients
 from .scenario import PowerSchedule, Scenario, Trajectory
-
-LN2 = math.log(2.0)
 
 LAMBDA_TOL = 1e-12       # dual variables below this are treated as zero
 POWER_RESIDUAL_REL = 1e-9

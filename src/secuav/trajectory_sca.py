@@ -11,18 +11,15 @@ decrease the true objective and is always robustly feasible.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import convex_backend
 from .convex_backend import SolverSettings, OPTIMAL, TROUBLE
-from .geometry import rate_coefficients, secrecy_sum, worst_case_dist_sq, log2_1p
+from .geometry import LN2, log2_1p, rate_coefficients, secrecy_sum, worst_case_dist_sq
 from .robust_lmi import block_coeff_arrays, psd_check
 from .scenario import PowerSchedule, Scenario, Trajectory
-
-LN2 = math.log(2.0)
 
 ROBUST_FEAS_TOL = 1e-6   # meters^2, allowed slack when re-checking t against disks
 XI_CLAMP = 1e-12
@@ -59,6 +56,7 @@ class ConvexProgram:
     g_u: np.ndarray
     obj_const: float
     u_fea: np.ndarray
+    t_fea: np.ndarray        # tight t (worst-case distance^2) at the expansion point
     cone_eve_x: np.ndarray   # (Kr,)
     cone_eve_y: np.ndarray
     cone_q2: np.ndarray
@@ -153,7 +151,7 @@ def taylor_rate_surrogate(u, u_fea, p_scaled):
 
 def _surrogate_value(prog: ConvexProgram, u, t) -> float:
     val = prog.obj_const - float((prog.g_u * u).sum())
-    val -= float((np.log1p(prog.p_scaled / t) / LN2).sum())
+    val -= float(log2_1p(prog.p_scaled / t).sum())
     return val
 
 
@@ -219,6 +217,7 @@ def assemble(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
         n_slots=n, h2=h2, step_sq_max=scenario.max_step**2,
         pin_start=tuple(scenario.start_xy), pin_end=tuple(scenario.end_xy),
         p_scaled=p_scaled, g_u=g_u, obj_const=obj_const, u_fea=state.u_fea,
+        t_fea=state.t,
         cone_eve_x=cone_ex, cone_eve_y=cone_ey, cone_q2=cone_q2,
         cone_kx=cone_kx, cone_ky=cone_ky, cone_k0=cone_k0,
         aff_kx=aff_kx, aff_ky=aff_ky, aff_k0=aff_k0,
@@ -277,8 +276,7 @@ def solve_step(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
     # the expansion point, so the true objective never decreases
     surrogate = _surrogate_value(prog, u, t)
     true_val = secrecy_sum(traj, powers, scenario)
-    sur_fea = _surrogate_value(prog, np.asarray(u_fea),
-                               initialize_slacks(traj_fea, scenario)[1])
+    sur_fea = _surrogate_value(prog, np.asarray(u_fea), prog.t_fea)
     if surrogate > true_val + 1e-9 * max(1.0, abs(true_val)):
         return _fallback(traj_fea, u_fea, powers, scenario)
     if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from secuav.convex_backend import SolverSettings, _pull_in, _Workspace, first_step, solve
+from secuav.convex_backend import (SolverSettings, _pull_in, _Workspace, first_step,
+                                   line_search_start, solve)
+from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, initialize_slacks, solve_step
 
-from conftest import make_scenario
+from conftest import BENCHMARK_SCENARIO, make_scenario
 
 LN2 = math.log(2.0)
 
@@ -25,7 +27,7 @@ def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
         n_slots=n, h2=h2, step_sq_max=step_sq,
         pin_start=pins, pin_end=pins,
         p_scaled=np.full(n, p_scaled), g_u=np.full(n, g_u), obj_const=0.0,
-        u_fea=np.full(n, u0),
+        u_fea=np.full(n, u0), t_fea=np.full(n, t0),
         cone_eve_x=np.empty(0), cone_eve_y=np.empty(0), cone_q2=np.empty(0),
         cone_kx=np.empty((0, n)), cone_ky=np.empty((0, n)), cone_k0=np.empty((0, n)),
         aff_kx=np.zeros((1, n)), aff_ky=np.zeros((1, n)),
@@ -398,3 +400,46 @@ class TestNewtonKernel:
         assert start(1.0, 0.0, -16.0) == 0.125    # root 1/4 itself is not interior
         assert start(1.0, 2.0, 1.0) == 1.0        # both roots negative
         assert start(1.0, -1e40, 0.0) is None     # root below 2^-95
+
+    def test_initial_stage_start_keeps_most_of_every_margin(self):
+        prog, ws, points = kernel_points()
+        z, _ = points[False]
+        fams = ws.table(z)
+        m_now = direct_margins(prog, z, 0.0, False)
+        rng = np.random.default_rng(20261019)
+        bounded = set()
+        full = 0
+        for _ in range(200):
+            scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
+            dz = (rng.normal(size=(prog.n_slots, ws.B)) * scale).ravel()
+            m0, m1, m2 = ws.ray(fams, dz, 0.0)
+            exact = first_step(m0, m1, m2)
+            assert line_search_start(m0, m1, m2, initial=False) == exact
+            start = line_search_start(m0, m1, m2, initial=True)
+            if exact is None or exact == 1.0:
+                assert start == exact
+                full += exact == 1.0
+                continue
+            keep = next((0.5**k for k in range(96)
+                         if np.all(direct_margins(prog, z + 0.5**k * dz, 0.0, False)
+                                   > 0.8 * m_now)), None)
+            assert start == (exact if keep is None else keep)
+            if start < exact:
+                bounded.add(start)
+        # both branches ran, and the bound cut the exact start at several depths
+        assert full >= 10 and len(bounded) >= 4
+
+
+def test_fine_slot_first_program_reaches_optimal():
+    """paper_fig2 at 0.1 s slots (N = 1600), first convex step from the best-
+    effort track at equal power.  With the exact start in the first centering
+    stage two single margins collapsed and the solve ended max_iter after
+    1006 Newton steps."""
+    base = load_scenario(BENCHMARK_SCENARIO)
+    scen = derive_scenario(dataclasses.replace(base, slot_len=0.1), "T", 160.0)
+    assert scen.n_slots == 1600
+    traj = best_effort_trajectory(scen)
+    u_fea, _, _ = initialize_slacks(traj, scen)
+    res = solve(assemble(traj, u_fea, equal_power(scen), scen))
+    assert res.status == "optimal"
+    assert res.newton_iters <= 300
