@@ -2,9 +2,10 @@
 """Time the convex trajectory steps across planner iterations on one scenario.
 
 Each iteration solves its convex step once, through ``solve_step``; the
-Newton steps, time and gap printed are those of the solve whose trajectory
-is carried forward.  ``--slot-len`` replaces the scenario's slot length:
-``--duration 160 --slot-len 0.1`` profiles the fine-slot (N = 1600) case.
+Newton steps, time, duality gap, KKT residual and smallest constraint margin
+printed are those of the solve whose trajectory is carried forward.
+``--slot-len`` replaces the scenario's slot length: ``--duration 160
+--slot-len 0.1`` profiles the fine-slot (N = 1600) case.
 """
 import argparse
 import dataclasses
@@ -18,7 +19,7 @@ from secuav import convex_backend
 from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.power_alloc import optimize_power
-from secuav.trajectory_sca import initialize_slacks, solve_step
+from secuav.trajectory_sca import solve_step
 
 
 def main() -> int:
@@ -37,7 +38,6 @@ def main() -> int:
     scen = derive_scenario(base, "T", args.duration)
     traj = best_effort_trajectory(scen)
     powers = equal_power(scen)
-    u, _, _ = initialize_slacks(traj, scen)
     print(f"N = {scen.n_slots} slots, K = {scen.n_eves} eavesdroppers")
 
     solve = convex_backend.solve
@@ -54,14 +54,15 @@ def main() -> int:
     try:
         for m in range(1, args.steps + 1):
             solves.clear()
-            sol = solve_step(traj, u, powers, scen)
+            sol = solve_step(traj, powers, scen)
             res, dt_solve = solves[0]
             print(f"iter {m}: {res.status:9s} {res.newton_iters:4d} newton steps "
                   f"{1e3 * dt_solve:7.1f} ms  gap {res.duality_gap:.2e} "
+                  f"kkt {res.kkt_residual:.2e} margin {res.min_margin:.2e} "
                   f"objective {res.objective:+.6f}")
             if sol.status == "numerical_trouble":
                 break
-            traj, u = sol.trajectory, sol.u
+            traj = sol.trajectory
             powers = optimize_power(traj, scen).schedule
     finally:
         convex_backend.solve = solve

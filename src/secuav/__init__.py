@@ -10,12 +10,10 @@ from .planner import (IterationRecord, PlannerOptions, PlanResult,
                       optimize_non_robust, run_best_effort)
 from .power_alloc import (PowerDual, optimize_power, power_for_dual,
                           solve_power_subproblem)
-from .robust_lmi import (ArrowheadCoeffs, LmiBlock, RotatedSocConstraint,
-                         as_rotated_soc, exact_c, linearized_c, psd_check)
+from .robust_lmi import psd_check
 from .scenario import (EveRegion, PowerSchedule, Scenario, Trajectory,
                        slot_count, validate)
-from .trajectory_sca import (ConvexProgram, ScaState, SubproblemSolution,
-                             assemble, initialize_slacks, make_state,
-                             solve_step, taylor_rate_surrogate)
+from .trajectory_sca import (ConvexProgram, SubproblemSolution, assemble,
+                             initialize_slacks, solve_step, taylor_rate_surrogate)
 
 __version__ = "0.1.0"

@@ -2,12 +2,11 @@
 
 The program class is fixed: maximize a concave objective
 
-    sum_n [ -g_u[n]*u[n] - log2(1 + P[n]/t[n]) ]   (+ constant)
+    sum_n [ -g_u[n]*(x[n]^2 + y[n]^2 + H^2) - log2(1 + P[n]/t[n]) ]   (+ constant)
 
-over per-slot variables (x, y, u, t, xi_1..xi_Kr) subject to
+over per-slot variables (x, y, t, xi_1..xi_Kr) subject to
 
   * mobility balls    (x[n+1]-x[n])^2 + (y[n+1]-y[n])^2 <= L^2   (pinned ends),
-  * ball epigraphs    x[n]^2 + y[n]^2 + H^2 <= u[n],
   * rotated cones     b^2 + c^2 <= a*d  per (eavesdropper, slot) with
                       a = xi+1, b/c/d affine in (x, y, t, xi),
   * affine rows       d >= 0 for radius-zero eavesdroppers,
@@ -22,19 +21,18 @@ makes every mobility constraint tight).  The pull-in slack enters the cone
 rows as a*(d+s) - b^2 - c^2 >= 0, which is still an affine section of the
 rotated cone and therefore convex.
 
-Variables are packed slot-major, block ``[x, y, u, t, xi_*]``; u entries of
-slots with zero transmit power have no effect on the objective or on any
-binding constraint and are frozen at their start value to keep the KKT matrix
-nonsingular.
+The distance term is a convex quadratic, so it enters the objective directly
+and needs no epigraph slack.  Variables are packed slot-major, block
+``[x, y, t, xi_*]``.
 
 Constraint families.  Every margin is a quadratic in the variables, so one
-table describes all six families (mobility ball, ball epigraph, rotated cone,
-affine row, t bound, xi bound).  At a point each family gives its margins m
+table describes all five families (mobility ball, rotated cone, affine row,
+t bound, xi bound).  At a point each family gives its margins m
 over (rows, slots), with eavesdroppers as rows, the gradient of m per block
 column and the constant entries of its Hessian.  The mobility family is
 written in the step differences (x[j]-x[j-1], y[j]-y[j-1]) and reaches the
 two slots of each step through the chain rule; all others are slot-local.
-Both phases read the same table (the pull-in phase drops the ball epigraph):
+Both phases read the same table:
 
   * the margins serve the domain check, the pull-in deficit and the post-hoc
     margin of the result;
@@ -66,6 +64,19 @@ rule (Waechter & Biegler, Math. Prog. 2006, sect. 2.2).  Later stages start
 near a central point and keep the exact start: bounding every stage more than
 doubled the Newton steps of the paper_fig2 T sweep, and bounding also the steps
 the boundary does not cut added 5%.
+
+Noise floor.  The merit tau*(f0 - f0_ref) + barrier is rounded to about
+eps*(|merit| + tau*|f0_ref|); at tau ~ 1e9 that is ~1e-5, far above the
+0.25*lambda^2 decrease the Armijo test asks for near the center.  Below that
+floor the test cannot judge a step, and stopping there leaves the stage
+loosely centered, with the leftover gradient in the x and y columns (KKT
+residuals up to 5e-6 on small programs).  So at the floor the solver takes
+full Newton steps without the test (the pure Newton phase of Boyd &
+Vandenberghe, sect. 9.5.3) while the full step is interior and lambda^2 falls
+at least 4x per step.  Mostly one or two such steps reach ``newton_tol``;
+where lambda^2 stops falling the stage ends loosely centered, and the gap
+carries the sqrt(m)*lambda correction.  Without the 4x bound such stages ran
+the programs of paper_fig2 at N = 1600 into the centering cap.
 """
 from __future__ import annotations
 
@@ -99,7 +110,6 @@ class SolverSettings:
 class SolverResult:
     x: np.ndarray
     y: np.ndarray
-    u: np.ndarray
     t: np.ndarray
     xi: np.ndarray          # (Kr, N)
     objective: float        # maximized surrogate value, constants included
@@ -117,10 +127,10 @@ TROUBLE = "numerical_trouble"
 
 _RIDGES = (0.0, 1e-13, 1e-10, 1e-7)
 
-# keys of a family's gradient and Hessian entries: block columns x, y, u, t;
-# XI is the xi column of the row's own eavesdropper (column 4 + row); S is the
+# keys of a family's gradient and Hessian entries: block columns x, y, t;
+# XI is the xi column of the row's own eavesdropper (column XI + row); S is the
 # pull-in slack
-X, Y, U, T, XI, S = range(6)
+X, Y, T, XI, S = range(5)
 
 
 class _Family(NamedTuple):
@@ -129,7 +139,6 @@ class _Family(NamedTuple):
     m: np.ndarray                  # margins: (rows, slots), (slots,) or chain steps
     grad: dict                     # key -> dm/dkey, broadcastable to m
     hess: dict                     # (ki, kj), ki <= kj -> constant d2m/dki dkj
-    slots: np.ndarray | None = None  # m covers only these slots, grad all slots
     chain: bool = False            # rows are the mobility steps j-1 -> j
 
 
@@ -182,28 +191,25 @@ class _Workspace:
         self.N = N = prog.n_slots
         self.Kr = Kr = prog.cone_q2.shape[0]
         self.Ka = Ka = prog.aff_kx.shape[0]
-        self.B = 4 + Kr
+        self.B = XI + Kr
         self.nz = N * self.B
         self.kd = self.B + 1  # bandwidth: x, y couple to the next slot's x, y
         self.h2 = prog.h2
         self.L2 = prog.step_sq_max
-        self.u_active = prog.g_u > 0.0
-        self.n_u_active = int(self.u_active.sum())
-        self.act = None if self.n_u_active == N else np.flatnonzero(self.u_active)
-        self.m_bar = (N + 1) + self.n_u_active + (2 * Kr + Ka + 1) * N
+        self.m_bar = (N + 1) + (2 * Kr + Ka + 1) * N
         self.scale_ref = max(self.L2, 1e-9 * self.h2)
 
     # -- packing ---------------------------------------------------------
-    def pack(self, x, y, u, t, xi) -> np.ndarray:
-        return np.column_stack((x, y, u, t, *xi)).ravel()
+    def pack(self, x, y, t, xi) -> np.ndarray:
+        return np.column_stack((x, y, t, *xi)).ravel()
 
     def rows(self, z) -> np.ndarray:
-        """z as contiguous (B, N) rows x, y, u, t, xi_*."""
+        """z as contiguous (B, N) rows x, y, t, xi_*."""
         return z.reshape(self.N, self.B).T.copy()
 
     def unpack(self, z):
         R = self.rows(z)
-        return R[X], R[Y], R[U], R[T], R[4:]
+        return R[X], R[Y], R[T], R[XI:]
 
     @staticmethod
     def _direction(D, ds, f: _Family) -> dict:
@@ -216,20 +222,19 @@ class _Workspace:
             elif f.chain:  # the pins do not move
                 d[k] = _steps(D[k], 0.0, 0.0)
             else:
-                d[k] = D[4:] if k == XI else D[k]
+                d[k] = D[XI:] if k == XI else D[k]
         return d
 
     # -- constraint-family table -----------------------------------------
-    def table(self, z, s: float = 0.0, pull_in: bool = False) -> list[_Family]:
+    def table(self, z, s: float = 0.0) -> list[_Family]:
         """Every constraint family at (z, s).
 
         With a nonzero slack the cone margin is a*(d+s)-b^2-c^2 and every other
-        relaxable margin is shifted by +s; xi >= 0 is never relaxed.  The
-        pull-in phase drops the ball epigraphs.
+        relaxable margin is shifted by +s; xi >= 0 is never relaxed.
         """
         p = self.prog
         Z = self.rows(z)
-        x, y, u, t, xi = Z[X], Z[Y], Z[U], Z[T], Z[4:]
+        x, y, t, xi = Z[X], Z[Y], Z[T], Z[XI:]
         dx = _steps(x, p.pin_start[0], p.pin_end[0])
         dy = _steps(y, p.pin_start[1], p.pin_end[1])
         two = {(X, X): -2.0, (Y, Y): -2.0}
@@ -238,11 +243,6 @@ class _Workspace:
                     {X: -2.0 * dx, Y: -2.0 * dy, S: 1.0}, two, chain=True),
             _Family(t - self.h2 + s, {T: 1.0, S: 1.0}, {}),
         ]
-        if self.n_u_active and not pull_in:
-            m = u - x**2 - y**2 - self.h2 + s
-            fams.append(_Family(m if self.act is None else m[self.act],
-                                {X: -2.0 * x, Y: -2.0 * y, U: 1.0, S: 1.0},
-                                two, slots=self.act))
         if self.Kr:
             kx, ky, q2 = p.cone_kx, p.cone_ky, p.cone_q2[:, None]
             a = xi + 1.0
@@ -261,14 +261,14 @@ class _Workspace:
                                 {X: p.aff_kx, Y: p.aff_ky, T: -1.0, S: 1.0}, {}))
         return fams
 
-    def margins(self, z, s: float = 0.0, pull_in: bool = False) -> np.ndarray:
+    def margins(self, z, s: float = 0.0) -> np.ndarray:
         """All constraint margins, flat; strictly positive means interior."""
-        return _flat(f.m for f in self.table(z, s, pull_in))
+        return _flat(f.m for f in self.table(z, s))
 
-    def interior_deficit(self, z, include_u: bool = True) -> float:
+    def interior_deficit(self, z) -> float:
         """Largest slack (step^2 units) still needed for strict interiority."""
         worst = -math.inf
-        for f in self.table(z, 0.0, pull_in=not include_u):
+        for f in self.table(z):
             if S not in f.grad:
                 if f.m.min() <= 0.0:
                     raise ValueError("xi start must be strictly positive")
@@ -284,7 +284,7 @@ class _Workspace:
     def f0(self, z) -> float:
         p = self.prog
         Z = z.reshape(self.N, self.B)
-        return float((p.g_u * Z[:, U]).sum()
+        return float((p.g_u * (Z[:, X]**2 + Z[:, Y]**2 + self.h2)).sum()
                      + log2_1p(p.p_scaled / Z[:, T]).sum())
 
     # -- Newton system ----------------------------------------------------
@@ -294,7 +294,7 @@ class _Workspace:
         if f.chain:
             G[key] += vals[:-1] - vals[1:]
         elif key == XI:
-            G[4:] += vals
+            G[XI:] += vals
         else:
             G[key] += vals.sum(0) if vals.ndim == 2 else vals
 
@@ -310,7 +310,7 @@ class _Workspace:
                 V[B + ki - kj, :-1, kj] -= W[1:-1]
         elif kj == XI:
             for k in range(self.Kr):
-                c = 4 + k
+                c = XI + k
                 lo = c if ki == XI else ki
                 V[c - lo, :, lo] += W[k]
         else:
@@ -333,23 +333,20 @@ class _Workspace:
         vr = np.zeros((B, N)) if pull_in else None
         h = 0.0
         gs = tau if pull_in else 0.0  # pull-in objective is the slack itself
-        if pull_in:
-            # feasibility never hinges on u (it can always be lifted above the
-            # quadratic), so the pull-in phase freezes it and drops its rows
-            V[0, :, U] = 1.0
-        else:
+        if not pull_in:
             p = self.prog
-            t = z.reshape(N, B)[:, T]
+            Z = z.reshape(N, B)
+            t = Z[:, T]
             i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
-            G[U] = tau * p.g_u
+            curv = 2.0 * tau * p.g_u
+            G[X] = curv * Z[:, X]
+            G[Y] = curv * Z[:, Y]
             G[T] = (tau / LN2) * (i2 - i1)
+            V[0, :, X] = curv
+            V[0, :, Y] = curv
             V[0, :, T] = (tau / LN2) * (i1 * i1 - i2 * i2)
-            V[0, :, U] = ~self.u_active  # freeze unused u
         for f in fams:
             w1 = 1.0 / f.m
-            if f.slots is not None:  # no weight on the slots m leaves out
-                w1 = np.zeros(N)
-                w1[f.slots] = 1.0 / f.m
             # grad m / m per key; the slack's column of the Hessian is v
             gw = {k: g * w1 for k, g in sorted(f.grad.items()) if pull_in or k != S}
             keys = list(gw)
@@ -398,9 +395,6 @@ class _Workspace:
             m1 = _total(f.grad[k] * dk for k, dk in d.items())
             m2 = _total((0.5 * hk if ki == kj else hk) * d[ki] * d[kj]
                         for (ki, kj), hk in f.hess.items() if kj in d)
-            if f.slots is not None:
-                m1 = m1[f.slots]
-                m2 = None if m2 is None else m2[f.slots]
             m1s.append(m1)
             m2s.append(np.zeros(f.m.shape) if m2 is None else m2)
         return _flat(f.m for f in fams), _flat(m1s), _flat(m2s)
@@ -411,6 +405,12 @@ class _Workspace:
 # lambda^2/2 below this are still accepted; the reported duality gap carries
 # the sqrt(m)*lambda correction, which stays well under one percent.
 _LOOSE_CENTER_TOL = 2.5e-2
+
+
+def _loose_status(lam2) -> str:
+    """Status of a stage that stops above ``newton_tol``."""
+    return "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
+
 
 # Share of every margin a step of the initial centering stage must keep when
 # the boundary cuts the full step (see "Line search" above).  Keeping 0.75 to
@@ -443,18 +443,21 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
 
     Returns (z, s, iters, status, lam2) with status in {"centered", "early",
     "budget", "trouble"}.  The merit tau*f0 + barrier is asserted
-    non-increasing across accepted steps, up to its floating-point resolution.
+    non-increasing across Armijo steps, up to its floating-point resolution;
+    below that resolution the stage takes pure Newton steps ("Noise floor").
     """
     # measure the objective relative to the entry point: tau*f0 alone can reach
     # 1e13, whose float resolution would swallow the remaining decrements
     f0_ref = 0.0 if pull_in else ws.f0(z)
-    fams = ws.table(z, s, pull_in)
+    fams = ws.table(z, s)
     cur = (tau * s if pull_in else 0.0) - float(np.log(_flat(f.m for f in fams)).sum())
     iters = 0
     no_progress = 0
     lam2 = math.inf
+    pure_lam2 = math.inf  # lambda^2 before the last pure Newton step
+    eps8 = 8.0 * np.finfo(float).eps
     while iters < min(budget, settings.max_centering_iters):
-        resolution = 8.0 * np.finfo(float).eps * max(1.0, abs(cur))
+        resolution = eps8 * max(1.0, abs(cur))
         gz, ab, gs, v, h = ws.assemble(fams, z, tau, pull_in)
         dz = ds = None
         for ridge in _RIDGES:
@@ -470,38 +473,39 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
             return z, s, iters, "trouble", lam2
         if lam2 / 2.0 <= settings.newton_tol:
             return z, s, iters, "centered", lam2
-        if 0.25 * lam2 <= resolution:
-            # remaining progress is below what the merit can resolve
-            status = "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
-            return z, s, iters, status, lam2
         m0, m1, m2 = ws.ray(fams, dz, ds)
         step = line_search_start(m0, m1, m2, initial)
         if step is None:
             return z, s, iters, "trouble", lam2
+        # the merit cannot resolve the Armijo decrease: go on with full steps
+        # only while they are interior and lambda^2 falls 4x ("Noise floor")
+        pure = 0.25 * lam2 <= resolution + eps8 * tau * abs(f0_ref)
+        if pure and (step < 1.0 or 4.0 * lam2 > pure_lam2):
+            return z, s, iters, _loose_status(lam2), lam2
         new = None
-        for _ in range(60):
+        for _ in range(1 if pure else 60):
             m = m0 + step * (m1 + step * m2)
             if m.min() > 0.0:
                 z_new, s_new = z + step * dz, s + step * ds
                 base = s_new if pull_in else ws.f0(z_new) - f0_ref
                 cand = tau * base - float(np.log(m).sum())
-                if cand <= cur - 0.25 * step * lam2 + resolution:
-                    fams_new = ws.table(z_new, s_new, pull_in)
+                if pure or cand <= cur - 0.25 * step * lam2 + resolution:
+                    fams_new = ws.table(z_new, s_new)
                     if min(f.m.min() for f in fams_new) > 0.0:
                         new = cand
                         break
             step *= 0.5
         if new is None:
-            status = "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
-            return z, s, iters, status, lam2
+            return z, s, iters, _loose_status(lam2), lam2
         z, s, fams = z_new, s_new, fams_new
-        if new > cur + resolution:
+        if pure:
+            pure_lam2 = lam2
+        elif new > cur + resolution:
             return z, s, iters, "trouble", lam2
-        if cur - new <= resolution:
+        elif cur - new <= resolution:
             no_progress += 1
             if no_progress >= 3:
-                status = "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
-                return z, s, iters, status, lam2
+                return z, s, iters, _loose_status(lam2), lam2
         else:
             no_progress = 0
         cur = new
@@ -514,24 +518,16 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
 def _pull_in(ws: _Workspace, z, settings):
     """Find a strictly interior point near z (phase-I with one slack).
 
-    Returns (z, used_iters, ok).  On success the frozen u entries are reset
-    just above the squared distances at the pulled-in trajectory.
+    Returns (z, used_iters, ok).
     """
     delta = settings.interior_margin_rel * ws.scale_ref
-    if ws.interior_deficit(z) <= -delta:
+    deficit = ws.interior_deficit(z)
+    if deficit <= -delta:
         return z, 0, True
 
-    def finish(z_):
-        z_ = z_.copy()
-        Z = z_.reshape(ws.N, ws.B)
-        Z[:, U] = (Z[:, X]**2 + Z[:, Y]**2 + ws.h2) * (1.0 + 1e-3)
-        return z_
-
     def domain_ok(z_, s_):
-        return ws.margins(z_, s_, pull_in=True).min() > 0.0
+        return ws.margins(z_, s_).min() > 0.0
 
-    m_pull = ws.m_bar - ws.n_u_active
-    deficit = ws.interior_deficit(z, include_u=False)
     s = max(0.0, deficit) + max(10.0 * delta, 1e-2 * ws.scale_ref)
     if not domain_ok(z, s):  # pad again if a margin rounded to zero
         s = 2.0 * s + ws.scale_ref
@@ -539,8 +535,8 @@ def _pull_in(ws: _Workspace, z, settings):
             return z, 0, False
     # start with the barrier center near the current slack so the slack only
     # ever travels downward; small weights would first inflate it to ~m/tau
-    tau = m_pull / max(s, 10.0 * delta)
-    tau_end = m_pull / (0.1 * delta)
+    tau = ws.m_bar / max(s, 10.0 * delta)
+    tau_end = ws.m_bar / (0.1 * delta)
     total = 0
     early = lambda z_, s_: s_ <= -delta
     while total < settings.max_newton_iters:
@@ -548,18 +544,18 @@ def _pull_in(ws: _Workspace, z, settings):
                                       settings.max_newton_iters - total, early)
         total += it
         if status == "early" or s <= -delta:
-            return finish(z), total, True
+            return z, total, True
         if status == "trouble":
             return z, total, False
-        if status == "centered" and s - m_pull / tau > -delta:
-            # the optimal slack is within m_pull/tau of s, so the target depth
+        if status == "centered" and s - ws.m_bar / tau > -delta:
+            # the optimal slack is within m_bar/tau of s, so the target depth
             # is provably unreachable; settle for any strict interior point
             break
         if tau > tau_end:
             break
         tau *= settings.barrier_mu
     if s < 0.0 and domain_ok(z, 0.0):
-        return finish(z), total, True
+        return z, total, True
     return z, total, False
 
 
@@ -573,11 +569,10 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
     if settings is None:
         settings = SolverSettings()
     ws = _Workspace(program)
-    z = ws.pack(program.x_start, program.y_start, program.u_start,
-                program.t_start, program.xi_start)
+    z = ws.pack(program.x_start, program.y_start, program.t_start, program.xi_start)
 
     def result(status, iters, tau, gap):
-        x, y, u, t, xi = ws.unpack(z)
+        x, y, t, xi = ws.unpack(z)
         fams = ws.table(z)
         min_margin = ws.scaled_margin(fams)
         if status == OPTIMAL and min_margin <= 0.0:
@@ -590,7 +585,7 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
         else:
             objective = -math.inf
             kkt = math.inf
-        return SolverResult(x=x, y=y, u=u, t=t, xi=xi, objective=objective,
+        return SolverResult(x=x, y=y, t=t, xi=xi, objective=objective,
                             status=status, newton_iters=iters,
                             duality_gap=gap, kkt_residual=kkt,
                             min_margin=min_margin, tau=tau)

@@ -328,10 +328,9 @@ def _check_sca_monotone(n_steps: int):
     scen = _tiny_scenario()
     traj = planner.best_effort_trajectory(scen)
     powers = planner.equal_power(scen)
-    u, _, _ = trajectory_sca.initialize_slacks(traj, scen)
     prev = geometry.secrecy_sum(traj, powers, scen)
     for _ in range(n_steps):
-        sol = trajectory_sca.solve_step(traj, u, powers, scen)
+        sol = trajectory_sca.solve_step(traj, powers, scen)
         if sol.status == "numerical_trouble":
             return False, "trajectory step reported numerical trouble"
         if sol.true_objective < prev - 1e-6:
@@ -342,7 +341,7 @@ def _check_sca_monotone(n_steps: int):
             if np.any(theta < sol.t - 1e-6):
                 return False, "robust distance requirement violated after a step"
         prev = sol.true_objective
-        traj, u = sol.trajectory, sol.u
+        traj = sol.trajectory
     return True, f"objective non-decreasing over {n_steps} steps (final {prev:.6f})"
 
 

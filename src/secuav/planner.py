@@ -18,8 +18,11 @@ import numpy as np
 from .convex_backend import SolverSettings, TROUBLE
 from .geometry import avg_worst_case_secrecy_rate, secrecy_sum
 from .power_alloc import optimize_power
-from .scenario import PowerSchedule, Scenario, Trajectory
-from .trajectory_sca import initialize_slacks, solve_step
+from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
+                       trajectory_violations)
+# initialize_slacks is unused here, but planbench's tracer and its tests wrap
+# the name at this site
+from .trajectory_sca import initialize_slacks, solve_step  # noqa: F401
 
 ROBUST = "robust"
 NON_ROBUST = "non_robust"
@@ -96,24 +99,27 @@ def _fractional_increase(new: float, old: float) -> float:
 
 
 def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanResult:
-    """Joint trajectory and power design (the robust algorithm)."""
+    """Joint trajectory and power design (the robust algorithm).
+
+    Raises RuntimeError when the plan it would return breaks a trajectory or
+    power constraint of the scenario.
+    """
     if options is None:
         options = PlannerOptions()
     t0 = time.perf_counter()
     traj = best_effort_trajectory(scenario)
     powers = equal_power(scenario)
-    u, _, _ = initialize_slacks(traj, scenario)
     objective = secrecy_sum(traj, powers, scenario)
     records = [IterationRecord(0, objective, traj, powers, "init",
                                time.perf_counter() - t0)]
     converged = False
     for m in range(1, scenario.max_iters + 1):
-        sol = solve_step(traj, u, powers, scenario, options.solver)
+        sol = solve_step(traj, powers, scenario, options.solver)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
                                            time.perf_counter() - t0))
             break
-        traj, u = sol.trajectory, sol.u
+        traj = sol.trajectory
         dual = optimize_power(traj, scenario)
         powers = dual.schedule
         new_objective = secrecy_sum(traj, powers, scenario)
@@ -125,6 +131,10 @@ def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanR
             converged = True
             break
     best = max(records, key=lambda r: r.objective)
+    violations = (trajectory_violations(best.trajectory, scenario)
+                  + power_violations(best.powers, scenario))
+    if violations:
+        raise RuntimeError("planned schedule is infeasible: " + "; ".join(violations))
     return PlanResult(trajectory=best.trajectory, powers=best.powers,
                       iterations=tuple(records),
                       secrecy_rate=avg_worst_case_secrecy_rate(

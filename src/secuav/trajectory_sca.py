@@ -1,8 +1,10 @@
 """One trajectory improvement step: surrogate assembly, solve, extraction.
 
 With the power schedule fixed, the trajectory subproblem is made convex by
-(a) upper-bounding the transmitter-to-receiver distance with a slack u whose
-log term is replaced by its tangent at the expansion point, and (b) writing
+(a) replacing log2(1 + P/d2), with d2 = x^2 + y^2 + H^2 the squared
+transmitter-to-receiver distance, by its tangent in d2 at the expansion point,
+which leaves the term -g_u*d2, concave in (x, y), in the objective with no
+slack variable, and (b) writing
 the robust eavesdropper-distance requirement as per-(eavesdropper, slot)
 rotated-cone blocks whose only nonlinearity (the squared trajectory
 coordinates) is replaced by tangent lines.  Both replacements under-estimate
@@ -26,23 +28,11 @@ XI_CLAMP = 1e-12
 
 
 @dataclass(frozen=True)
-class ScaState:
-    """Expansion point and slack values carried between trajectory steps."""
-
-    x_fea: np.ndarray
-    y_fea: np.ndarray
-    u_fea: np.ndarray
-    u: np.ndarray
-    t: np.ndarray
-    xi: np.ndarray          # (K, N), rows of radius-zero eavesdroppers stay 0
-    p_scaled: np.ndarray
-
-
-@dataclass(frozen=True)
 class ConvexProgram:
     """Assembled subproblem in the form the barrier backend consumes.
 
-    Objective (to maximize): obj_const - sum_n [g_u[n]*u[n] + log2(1+P[n]/t[n])],
+    Objective (to maximize):
+    obj_const - sum_n [g_u[n]*(x[n]^2 + y[n]^2 + h2) + log2(1+P[n]/t[n])],
     with obj_const chosen so the value at the expansion point equals the true
     objective there.
     """
@@ -55,7 +45,6 @@ class ConvexProgram:
     p_scaled: np.ndarray
     g_u: np.ndarray
     obj_const: float
-    u_fea: np.ndarray
     t_fea: np.ndarray        # tight t (worst-case distance^2) at the expansion point
     cone_eve_x: np.ndarray   # (Kr,)
     cone_eve_y: np.ndarray
@@ -68,7 +57,6 @@ class ConvexProgram:
     aff_k0: np.ndarray
     x_start: np.ndarray
     y_start: np.ndarray
-    u_start: np.ndarray
     t_start: np.ndarray
     xi_start: np.ndarray     # (Kr, N)
     robust_eve_idx: tuple[int, ...]
@@ -77,10 +65,6 @@ class ConvexProgram:
     @property
     def n_mobility(self) -> int:
         return self.n_slots + 1
-
-    @property
-    def n_u_constraints(self) -> int:
-        return self.n_slots
 
     @property
     def n_soc_blocks(self) -> int:
@@ -98,7 +82,6 @@ class ConvexProgram:
 @dataclass(frozen=True)
 class SubproblemSolution:
     trajectory: Trajectory
-    u: np.ndarray
     t: np.ndarray
     xi: np.ndarray
     surrogate_objective: float
@@ -107,7 +90,7 @@ class SubproblemSolution:
 
 
 def initialize_slacks(traj: Trajectory, scenario: Scenario):
-    """Feasible slack values at a trajectory: exact u, tight t, best multipliers.
+    """Feasible slack values at a trajectory: tight t and best multipliers.
 
     t takes the closed-form worst-case squared distance, so every cone block
     is satisfiable; the multiplier of each block is the maximizer of the
@@ -115,7 +98,6 @@ def initialize_slacks(traj: Trajectory, scenario: Scenario):
     """
     x, y = traj.slot_positions()
     h2 = scenario.altitude**2
-    u = x**2 + y**2 + h2
     geom = rate_coefficients(traj, scenario)
     t = geom.theta.min(axis=0)
     xi = np.zeros((scenario.n_eves, scenario.n_slots))
@@ -134,55 +116,42 @@ def initialize_slacks(traj: Trajectory, scenario: Scenario):
             c = eve.center_y - y[n]
             d = -eve.radius**2 * xi[k, n] + (geom.d_center[k, n] ** 2 + h2 - t[n])
             assert psd_check(a, b, c, d), "multiplier initialization left a block indefinite"
-    return u, t, xi
+    return t, xi
 
 
-def taylor_rate_surrogate(u, u_fea, p_scaled):
-    """Tangent of log2(1 + P/u) at u_fea: exact at the touch point, below elsewhere."""
-    u = np.asarray(u, dtype=float)
-    u_fea = np.asarray(u_fea, dtype=float)
+def taylor_rate_surrogate(d2, d2_fea, p_scaled):
+    """Tangent of log2(1 + P/d2) at d2_fea: exact at the touch point, below elsewhere."""
+    d2 = np.asarray(d2, dtype=float)
+    d2_fea = np.asarray(d2_fea, dtype=float)
     p_scaled = np.asarray(p_scaled, dtype=float)
-    base = log2_1p(p_scaled / u_fea)
+    base = log2_1p(p_scaled / d2_fea)
     slope = np.where(p_scaled > 0,
-                     p_scaled / (LN2 * (u_fea**2 + p_scaled * u_fea)), 0.0)
-    out = base - slope * (u - u_fea)
+                     p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea)), 0.0)
+    out = base - slope * (d2 - d2_fea)
     return float(out) if out.ndim == 0 else out
 
 
-def _surrogate_value(prog: ConvexProgram, u, t) -> float:
-    val = prog.obj_const - float((prog.g_u * u).sum())
+def _surrogate_value(prog: ConvexProgram, x, y, t) -> float:
+    val = prog.obj_const - float((prog.g_u * (x**2 + y**2 + prog.h2)).sum())
     val -= float(log2_1p(prog.p_scaled / t).sum())
     return val
 
 
-def make_state(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
-               scenario: Scenario) -> ScaState:
-    """Bundle the expansion point with feasible slack values for one step."""
-    step_limit = scenario.max_step**2 + scenario.mobility_tol
-    if np.any(traj_fea.step_sq() > step_limit):
-        raise ValueError("expansion trajectory violates the mobility constraint")
-    x, y = traj_fea.slot_positions()
-    u_exact = x**2 + y**2 + scenario.altitude**2
-    u_fea = np.asarray(u_fea, dtype=float)
-    if np.any(u_fea < u_exact - 1e-6 * u_exact):
-        raise ValueError("expansion u lies below the distance it must dominate")
-    u0, t0, xi0 = initialize_slacks(traj_fea, scenario)
-    return ScaState(x_fea=x.copy(), y_fea=y.copy(), u_fea=u_fea,
-                    u=u0, t=t0, xi=xi0, p_scaled=scenario.gamma0 * powers.p)
-
-
-def assemble(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
+def assemble(traj_fea: Trajectory, powers: PowerSchedule,
              scenario: Scenario) -> ConvexProgram:
     """Build the convex step program around a feasible expansion point."""
+    if np.any(traj_fea.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
+        raise ValueError("expansion trajectory violates the mobility constraint")
     n = scenario.n_slots
     h2 = scenario.altitude**2
-    state = make_state(traj_fea, u_fea, powers, scenario)
-    x, y = state.x_fea, state.y_fea
+    x, y = traj_fea.slot_positions()
+    t_fea, _ = initialize_slacks(traj_fea, scenario)
 
-    p_scaled = state.p_scaled
+    p_scaled = scenario.gamma0 * powers.p
+    d2_fea = x**2 + y**2 + h2
     g_u = np.where(p_scaled > 0,
-                   p_scaled / (LN2 * (state.u_fea**2 + p_scaled * state.u_fea)), 0.0)
-    obj_const = float(log2_1p(p_scaled / state.u_fea).sum() + (g_u * state.u_fea).sum())
+                   p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea)), 0.0)
+    obj_const = float(log2_1p(p_scaled / d2_fea).sum() + (g_u * d2_fea).sum())
 
     robust = [k for k, e in enumerate(scenario.eves) if e.radius > 0.0]
     point = [k for k, e in enumerate(scenario.eves) if e.radius == 0.0]
@@ -201,9 +170,7 @@ def assemble(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
         aff_kx[i], aff_ky[i], aff_k0[i] = block_coeff_arrays(eve, x, y,
                                                              scenario.altitude)
 
-    gap = state.t - h2
-    t_start = state.t - 1e-3 * gap
-    u_start = state.u * (1.0 + 1e-3)
+    t_start = t_fea - 1e-3 * (t_fea - h2)
     xi_start = np.empty((kr, n))
     for i, k in enumerate(robust):
         q2 = cone_q2[i]
@@ -216,72 +183,68 @@ def assemble(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
     return ConvexProgram(
         n_slots=n, h2=h2, step_sq_max=scenario.max_step**2,
         pin_start=tuple(scenario.start_xy), pin_end=tuple(scenario.end_xy),
-        p_scaled=p_scaled, g_u=g_u, obj_const=obj_const, u_fea=state.u_fea,
-        t_fea=state.t,
+        p_scaled=p_scaled, g_u=g_u, obj_const=obj_const, t_fea=t_fea,
         cone_eve_x=cone_ex, cone_eve_y=cone_ey, cone_q2=cone_q2,
         cone_kx=cone_kx, cone_ky=cone_ky, cone_k0=cone_k0,
         aff_kx=aff_kx, aff_ky=aff_ky, aff_k0=aff_k0,
-        x_start=x.copy(), y_start=y.copy(), u_start=u_start, t_start=t_start,
+        x_start=x.copy(), y_start=y.copy(), t_start=t_start,
         xi_start=xi_start, robust_eve_idx=tuple(robust), point_eve_idx=tuple(point),
     )
 
 
-def _fallback(traj_fea: Trajectory, u_fea, powers, scenario) -> SubproblemSolution:
-    u0, t0, xi0 = initialize_slacks(traj_fea, scenario)
+def _fallback(traj_fea: Trajectory, powers, scenario) -> SubproblemSolution:
+    t0, xi0 = initialize_slacks(traj_fea, scenario)
     true_val = secrecy_sum(traj_fea, powers, scenario)
-    return SubproblemSolution(trajectory=traj_fea, u=np.array(u_fea), t=t0, xi=xi0,
+    return SubproblemSolution(trajectory=traj_fea, t=t0, xi=xi0,
                               surrogate_objective=true_val, true_objective=true_val,
                               status=TROUBLE)
 
 
-def solve_step(traj_fea: Trajectory, u_fea: np.ndarray, powers: PowerSchedule,
-               scenario: Scenario,
+def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
                settings: SolverSettings | None = None) -> SubproblemSolution:
     """Solve one convex step and extract a validated trajectory.
 
     On solver failure the expansion point is returned unchanged, so a caller
     can always treat the result as the current iterate.  Extraction re-checks
     the mobility bound and the robust distance requirement directly against
-    the closed-form worst case, and snaps u back to the exact squared
-    distances (the surrogate only improves under that move).
+    the closed-form worst case.
     """
-    prog = assemble(traj_fea, u_fea, powers, scenario)
+    prog = assemble(traj_fea, powers, scenario)
     res = convex_backend.solve(prog, settings)
     if res.status == TROUBLE:
-        return _fallback(traj_fea, u_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario)
 
     xs = np.concatenate(([scenario.start_xy[0]], res.x, [scenario.end_xy[0]]))
     ys = np.concatenate(([scenario.start_xy[1]], res.y, [scenario.end_xy[1]]))
     traj = Trajectory(xs=xs, ys=ys)
     if np.any(traj.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
-        return _fallback(traj_fea, u_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario)
 
     x, y = traj.slot_positions()
-    u = x**2 + y**2 + prog.h2
     t = res.t
     for k in range(scenario.n_eves):
         theta = worst_case_dist_sq((x, y), scenario.eves[k], scenario.altitude)
         if np.any(theta < t - ROBUST_FEAS_TOL):
-            return _fallback(traj_fea, u_fea, powers, scenario)
+            return _fallback(traj_fea, powers, scenario)
 
     xi = np.zeros((scenario.n_eves, scenario.n_slots))
     for i, k in enumerate(prog.robust_eve_idx):
         row = res.xi[i]
         if np.any(row < -XI_CLAMP):
-            return _fallback(traj_fea, u_fea, powers, scenario)
+            return _fallback(traj_fea, powers, scenario)
         xi[k] = np.maximum(row, 0.0)
 
     # improvement chain, checked numerically every step: the surrogate under-
     # estimates the truth at the new point and cannot fall below its value at
     # the expansion point, so the true objective never decreases
-    surrogate = _surrogate_value(prog, u, t)
+    surrogate = _surrogate_value(prog, x, y, t)
     true_val = secrecy_sum(traj, powers, scenario)
-    sur_fea = _surrogate_value(prog, np.asarray(u_fea), prog.t_fea)
+    sur_fea = _surrogate_value(prog, prog.x_start, prog.y_start, prog.t_fea)
     if surrogate > true_val + 1e-9 * max(1.0, abs(true_val)):
-        return _fallback(traj_fea, u_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario)
     if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):
-        return _fallback(traj_fea, u_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario)
     status = res.status if res.status in (OPTIMAL, "max_iter") else TROUBLE
-    return SubproblemSolution(trajectory=traj, u=u, t=t, xi=xi,
+    return SubproblemSolution(trajectory=traj, t=t, xi=xi,
                               surrogate_objective=surrogate,
                               true_objective=true_val, status=status)

@@ -18,7 +18,7 @@ from secuav.planner import (best_effort_trajectory, equal_power, optimize,
 from secuav.power_alloc import solve_power_subproblem
 from secuav.robust_lmi import psd_check_many, soc_feasible_many
 from secuav.scenario import EveRegion, Scenario
-from secuav.trajectory_sca import initialize_slacks, solve_step
+from secuav.trajectory_sca import solve_step
 
 from conftest import make_scenario, benchmark_fields
 
@@ -133,12 +133,11 @@ def test_c04_sca_step_soundness():
     scen = make_scenario()  # N=8, K=2
     traj = best_effort_trajectory(scen)
     powers = equal_power(scen)
-    u, _, _ = initialize_slacks(traj, scen)
     prev = secrecy_sum(traj, powers, scen)
     worst_drop = 0.0
     worst_violation = -math.inf
     for _ in range(6):
-        sol = solve_step(traj, u, powers, scen)
+        sol = solve_step(traj, powers, scen)
         if sol.status == "numerical_trouble":
             _report(4, False, "trajectory step reported numerical trouble")
         worst_drop = max(worst_drop, prev - sol.true_objective)
@@ -149,7 +148,7 @@ def test_c04_sca_step_soundness():
                                                     scen.altitude, 2000, k * 100 + n)
                 worst_violation = max(worst_violation, sol.t[n] - sampled)
         prev = sol.true_objective
-        traj, u = sol.trajectory, sol.u
+        traj = sol.trajectory
     elapsed = time.perf_counter() - t0
     _report(4, worst_drop <= 1e-6 and worst_violation <= 1e-6 and elapsed < 60.0,
             f"6 steps, worst objective drop {worst_drop:.2e}, "

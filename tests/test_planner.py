@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from secuav import planner
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
 from secuav.planner import (best_effort_trajectory, equal_power, optimize,
                             optimize_non_robust, run_best_effort)
-from secuav.scenario import EveRegion, trajectory_violations, power_violations
+from secuav.power_alloc import PowerDual
+from secuav.scenario import (EveRegion, PowerSchedule, trajectory_violations,
+                             power_violations)
 
 from conftest import make_scenario, benchmark_fields
 
@@ -88,6 +91,18 @@ class TestOptimize:
         res = optimize(tiny_scenario)
         base = run_best_effort(tiny_scenario)
         assert res.secrecy_rate >= base.secrecy_rate - 1e-9
+
+    def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
+        # a power block that overspends both budgets: the plan must not be
+        # returned as if it were valid
+        def overspend(traj, scenario):
+            p = np.full(scenario.n_slots, 2.0 * scenario.peak_power)
+            return PowerDual(lam=0.0, schedule=PowerSchedule(p), avg_used=float(p.mean()),
+                             iterations=0)
+
+        monkeypatch.setattr(planner, "optimize_power", overspend)
+        with pytest.raises(RuntimeError, match="peak power exceeded.*average power"):
+            optimize(tiny_scenario)
 
 
 class TestNonRobust:

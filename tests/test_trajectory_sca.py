@@ -22,8 +22,7 @@ class TestInitializeSlacks:
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         scen = make_scenario(**fields)
-        u, t, xi = initialize_slacks(hover_trajectory(scen), scen)
-        assert u == pytest.approx([1e4, 1e4])
+        t, xi = initialize_slacks(hover_trajectory(scen), scen)
         assert t == pytest.approx([24_400.0, 24_400.0])
         assert xi.shape == (2, 2)
         assert np.all(xi >= 0.0)
@@ -32,7 +31,7 @@ class TestInitializeSlacks:
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         scen = make_scenario(**fields)
-        u, t, xi = initialize_slacks(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
+        t, xi = initialize_slacks(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
         assert t == pytest.approx([1e4, 1e4])
 
     def test_zero_radius_needs_no_multiplier(self):
@@ -40,7 +39,7 @@ class TestInitializeSlacks:
         fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0),
                       eves=(EveRegion(-200.0, 0.0, 0.0), EveRegion(200.0, 0.0, 0.0)))
         scen = make_scenario(**fields)
-        u, t, xi = initialize_slacks(hover_trajectory(scen), scen)
+        t, xi = initialize_slacks(hover_trajectory(scen), scen)
         assert np.all(xi == 0.0)
         assert t == pytest.approx([200.0**2 + 1e4] * 2)
 
@@ -48,7 +47,7 @@ class TestInitializeSlacks:
         scen = make_scenario()
         traj = best_effort_trajectory(scen)
         x, y = traj.slot_positions()
-        u, t, xi = initialize_slacks(traj, scen)
+        t, xi = initialize_slacks(traj, scen)
         h2 = scen.altitude**2
         for k, eve in enumerate(scen.eves):
             for n in range(scen.n_slots):
@@ -67,8 +66,8 @@ class TestTaylorSurrogate:
             math.log2(1 + 125.0 / 500.0), abs=1e-14)
 
     def test_doubling_u_underestimates(self):
-        u_fea = 700.0
-        got = taylor_rate_surrogate(2 * u_fea, u_fea, u_fea)
+        d2_fea = 700.0
+        got = taylor_rate_surrogate(2 * d2_fea, d2_fea, d2_fea)
         assert got == pytest.approx(1.0 - 1.0 / (2 * LN2), abs=1e-12)
         assert got == pytest.approx(0.2786524795555182, abs=1e-12)
         assert got <= math.log2(1.5)
@@ -77,20 +76,18 @@ class TestTaylorSurrogate:
         assert taylor_rate_surrogate(123.0, 77.0, 0.0) == 0.0
 
     def test_global_underestimator(self):
-        u_fea, p = 400.0, 900.0
-        for u in np.linspace(50.0, 5000.0, 57):
-            sur = taylor_rate_surrogate(u, u_fea, p)
-            assert sur <= math.log2(1 + p / u) + 1e-12
+        d2_fea, p = 400.0, 900.0
+        for d2 in np.linspace(50.0, 5000.0, 57):
+            sur = taylor_rate_surrogate(d2, d2_fea, p)
+            assert sur <= math.log2(1 + p / d2) + 1e-12
 
 
 class TestAssemble:
     def test_benchmark_constraint_counts(self):
         scen = make_scenario(**benchmark_fields(160.0))
         traj = best_effort_trajectory(scen)
-        u, _, _ = initialize_slacks(traj, scen)
-        prog = assemble(traj, u, equal_power(scen), scen)
+        prog = assemble(traj, equal_power(scen), scen)
         assert prog.n_mobility == 321
-        assert prog.n_u_constraints == 320
         assert prog.n_soc_blocks == 2 * 320
         assert prog.n_affine_rows == 0
         assert prog.n_bounds == 320 + 640
@@ -98,9 +95,8 @@ class TestAssemble:
     def test_zero_power_program_still_solvable(self):
         scen = make_scenario()
         traj = best_effort_trajectory(scen)
-        u, _, _ = initialize_slacks(traj, scen)
         powers = PowerSchedule(np.zeros(scen.n_slots))
-        sol = solve_step(traj, u, powers, scen)
+        sol = solve_step(traj, powers, scen)
         assert sol.status == "optimal"
         assert sol.true_objective == 0.0
         assert sol.surrogate_objective == pytest.approx(0.0, abs=1e-12)
@@ -111,30 +107,21 @@ class TestAssemble:
         xs = np.zeros(n + 2)
         xs[4] = 3.0 * scen.max_step  # unreachable kink
         traj = Trajectory(xs=xs, ys=np.zeros(n + 2))
-        u = xs[1:-1] ** 2 + scen.altitude**2
         with pytest.raises(ValueError, match="mobility"):
-            assemble(traj, u, equal_power(scen), scen)
-
-    def test_low_u_fea_rejected(self):
-        scen = make_scenario()
-        traj = best_effort_trajectory(scen)
-        u, _, _ = initialize_slacks(traj, scen)
-        with pytest.raises(ValueError, match="expansion u"):
-            assemble(traj, 0.5 * u, equal_power(scen), scen)
+            assemble(traj, equal_power(scen), scen)
 
 
 def _iterate_sca(scen, max_steps=80, tol=1e-10, settings=None):
     traj = best_effort_trajectory(scen)
     powers = equal_power(scen)
-    u, _, _ = initialize_slacks(traj, scen)
     sol = None
     prev = secrecy_sum(traj, powers, scen)
     for _ in range(max_steps):
-        sol = solve_step(traj, u, powers, scen, settings)
+        sol = solve_step(traj, powers, scen, settings)
         assert sol.status == "optimal"
         gain = sol.true_objective - prev
         assert gain >= -1e-6
-        traj, u = sol.trajectory, sol.u
+        traj = sol.trajectory
         if abs(gain) < tol * max(1.0, abs(prev)):
             break
         prev = sol.true_objective
@@ -146,9 +133,8 @@ class TestSolveStep:
         scen = make_scenario()
         traj = best_effort_trajectory(scen)
         powers = equal_power(scen)
-        u, _, _ = initialize_slacks(traj, scen)
         base = secrecy_sum(traj, powers, scen)
-        sol = solve_step(traj, u, powers, scen)
+        sol = solve_step(traj, powers, scen)
         assert sol.status == "optimal"
         # surrogate below truth at the new point, above truth at the old point
         assert sol.surrogate_objective <= sol.true_objective + 1e-9
@@ -173,8 +159,7 @@ class TestSolveStep:
                              start_xy=(30.0, 40.0), end_xy=(30.0, 40.0),
                              v_max=0.5)
         traj = hover_trajectory(scen, xy=(30.0, 40.0))
-        u, _, _ = initialize_slacks(traj, scen)
-        sol = solve_step(traj, u, equal_power(scen), scen)
+        sol = solve_step(traj, equal_power(scen), scen)
         assert sol.status == "optimal"
         step = scen.max_step
         assert math.hypot(sol.trajectory.xs[1] - 30.0,
@@ -208,5 +193,5 @@ class TestSolveStep:
         scen = make_scenario()
         settings = SolverSettings(opt_tol=1e-10)
         sol, powers = _iterate_sca(scen, settings=settings)
-        again = solve_step(sol.trajectory, sol.u, powers, scen, settings)
+        again = solve_step(sol.trajectory, powers, scen, settings)
         assert again.true_objective - sol.true_objective <= 1e-8
