@@ -4,51 +4,71 @@ The program class is fixed: maximize a concave objective
 
     sum_n [ -g_u[n]*(x[n]^2 + y[n]^2 + H^2) - log2(1 + P[n]/t[n]) ]   (+ constant)
 
-over per-slot variables (x, y, t, xi_1..xi_Kr) subject to
+over per-slot variables (x, y, t), packed slot-major in blocks ``[x, y, t]``,
+subject to
 
-  * mobility balls    (x[n+1]-x[n])^2 + (y[n+1]-y[n])^2 <= L^2   (pinned ends),
-  * rotated cones     b^2 + c^2 <= a*d  per (eavesdropper, slot) with
-                      a = xi+1, b/c/d affine in (x, y, t, xi),
-  * affine rows       d >= 0 for radius-zero eavesdroppers,
-  * bounds            t >= H^2, xi >= 0.
+  * mobility balls   (x[n+1]-x[n])^2 + (y[n+1]-y[n])^2 <= L^2   (pinned ends),
+  * a t floor        t >= H^2/2,
+  * disk margins     t <= lin(q) - huber_r(|q - c|)  per (eavesdropper, slot),
+                     with q = (x, y), lin = kx*x + ky*y + k0 and
+                     huber_r(rho) = rho^2 for rho <= r, 2*r*rho - r^2 beyond.
+
+lin is the tangent lower bound of |q - c|^2 + H^2 at the expansion point, so
+lin - huber_r is at most (|q - c| - r)_+^2 + H^2, the true worst-case squared
+distance to the disk of radius r around c (``robust_lmi`` derives the margin
+from the S-procedure).  Radius-zero eavesdroppers are the case r = 0, an
+affine row; when every radius is zero (the non-robust planner) the table
+writes the family without Hessian entries.
+
+Why the floor H^2/2 is safe.  The floor is no robustness constraint: the disk
+margins alone bound t by the worst-case squared distance, and ``solve_step``
+re-checks every returned t against ``worst_case_dist_sq``, which is at least
+H^2.  The floor only keeps log2(1 + P/t) finite.  It must lie below H^2: at a
+slot inside a disk lin - huber equals H^2 at the expansion point, so a floor
+of H^2 leaves no interior and the pull-in phase fails.
 
 Everything is handled with logarithmic barriers and damped Newton steps; the
 KKT matrices are block tridiagonal (slots couple only through the mobility
 chain), so each step costs one banded Cholesky solve.  A single-slack pull-in
 phase produces a strictly interior starting point when the warm start sits on
 the boundary (for example a trajectory that flies at maximum speed, which
-makes every mobility constraint tight).  The pull-in slack enters the cone
-rows as a*(d+s) - b^2 - c^2 >= 0, which is still an affine section of the
-rotated cone and therefore convex.
+makes every mobility constraint tight).  The slack s shifts every margin to
+m + s, so its derivative is 1 for every row.
 
-The distance term is a convex quadratic, so it enters the objective directly
-and needs no epigraph slack.  Variables are packed slot-major, block
-``[x, y, t, xi_*]``.
+Constraint families.  Every margin is concave, and one table describes the
+three families (mobility ball, t floor, disk).  At a point each family gives
+its margins m over (rows, slots), with eavesdroppers as rows, the gradient of
+m per block column and its Hessian entries, constants or per-row arrays.  The
+mobility family is written in the step differences (x[j]-x[j-1],
+y[j]-y[j-1]) and reaches the two slots of each step through the chain rule;
+the others are slot-local.  Both phases read the same table:
 
-Constraint families.  Every margin is a quadratic in the variables, so one
-table describes all five families (mobility ball, rotated cone, affine row,
-t bound, xi bound).  At a point each family gives its margins m
-over (rows, slots), with eavesdroppers as rows, the gradient of m per block
-column and the constant entries of its Hessian.  The mobility family is
-written in the step differences (x[j]-x[j-1], y[j]-y[j-1]) and reaches the
-two slots of each step through the chain rule; all others are slot-local.
-Both phases read the same table:
-
-  * the margins serve the domain check, the pull-in deficit and the post-hoc
-    margin of the result;
+  * the margins serve the domain check, the line search merit, the pull-in
+    deficit (minus the smallest margin) and the post-hoc margin of the result;
   * the Newton system adds -grad m / m to the gradient and
     grad m grad m^T / m^2 - hess m / m to the Hessian, written straight into
     the lower band array that ``cholesky_banded`` reads;
-  * along a Newton ray each margin is the polynomial m0 + a*m1 + a^2*m2 in the
-    step length a, with m1 = grad m . d and m2 = d^T (hess m) d / 2.
+  * along a Newton ray each margin is modelled by m0 + a*m1 + a^2*m2 in the
+    step length a, with m1 = grad m . d and m2 = d^T (hess m) d / 2.  The model
+    is exact for every quadratic row: the mobility and floor rows, r = 0 rows
+    and disk rows inside their disk.  A disk row outside its disk is off by
+    O(a^3).
 
-Line search.  Once per Newton step the polynomials are built.  Their smallest
+Line search.  Once per Newton step the models are built.  Their smallest
 positive root bounds the step (the exact fraction-to-boundary rule of Nocedal
-& Wright, Numerical Optimization, sect. 19.2); halving starts at the largest
-power of two below it, and every Armijo trial evaluates the merit from the
-polynomials plus the objective along the ray.  The table at the accepted point
-is evaluated directly: it confirms strict interiority and supplies the next
-step's m0 and Newton system, so each step makes one pass over the families.
+& Wright, Numerical Optimization, sect. 19.2, for the quadratic rows); halving
+starts at the largest power of two below it.  A trial first checks the models
+(cheap), then evaluates the table at the trial point, demands every margin
+strictly positive there and computes the Armijo merit from those margins.  The
+accepted trial's table supplies the next step's Newton system, so a step that
+accepts its first trial makes one pass over the families.
+
+Duality gap.  At the central point of weight tau the multipliers
+1/(tau*m_i) are dual feasible and leave the gap m_bar/tau, with m_bar =
+(N+1) + (K+1)*N margins (Boyd & Vandenberghe, Convex Optimization, sect.
+11.2.2).  The argument uses only a concave objective and concave margins, not
+quadratic or self-concordant ones, so the disk rows, whose Hessian jumps at
+the rim, leave the bound intact.
 
 The first centering stage of the main phase starts from the pull-in point,
 which is interior but far from the central path (Boyd & Vandenberghe, Convex
@@ -111,13 +131,12 @@ class SolverResult:
     x: np.ndarray
     y: np.ndarray
     t: np.ndarray
-    xi: np.ndarray          # (Kr, N)
     objective: float        # maximized surrogate value, constants included
     status: str             # "optimal" | "max_iter" | "numerical_trouble"
     newton_iters: int
     duality_gap: float      # absolute bound, objective units
     kkt_residual: float     # scaled stationarity residual at the returned point
-    min_margin: float       # direct post-hoc constraint evaluation (scaled)
+    min_margin: float       # smallest margin, evaluated directly at the result
     tau: float              # final barrier weight (1/tau = barrier multiplier scale)
 
 
@@ -125,20 +144,21 @@ OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 TROUBLE = "numerical_trouble"
 
+# the floor t >= T_FLOOR * H^2 (see "Why the floor H^2/2 is safe")
+T_FLOOR = 0.5
+
 _RIDGES = (0.0, 1e-13, 1e-10, 1e-7)
 
-# keys of a family's gradient and Hessian entries: block columns x, y, t;
-# XI is the xi column of the row's own eavesdropper (column XI + row); S is the
-# pull-in slack
-X, Y, T, XI, S = range(5)
+# block columns, the keys of a family's gradient and Hessian entries
+X, Y, T = range(3)
 
 
 class _Family(NamedTuple):
     """One constraint family at one point."""
 
     m: np.ndarray                  # margins: (rows, slots), (slots,) or chain steps
-    grad: dict                     # key -> dm/dkey, broadcastable to m
-    hess: dict                     # (ki, kj), ki <= kj -> constant d2m/dki dkj
+    grad: dict                     # key -> dm/dkey, broadcastable to m; keys ascending
+    hess: dict                     # (ki, kj), ki <= kj -> d2m/dki dkj, broadcastable to m
     chain: bool = False            # rows are the mobility steps j-1 -> j
 
 
@@ -152,6 +172,10 @@ def _total(terms):
     for term in terms:
         out = term if out is None else out + term
     return out
+
+
+def _min_margin(fams) -> float:
+    return min(float(f.m.min()) for f in fams)
 
 
 def _steps(v, first, last) -> np.ndarray:
@@ -186,100 +210,64 @@ def first_step(m0, m1, m2):
 class _Workspace:
     """Layout, constraint-family table and Newton system of one program."""
 
+    B = 3      # block columns per slot: x, y, t
+    kd = B + 1  # bandwidth: x, y couple to the next slot's x, y
+
     def __init__(self, prog):
         self.prog = prog
         self.N = N = prog.n_slots
-        self.Kr = Kr = prog.cone_q2.shape[0]
-        self.Ka = Ka = prog.aff_kx.shape[0]
-        self.B = XI + Kr
         self.nz = N * self.B
-        self.kd = self.B + 1  # bandwidth: x, y couple to the next slot's x, y
         self.h2 = prog.h2
         self.L2 = prog.step_sq_max
-        self.m_bar = (N + 1) + (2 * Kr + Ka + 1) * N
+        self.m_bar = (N + 1) + (prog.eve_r.size + 1) * N
+        self.robust = bool(prog.eve_r.any())
         self.scale_ref = max(self.L2, 1e-9 * self.h2)
 
     # -- packing ---------------------------------------------------------
-    def pack(self, x, y, t, xi) -> np.ndarray:
-        return np.column_stack((x, y, t, *xi)).ravel()
+    @staticmethod
+    def pack(x, y, t) -> np.ndarray:
+        return np.column_stack((x, y, t)).ravel()
 
     def rows(self, z) -> np.ndarray:
-        """z as contiguous (B, N) rows x, y, t, xi_*."""
+        """z as contiguous (B, N) rows x, y, t."""
         return z.reshape(self.N, self.B).T.copy()
-
-    def unpack(self, z):
-        R = self.rows(z)
-        return R[X], R[Y], R[T], R[XI:]
-
-    @staticmethod
-    def _direction(D, ds, f: _Family) -> dict:
-        """A direction (rows D, slack ds) in the keys of one family."""
-        d = {}
-        for k in f.grad:
-            if k == S:
-                if ds:
-                    d[k] = ds
-            elif f.chain:  # the pins do not move
-                d[k] = _steps(D[k], 0.0, 0.0)
-            else:
-                d[k] = D[XI:] if k == XI else D[k]
-        return d
 
     # -- constraint-family table -----------------------------------------
     def table(self, z, s: float = 0.0) -> list[_Family]:
-        """Every constraint family at (z, s).
-
-        With a nonzero slack the cone margin is a*(d+s)-b^2-c^2 and every other
-        relaxable margin is shifted by +s; xi >= 0 is never relaxed.
-        """
+        """Every constraint family at (z, s); the slack s shifts every margin."""
         p = self.prog
-        Z = self.rows(z)
-        x, y, t, xi = Z[X], Z[Y], Z[T], Z[XI:]
+        x, y, t = self.rows(z)
         dx = _steps(x, p.pin_start[0], p.pin_end[0])
         dy = _steps(y, p.pin_start[1], p.pin_end[1])
-        two = {(X, X): -2.0, (Y, Y): -2.0}
         fams = [
-            _Family(self.L2 - dx**2 - dy**2 + s,
-                    {X: -2.0 * dx, Y: -2.0 * dy, S: 1.0}, two, chain=True),
-            _Family(t - self.h2 + s, {T: 1.0, S: 1.0}, {}),
+            _Family(self.L2 - dx**2 - dy**2 + s, {X: -2.0 * dx, Y: -2.0 * dy},
+                    {(X, X): -2.0, (Y, Y): -2.0}, chain=True),
+            _Family(t - T_FLOOR * self.h2 + s, {T: 1.0}, {}),
         ]
-        if self.Kr:
-            kx, ky, q2 = p.cone_kx, p.cone_ky, p.cone_q2[:, None]
-            a = xi + 1.0
-            b = p.cone_eve_x[:, None] - x
-            c = p.cone_eve_y[:, None] - y
-            d_s = kx * x + ky * y - t - q2 * xi + p.cone_k0 + s   # d + s
-            fams.append(_Family(
-                a * d_s - b**2 - c**2,
-                {X: a * kx + 2.0 * b, Y: a * ky + 2.0 * c, T: -a,
-                 XI: d_s - q2 * a, S: a},
-                {**two, (X, XI): kx, (Y, XI): ky, (T, XI): -1.0,
-                 (XI, XI): -2.0 * q2, (XI, S): 1.0}))
-            fams.append(_Family(xi, {XI: 1.0}, {}))
-        if self.Ka:
-            fams.append(_Family(p.aff_kx * x + p.aff_ky * y - t + p.aff_k0 + s,
-                                {X: p.aff_kx, Y: p.aff_ky, T: -1.0, S: 1.0}, {}))
+        m = p.eve_kx * x + p.eve_ky * y + p.eve_k0 - (t - s)
+        if not self.robust:  # every huber_0 vanishes: the disk rows are affine
+            fams.append(_Family(m, {X: p.eve_kx, Y: p.eve_ky, T: -1.0}, {}))
+            return fams
+        # w = q - c, phi = min(1, r/|w|) (0 for r = 0), and the outer branch's
+        # curvature factor 2*phi/|w|^2 (0 inside the disk)
+        r = p.eve_r[:, None]
+        wx = x - p.eve_x[:, None]
+        wy = y - p.eve_y[:, None]
+        w2 = wx * wx + wy * wy
+        phi = np.minimum(1.0, r / np.maximum(np.sqrt(w2), 1e-300))
+        two_phi = 2.0 * phi
+        curv = (phi < 1.0) * two_phi / np.maximum(w2, 1e-300)
+        cx = curv * wx
+        fams.append(_Family(
+            m - (two_phi - phi * phi) * w2,
+            {X: p.eve_kx - two_phi * wx, Y: p.eve_ky - two_phi * wy, T: -1.0},
+            {(X, X): cx * wx - two_phi, (X, Y): cx * wy,
+             (Y, Y): curv * wy * wy - two_phi}))
         return fams
 
     def margins(self, z, s: float = 0.0) -> np.ndarray:
         """All constraint margins, flat; strictly positive means interior."""
         return _flat(f.m for f in self.table(z, s))
-
-    def interior_deficit(self, z) -> float:
-        """Largest slack (step^2 units) still needed for strict interiority."""
-        worst = -math.inf
-        for f in self.table(z):
-            if S not in f.grad:
-                if f.m.min() <= 0.0:
-                    raise ValueError("xi start must be strictly positive")
-                continue
-            worst = max(worst, float((-f.m / f.grad[S]).max()))
-        return worst
-
-    def scaled_margin(self, fams) -> float:
-        """Smallest margin in step^2 units (slack units; xi times scale_ref)."""
-        return min(float((f.m / f.grad[S] if S in f.grad
-                          else f.m * self.scale_ref).min()) for f in fams)
 
     def f0(self, z) -> float:
         p = self.prog
@@ -293,26 +281,19 @@ class _Workspace:
         """Add per-row values of one key into the (B, N) rows G of a vector."""
         if f.chain:
             G[key] += vals[:-1] - vals[1:]
-        elif key == XI:
-            G[XI:] += vals
         else:
             G[key] += vals.sum(0) if vals.ndim == 2 else vals
 
     def _add_band(self, V, f: _Family, ki, kj, W):
         """Add per-row Hessian entries (ki, kj) into the band view V, where
         V[d, n, c] holds the matrix entry (n*B + c + d, n*B + c)."""
-        B = self.B
         if f.chain:
             # a step's rows touch its head slot with +1 and its tail with -1
+            B = self.B
             V[kj - ki, :, ki] += W[:-1] + W[1:]
             V[B + kj - ki, :-1, ki] -= W[1:-1]
             if ki != kj:
                 V[B + ki - kj, :-1, kj] -= W[1:-1]
-        elif kj == XI:
-            for k in range(self.Kr):
-                c = XI + k
-                lo = c if ki == XI else ki
-                V[c - lo, :, lo] += W[k]
         else:
             V[kj - ki, :, ki] += W.sum(0) if W.ndim == 2 else W
 
@@ -347,23 +328,20 @@ class _Workspace:
             V[0, :, T] = (tau / LN2) * (i1 * i1 - i2 * i2)
         for f in fams:
             w1 = 1.0 / f.m
-            # grad m / m per key; the slack's column of the Hessian is v
-            gw = {k: g * w1 for k, g in sorted(f.grad.items()) if pull_in or k != S}
+            gw = {k: g * w1 for k, g in f.grad.items()}  # grad m / m per key
             keys = list(gw)
+            if pull_in:  # dm/ds = 1: the slack's column of the Hessian is v
+                gs -= float(w1.sum())
+                h += float((w1 * w1).sum())
             for i, ki in enumerate(keys):
-                if ki == S:
-                    gs -= float(gw[S].sum())
-                    h += float((gw[S] * gw[S]).sum())
-                    break
                 self._add_vec(Gb, f, ki, gw[ki])
+                if pull_in:
+                    self._add_vec(vr, f, ki, gw[ki] * w1)
                 for kj in keys[i:]:
                     W = gw[ki] * gw[kj]
                     if (ki, kj) in f.hess:
                         W = W - f.hess[ki, kj] * w1
-                    if kj == S:
-                        self._add_vec(vr, f, ki, W)
-                    else:
-                        self._add_band(V, f, ki, kj, W)
+                    self._add_band(V, f, ki, kj, W)
         v = vr.T.ravel() if pull_in else None
         return (G - Gb).T.ravel(), ab, gs, v, h
 
@@ -387,15 +365,16 @@ class _Workspace:
 
     # -- line search -------------------------------------------------------
     def ray(self, fams, dz, ds):
-        """Margins along (z + a*dz, s + a*ds) as flat m0 + a*m1 + a^2*m2."""
+        """Second-order model m0 + a*m1 + a^2*m2 of the margins along
+        (z + a*dz, s + a*ds), flat; exact on the quadratic rows."""
         D = self.rows(dz)
         m1s, m2s = [], []
         for f in fams:
-            d = self._direction(D, ds, f)
-            m1 = _total(f.grad[k] * dk for k, dk in d.items())
+            # the pins do not move
+            d = {k: _steps(D[k], 0.0, 0.0) if f.chain else D[k] for k in f.grad}
+            m1s.append(_total(f.grad[k] * dk for k, dk in d.items()) + ds)
             m2 = _total((0.5 * hk if ki == kj else hk) * d[ki] * d[kj]
-                        for (ki, kj), hk in f.hess.items() if kj in d)
-            m1s.append(m1)
+                        for (ki, kj), hk in f.hess.items())
             m2s.append(np.zeros(f.m.shape) if m2 is None else m2)
         return _flat(f.m for f in fams), _flat(m1s), _flat(m2s)
 
@@ -484,14 +463,15 @@ def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=Non
             return z, s, iters, _loose_status(lam2), lam2
         new = None
         for _ in range(1 if pure else 60):
-            m = m0 + step * (m1 + step * m2)
-            if m.min() > 0.0:
+            # the model first (cheap), then the margins themselves
+            if (m0 + step * (m1 + step * m2)).min() > 0.0:
                 z_new, s_new = z + step * dz, s + step * ds
-                base = s_new if pull_in else ws.f0(z_new) - f0_ref
-                cand = tau * base - float(np.log(m).sum())
-                if pure or cand <= cur - 0.25 * step * lam2 + resolution:
-                    fams_new = ws.table(z_new, s_new)
-                    if min(f.m.min() for f in fams_new) > 0.0:
+                fams_new = ws.table(z_new, s_new)
+                m = _flat(f.m for f in fams_new)
+                if m.min() > 0.0:
+                    base = s_new if pull_in else ws.f0(z_new) - f0_ref
+                    cand = tau * base - float(np.log(m).sum())
+                    if pure or cand <= cur - 0.25 * step * lam2 + resolution:
                         new = cand
                         break
             step *= 0.5
@@ -521,7 +501,7 @@ def _pull_in(ws: _Workspace, z, settings):
     Returns (z, used_iters, ok).
     """
     delta = settings.interior_margin_rel * ws.scale_ref
-    deficit = ws.interior_deficit(z)
+    deficit = -_min_margin(ws.table(z))  # the slack still needed for interiority
     if deficit <= -delta:
         return z, 0, True
 
@@ -569,12 +549,12 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
     if settings is None:
         settings = SolverSettings()
     ws = _Workspace(program)
-    z = ws.pack(program.x_start, program.y_start, program.t_start, program.xi_start)
+    z = ws.pack(program.x_start, program.y_start, program.t_start)
 
     def result(status, iters, tau, gap):
-        x, y, t, xi = ws.unpack(z)
+        x, y, t = ws.rows(z)
         fams = ws.table(z)
-        min_margin = ws.scaled_margin(fams)
+        min_margin = _min_margin(fams)
         if status == OPTIMAL and min_margin <= 0.0:
             status = TROUBLE
         usable = min_margin > 0.0 and tau > 0
@@ -585,7 +565,7 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
         else:
             objective = -math.inf
             kkt = math.inf
-        return SolverResult(x=x, y=y, t=t, xi=xi, objective=objective,
+        return SolverResult(x=x, y=y, t=t, objective=objective,
                             status=status, newton_iters=iters,
                             duality_gap=gap, kkt_residual=kkt,
                             min_margin=min_margin, tau=tau)

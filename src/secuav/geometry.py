@@ -34,7 +34,6 @@ class WorstCaseGeometry:
     """
 
     theta: np.ndarray      # (K, N) meters^2
-    d_center: np.ndarray   # (K, N) meters
     alpha: np.ndarray      # (N,)   per watt
     beta: np.ndarray       # (N,)   per watt
 
@@ -132,11 +131,8 @@ def rate_coefficients(traj: Trajectory, scenario: Scenario) -> WorstCaseGeometry
     """Worst-case geometry and the per-slot SNR coefficients of both links."""
     x, y = traj.slot_positions()
     h2 = scenario.altitude**2
-    theta = np.empty((scenario.n_eves, scenario.n_slots))
-    d_center = np.empty_like(theta)
-    for k, eve in enumerate(scenario.eves):
-        d_center[k] = np.hypot(x - eve.center_x, y - eve.center_y)
-        theta[k] = worst_case_dist_sq((x, y), eve, scenario.altitude)
+    theta = np.stack([worst_case_dist_sq((x, y), eve, scenario.altitude)
+                      for eve in scenario.eves])
     alpha = scenario.gamma0 / (x**2 + y**2 + h2)
     beta = scenario.gamma0 / theta.min(axis=0)
-    return WorstCaseGeometry(theta=theta, d_center=d_center, alpha=alpha, beta=beta)
+    return WorstCaseGeometry(theta=theta, alpha=alpha, beta=beta)

@@ -1,8 +1,9 @@
 """Scalar arrowhead-block helpers for the robust-LMI tests.
 
-The planner uses only the vectorized pieces of ``secuav.robust_lmi``; these
-scalar forms (entry maps, matrix round trips, the exact and linearized border
-entry) spell out the S-procedure derivation the tests check it against.
+The planner uses only ``block_coeff_arrays`` and ``secuav verify`` the
+vectorized checks of ``secuav.robust_lmi``; these scalar forms (entry maps,
+matrix round trips, the exact and linearized border entry, the PSD test)
+spell out the S-procedure derivation the tests check the disk margin against.
 """
 from __future__ import annotations
 
@@ -10,7 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from secuav.robust_lmi import PSD_TOL_REL
 from secuav.scenario import EveRegion
+
+
+def psd_check(a: float, b: float, c: float, d: float) -> bool:
+    """Eigenvalue test of one arrowhead block, with a scale-relative tolerance."""
+    m = np.array([[a, 0.0, b], [0.0, a, c], [b, c, d]])
+    min_eig = float(np.linalg.eigvalsh(m)[0])
+    return min_eig >= -PSD_TOL_REL * max(1.0, abs(a), abs(d))
 
 
 class ArrowheadPatternError(ValueError):

@@ -26,20 +26,18 @@ def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
         pin_start=pins, pin_end=pins,
         p_scaled=np.full(n, p_scaled), g_u=np.full(n, g_u), obj_const=0.0,
         t_fea=np.full(n, t0),
-        cone_eve_x=np.empty(0), cone_eve_y=np.empty(0), cone_q2=np.empty(0),
-        cone_kx=np.empty((0, n)), cone_ky=np.empty((0, n)), cone_k0=np.empty((0, n)),
-        aff_kx=np.zeros((1, n)), aff_ky=np.zeros((1, n)),
-        aff_k0=np.full((1, n), theta_max),
+        # one radius-zero eavesdropper with a flat row: t <= theta_max
+        eve_x=np.zeros(1), eve_y=np.zeros(1), eve_r=np.zeros(1),
+        eve_kx=np.zeros((1, n)), eve_ky=np.zeros((1, n)),
+        eve_k0=np.full((1, n), theta_max),
         x_start=np.full(n, pins[0]), y_start=np.full(n, pins[1]),
         t_start=np.full(n, t0),
-        xi_start=np.empty((0, n)),
-        robust_eve_idx=(), point_eve_idx=(0,),
     )
 
 
 class TestToyPrograms:
     def test_monotone_objective_rides_to_upper_bound(self):
-        # maximize -log2(1 + 1/t) under H^2 <= t <= theta_max
+        # maximize -log2(1 + 1/t) under H^2/2 <= t <= theta_max
         prog = toy_program(g_u=0.0, p_scaled=1.0, theta_max=30_000.0)
         res = solve(prog)
         assert res.status == "optimal"
@@ -70,18 +68,39 @@ class TestToyPrograms:
 # --------------------------------------------------------------------------
 
 class _AugLag:
-    """Hand-rolled constrained maximizer used only as a test oracle."""
+    """Hand-rolled constrained maximizer used only as a test oracle.
+
+    It keeps the S-procedure form of the robust constraints: one multiplier
+    xi per (disk, slot) and the rotated cone (xi+1)*d >= b^2 + c^2, with
+    radius-zero eavesdroppers as affine rows.
+    """
 
     def __init__(self, prog: ConvexProgram):
         self.p = prog
         self.n = prog.n_slots
-        self.kr = prog.cone_q2.shape[0]
-        self.ka = prog.aff_kx.shape[0]
+        self.robust = np.flatnonzero(prog.eve_r > 0.0)
+        self.point = np.flatnonzero(prog.eve_r == 0.0)
+        self.kr = self.robust.size
         self.width = 3 + self.kr
 
     def split(self, z):
         z = z.reshape(self.n, self.width)
         return z[:, 0], z[:, 1], z[:, 2], z[:, 3:].T
+
+    def lin(self, k, x, y):
+        p = self.p
+        return p.eve_kx[k] * x + p.eve_ky[k] * y + p.eve_k0[k]
+
+    def start(self):
+        """The program's start with the best multipliers of its blocks."""
+        p = self.p
+        z0 = np.zeros((self.n, self.width))
+        z0[:, 0], z0[:, 1], z0[:, 2] = p.x_start, p.y_start, p.t_start
+        for i, k in enumerate(self.robust):
+            q2 = p.eve_r[k] ** 2
+            slack = self.lin(k, p.x_start, p.y_start) - p.t_start
+            z0[:, 3 + i] = np.maximum((slack - q2) / (2.0 * q2), 1e-6)
+        return z0.ravel()
 
     def objective_and_grad(self, z):
         p = self.p
@@ -122,23 +141,24 @@ class _AugLag:
                 grads[(j, 1)] = grads.get((j, 1), 0.0) + 2.0 * dy[j]
             add(dx[j] ** 2 + dy[j] ** 2 - p.step_sq_max, grads)
         for s in range(self.n):
-            add(p.h2 - t[s], {(s, 2): -1.0})
-        for k in range(self.kr):
-            a = xi[k] + 1.0
-            b = p.cone_eve_x[k] - x
-            c = p.cone_eve_y[k] - y
-            d = p.cone_kx[k] * x + p.cone_ky[k] * y - t - p.cone_q2[k] * xi[k] + p.cone_k0[k]
+            add(0.5 * p.h2 - t[s], {(s, 2): -1.0})
+        for i, k in enumerate(self.robust):
+            q2 = p.eve_r[k] ** 2
+            a = xi[i] + 1.0
+            b = p.eve_x[k] - x
+            c = p.eve_y[k] - y
+            d = self.lin(k, x, y) - t - q2 * xi[i]
             for s in range(self.n):
                 add(b[s] ** 2 + c[s] ** 2 - a[s] * d[s],
-                    {(s, 0): -2.0 * b[s] - a[s] * p.cone_kx[k, s],
-                     (s, 1): -2.0 * c[s] - a[s] * p.cone_ky[k, s],
+                    {(s, 0): -2.0 * b[s] - a[s] * p.eve_kx[k, s],
+                     (s, 1): -2.0 * c[s] - a[s] * p.eve_ky[k, s],
                      (s, 2): a[s],
-                     (s, 3 + k): -(d[s] - p.cone_q2[k] * a[s])})
-                add(-xi[k, s], {(s, 3 + k): -1.0})
-        for k in range(self.ka):
-            d = p.aff_kx[k] * x + p.aff_ky[k] * y - t + p.aff_k0[k]
+                     (s, 3 + i): -(d[s] - q2 * a[s])})
+                add(-xi[i, s], {(s, 3 + i): -1.0})
+        for k in self.point:
+            d = self.lin(k, x, y) - t
             for s in range(self.n):
-                add(-d[s], {(s, 0): -p.aff_kx[k, s], (s, 1): -p.aff_ky[k, s],
+                add(-d[s], {(s, 0): -p.eve_kx[k, s], (s, 1): -p.eve_ky[k, s],
                             (s, 2): 1.0})
         return np.array(rows), np.array(jacs)
 
@@ -179,8 +199,8 @@ def random_small_instance(seed):
     k = int(rng.integers(1, 3))
     eves = []
     for _ in range(k):
-        # keep disks clear of the flight corridor so the expansion point is
-        # never inside one (which would make the subproblem boundary-only)
+        # keep disks clear of the flight corridor; the kernel program below
+        # has a slot inside a disk
         q = float(rng.uniform(0.0, 4.0))
         cy = float(rng.choice([-1.0, 1.0]) * (q + n + 1.0 + rng.uniform(0.0, 6.0)))
         cx = float(rng.uniform(-n - 6.0, n + 6.0))
@@ -208,13 +228,7 @@ class TestRandomInstancesAgainstAugLag:
         assert res.kkt_residual <= 1e-6
 
         oracle = _AugLag(prog)
-        z0 = np.zeros((prog.n_slots, oracle.width))
-        z0[:, 0] = prog.x_start
-        z0[:, 1] = prog.y_start
-        z0[:, 2] = prog.t_start
-        for i in range(oracle.kr):
-            z0[:, 3 + i] = prog.xi_start[i]
-        z_ref, obj_ref, cons = oracle.maximize(z0.ravel())
+        z_ref, obj_ref, cons = oracle.maximize(oracle.start())
         assert cons.max() <= 1e-7  # oracle itself must end feasible
         assert res.objective == pytest.approx(obj_ref, abs=1e-6 * max(1.0, abs(obj_ref)))
 
@@ -262,38 +276,54 @@ class TestScaleRobustness:
 # --------------------------------------------------------------------------
 
 def kernel_program():
-    """N = 4 with two disks (cone rows), one point eavesdropper (affine row)
-    and a silent slot (g_u = 0, so no objective curvature in its x and y)."""
+    """N = 4 with two disks, one point eavesdropper (an affine row) and a
+    silent slot (g_u = 0, so no objective curvature in its x and y).  Slot 2
+    of the start lies inside the first disk, so both branches of the disk
+    margin are in play."""
     scen = make_scenario(flight_duration=2.0, n_slots=4,
                          start_xy=(-10.0, -10.0), end_xy=(10.0, -10.0),
-                         eves=(EveRegion(-10.0, 4.0, 2.0), EveRegion(10.0, 4.0, 3.0),
+                         eves=(EveRegion(-3.0, -4.0, 2.0), EveRegion(10.0, 4.0, 3.0),
                                EveRegion(0.0, 8.0, 0.0)))
     traj = best_effort_trajectory(scen)
     prog = assemble(traj, PowerSchedule([1e-3, 1e-3, 0.0, 1e-3]), scen)
-    assert prog.cone_q2.shape[0] == 2 and prog.aff_kx.shape[0] == 1
+    assert list(prog.eve_r) == [2.0, 3.0, 0.0]
     assert list(prog.g_u > 0) == [True, True, False, True]
+    assert list(inside_disks(prog, prog.x_start, prog.y_start)[0]) == [False, True, False, False]
     return prog
+
+
+def inside_disks(prog, x, y):
+    """(K, N) mask of the slots strictly inside each disk."""
+    return np.hypot(x - prog.eve_x[:, None], y - prog.eve_y[:, None]) < prog.eve_r[:, None]
 
 
 def direct_margins(prog, z, s):
     """Every barrier margin, written out from the program data, in the order
     of the solver's family table."""
     n = prog.n_slots
-    zz = z.reshape(n, -1)
-    x, y, t, xi = zz[:, 0], zz[:, 1], zz[:, 2], zz[:, 3:].T
+    zz = z.reshape(n, 3)
+    x, y, t = zz[:, 0], zz[:, 1], zz[:, 2]
     xpad = np.concatenate(([prog.pin_start[0]], x, [prog.pin_end[0]]))
     ypad = np.concatenate(([prog.pin_start[1]], y, [prog.pin_end[1]]))
     parts = [prog.step_sq_max - np.diff(xpad) ** 2 - np.diff(ypad) ** 2 + s,
-             t - prog.h2 + s]
-    for k in range(prog.cone_q2.shape[0]):
-        d = (prog.cone_kx[k] * x + prog.cone_ky[k] * y - t
-             - prog.cone_q2[k] * xi[k] + prog.cone_k0[k])
-        parts.append((xi[k] + 1.0) * (d + s) - (prog.cone_eve_x[k] - x) ** 2
-                     - (prog.cone_eve_y[k] - y) ** 2)
-    parts.append(xi.ravel())
-    for k in range(prog.aff_kx.shape[0]):
-        parts.append(prog.aff_kx[k] * x + prog.aff_ky[k] * y - t + prog.aff_k0[k] + s)
+             t - 0.5 * prog.h2 + s]
+    for k, r in enumerate(prog.eve_r):
+        rho = np.hypot(x - prog.eve_x[k], y - prog.eve_y[k])
+        huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
+        lin = prog.eve_kx[k] * x + prog.eve_ky[k] * y + prog.eve_k0[k]
+        parts.append(lin - t - huber + s)
     return np.concatenate(parts)
+
+
+def quadratic_rows(prog, z, z_end):
+    """Mask of the rows whose margin is a quadratic on the segment z -> z_end:
+    all but the disk rows with r > 0 that are not inside their disk at both
+    ends (a disk is convex, so then the whole segment is inside)."""
+    n = prog.n_slots
+    inside = (inside_disks(prog, *z.reshape(n, 3)[:, :2].T)
+              & inside_disks(prog, *z_end.reshape(n, 3)[:, :2].T))
+    disk = inside | (prog.eve_r == 0.0)[:, None]
+    return np.concatenate((np.ones(2 * n + 1, bool), disk.ravel()))
 
 
 def merit(prog, z, s, tau, pull_in):
@@ -321,12 +351,19 @@ def full_hessian(ws, ab):
 def kernel_points():
     prog = kernel_program()
     ws = _Workspace(prog)
-    z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start, prog.xi_start)
+    z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
     z, _, ok = _pull_in(ws, z0, SolverSettings())
     assert ok
     # pull-in mode is checked at the start point, main mode at the interior point
-    return prog, ws, {True: (z0, ws.interior_deficit(z0) + 1.0),
+    return prog, ws, {True: (z0, 1.0 - ws.margins(z0).min()),
                       False: (z, 0.0)}
+
+
+def random_direction(rng, prog, ws):
+    # random scales per block column (x, y, t) so that every family, curved
+    # or flat, gets to bind
+    scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
+    return (rng.normal(size=(prog.n_slots, ws.B)) * scale).ravel()
 
 
 class TestNewtonKernel:
@@ -369,24 +406,46 @@ class TestNewtonKernel:
         rng = np.random.default_rng(20261018)
         starts = set()
         for _ in range(200):
-            # random scales per block column (x, y, t, xi_1, xi_2) so that
-            # every family, curved or flat, gets to bind
-            scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
-            dz = (rng.normal(size=(prog.n_slots, ws.B)) * scale).ravel()
+            dz = random_direction(rng, prog, ws)
             ds = float(rng.normal()) * s if pull_in else 0.0
             m0, m1, m2 = ws.ray(fams, dz, ds)
-            # the polynomials are the margins along the ray
+            # the model is the margins along the ray on every quadratic row
             a = float(rng.uniform(0.0, 2.0))
             terms = np.abs(m0) + np.abs(a * m1) + np.abs(a * a * m2)
             direct = direct_margins(prog, z + a * dz, s + a * ds)
-            assert np.all(np.abs(m0 + a * (m1 + a * m2) - direct) <= 1e-9 * terms)
+            quad = quadratic_rows(prog, z, z + a * dz)
+            assert np.all(np.abs(m0 + a * (m1 + a * m2) - direct)[quad] <= 1e-9 * terms[quad])
             step = first_step(m0, m1, m2)
             brute = next((0.5**k for k in range(96)
-                          if direct_margins(prog, z + 0.5**k * dz,
-                                            s + 0.5**k * ds).min() > 0.0), None)
+                          if (m0 + 0.5**k * (m1 + 0.5**k * m2)).min() > 0.0), None)
             assert step == brute
             starts.add(step)
         assert len(starts) >= 8  # the directions reach several halving depths
+
+    @pytest.mark.parametrize("pull_in", [True, False])
+    def test_disk_model_error_is_third_order(self, pull_in):
+        """Outside its disk a disk margin is not quadratic along a ray; the
+        model misses it by O(a^3), so halving a cuts the error 8x."""
+        prog, ws, points = kernel_points()
+        z, s = points[pull_in]
+        fams = ws.table(z, s)
+        rng = np.random.default_rng(20261020)
+        n = prog.n_slots
+        outer = np.concatenate((np.zeros(2 * n + 1, bool),
+                                ((prog.eve_r > 0.0)[:, None]
+                                 & ~inside_disks(prog, *z.reshape(n, 3)[:, :2].T)).ravel()))
+        checked = 0
+        for _ in range(20):
+            dz = rng.normal(size=ws.nz)
+            m0, m1, m2 = ws.ray(fams, dz, 0.0)
+            steps = 0.5 ** np.arange(3, 9)
+            err = np.array([np.abs(m0 + a * (m1 + a * m2) - direct_margins(prog, z + a * dz, s))
+                            for a in steps])[:, outer]
+            big = err[-1] > 1e-11  # well above rounding at the smallest step
+            ratio = err[-2, big] / err[-1, big]
+            assert np.all((ratio > 7.5) & (ratio < 8.5))
+            checked += int(big.sum())
+        assert checked >= 100
 
     def test_first_step_on_hand_polynomials(self):
         def start(m0, m1, m2):
@@ -403,13 +462,11 @@ class TestNewtonKernel:
         prog, ws, points = kernel_points()
         z, _ = points[False]
         fams = ws.table(z)
-        m_now = direct_margins(prog, z, 0.0)
         rng = np.random.default_rng(20261019)
         bounded = set()
         full = 0
         for _ in range(200):
-            scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
-            dz = (rng.normal(size=(prog.n_slots, ws.B)) * scale).ravel()
+            dz = random_direction(rng, prog, ws)
             m0, m1, m2 = ws.ray(fams, dz, 0.0)
             exact = first_step(m0, m1, m2)
             assert line_search_start(m0, m1, m2, initial=False) == exact
@@ -419,8 +476,7 @@ class TestNewtonKernel:
                 full += exact == 1.0
                 continue
             keep = next((0.5**k for k in range(96)
-                         if np.all(direct_margins(prog, z + 0.5**k * dz, 0.0)
-                                   > 0.8 * m_now)), None)
+                         if np.all(m0 + 0.5**k * (m1 + 0.5**k * m2) > 0.8 * m0)), None)
             assert start == (exact if keep is None else keep)
             if start < exact:
                 bounded.add(start)

@@ -179,5 +179,6 @@ class TestRateCoefficients:
         geom = rate_coefficients(traj, scen)
         h2 = scen.altitude**2
         assert np.all(geom.theta >= h2 - 1e-12)
-        inside = geom.d_center <= np.array([e.radius for e in scen.eves])[:, None]
+        inside = np.array([np.hypot(-10.0 - e.center_x, 4.0 - e.center_y) <= e.radius
+                           for e in scen.eves])[:, None]
         assert np.all((geom.theta == h2) == inside)

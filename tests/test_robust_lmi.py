@@ -4,11 +4,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from secuav.geometry import disk_samples
-from secuav.robust_lmi import psd_check, psd_check_many, soc_feasible_many
+from secuav.robust_lmi import psd_check_many, soc_feasible_many
 from secuav.scenario import EveRegion
 
 from arrowhead import (ArrowheadPatternError, LmiBlock, as_rotated_soc,
-                       block_coeffs, build_block, exact_c, linearized_c)
+                       block_coeffs, build_block, exact_c, linearized_c, psd_check)
 
 EVE = EveRegion(-200.0, 0.0, 20.0)
 
@@ -164,3 +164,39 @@ class TestLinearizationChain:
         if psd_check(xi + 1.0, b, c, d_lin):
             assert psd_check_many(np.array([xi + 1.0]), np.array([b]),
                                   np.array([c]), np.array([d_exact + 1e-9]))[0]
+
+
+class TestHuberMargin:
+    def test_margin_sign_matches_block_at_best_multiplier(self):
+        """lin - t >= huber_r(|w|) exactly when the arrowhead block is PSD at
+        the best multiplier xi = max(0, (L - r^2)/(2r^2)), L = lin - t.  For
+        r = 0 the best multiplier is unbounded; the smallest certifying one,
+        rho^2/L - 1 for L > 0, stands in for it."""
+        rng = np.random.default_rng(11)
+        n = 200_000
+        r = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0.5, 50.0, n))
+        rho = np.where(r > 0.0, r * rng.uniform(0.0, 3.0, n), rng.uniform(0.0, 100.0, n))
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        wx, wy = rho * np.cos(ang), rho * np.sin(ang)
+        rho = np.hypot(wx, wy)
+        huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
+        # lin - t around huber, on both sides, at relative offsets 1e-4..1
+        lin = rng.uniform(1e3, 1e5, n)
+        t = lin - (huber + rng.normal(0.0, 1.0, n) * np.maximum(1.0, huber)
+                   * 10.0 ** rng.uniform(-4.0, 0.0, n))
+        slack = lin - t
+        q2 = r**2
+        xi = np.zeros(n)
+        robust = r > 0.0
+        xi[robust] = np.maximum(0.0, (slack[robust] - q2[robust]) / (2.0 * q2[robust]))
+        flat = ~robust & (slack > 0.0)
+        xi[flat] = np.maximum(0.0, rho[flat] ** 2 / slack[flat] - 1.0)
+        psd = psd_check_many(xi + 1.0, -wx, -wy, slack - q2 * xi)
+        margin_ok = slack >= huber
+        # psd_check_many's tolerance blurs a thin band around the boundary
+        near = np.abs(slack - huber) <= 1e-5 * np.maximum(1.0, huber)
+        assert not np.any((psd != margin_ok) & ~near)
+        # both branches and r = 0, each accepted and rejected many times
+        for branch in (robust & (rho <= r), robust & (rho > r), ~robust):
+            assert (branch & margin_ok & ~near).sum() > 10_000
+            assert (branch & ~margin_ok & ~near).sum() > 10_000

@@ -3,18 +3,30 @@ import math
 import numpy as np
 import pytest
 
-from secuav.convex_backend import SolverSettings
-from secuav.geometry import secrecy_sum, worst_case_dist_sq
+from secuav.convex_backend import SolverSettings, _Workspace
+from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
 from secuav.planner import best_effort_trajectory, equal_power
-from secuav.robust_lmi import psd_check
+from secuav.robust_lmi import block_coeff_arrays
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
-from secuav.trajectory_sca import (assemble, initialize_slacks, solve_step,
-                                   taylor_rate_surrogate)
+from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 
+from arrowhead import psd_check
 from conftest import (hover_trajectory, make_scenario, benchmark_fields,
                       P_BAR_NEG5_DBM)
 
 LN2 = math.log(2.0)
+
+
+def taylor_rate_surrogate(d2, d2_fea, p_scaled):
+    """Tangent of log2(1 + P/d2) at d2_fea: exact at the touch point, below elsewhere."""
+    d2 = np.asarray(d2, dtype=float)
+    d2_fea = np.asarray(d2_fea, dtype=float)
+    p_scaled = np.asarray(p_scaled, dtype=float)
+    base = log2_1p(p_scaled / d2_fea)
+    slope = np.where(p_scaled > 0,
+                     p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea)), 0.0)
+    out = base - slope * (d2 - d2_fea)
+    return float(out) if out.ndim == 0 else out
 
 
 class TestInitializeSlacks:
@@ -22,16 +34,14 @@ class TestInitializeSlacks:
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         scen = make_scenario(**fields)
-        t, xi = initialize_slacks(hover_trajectory(scen), scen)
+        t = initialize_slacks(hover_trajectory(scen), scen)
         assert t == pytest.approx([24_400.0, 24_400.0])
-        assert xi.shape == (2, 2)
-        assert np.all(xi >= 0.0)
 
     def test_above_eve_center_t_at_floor(self):
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         scen = make_scenario(**fields)
-        t, xi = initialize_slacks(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
+        t = initialize_slacks(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
         assert t == pytest.approx([1e4, 1e4])
 
     def test_zero_radius_needs_no_multiplier(self):
@@ -39,25 +49,27 @@ class TestInitializeSlacks:
         fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0),
                       eves=(EveRegion(-200.0, 0.0, 0.0), EveRegion(200.0, 0.0, 0.0)))
         scen = make_scenario(**fields)
-        t, xi = initialize_slacks(hover_trajectory(scen), scen)
-        assert np.all(xi == 0.0)
+        t = initialize_slacks(hover_trajectory(scen), scen)
         assert t == pytest.approx([200.0**2 + 1e4] * 2)
 
     def test_blocks_certified_at_expansion(self):
+        # the tight t leaves every disk margin nonnegative at the expansion
+        # point, and the block is PSD at the closed-form multiplier
         scen = make_scenario()
         traj = best_effort_trajectory(scen)
         x, y = traj.slot_positions()
-        t, xi = initialize_slacks(traj, scen)
-        h2 = scen.altitude**2
-        for k, eve in enumerate(scen.eves):
+        t = initialize_slacks(traj, scen)
+        for eve in scen.eves:
+            r = eve.radius
+            kx, ky, k0 = block_coeff_arrays(eve, x, y, scen.altitude)
+            slack = kx * x + ky * y + k0 - t
+            rho = np.hypot(x - eve.center_x, y - eve.center_y)
+            huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
+            assert np.all(slack - huber >= -1e-9 * slack.max())
+            xi = np.maximum(0.0, (slack - r**2) / (2.0 * r**2))
             for n in range(scen.n_slots):
-                a = xi[k, n] + 1.0
-                b = eve.center_x - x[n]
-                c = eve.center_y - y[n]
-                d = (-eve.radius**2 * xi[k, n]
-                     + (x[n] - eve.center_x) ** 2 + (y[n] - eve.center_y) ** 2
-                     + h2 - t[n])
-                assert psd_check(a, b, c, d)
+                assert psd_check(xi[n] + 1.0, eve.center_x - x[n], eve.center_y - y[n],
+                                 slack[n] - r**2 * xi[n])
 
 
 class TestTaylorSurrogate:
@@ -81,16 +93,38 @@ class TestTaylorSurrogate:
             sur = taylor_rate_surrogate(d2, d2_fea, p)
             assert sur <= math.log2(1 + p / d2) + 1e-12
 
+    def test_assembled_objective_is_the_tangent(self):
+        # g_u is the tangent's slope and obj_const - sum(g_u*d2) its value,
+        # slot by slot, with one slot at zero power
+        scen = make_scenario()
+        traj = best_effort_trajectory(scen)
+        p = np.linspace(0.0, 2e-3, scen.n_slots)
+        prog = assemble(traj, PowerSchedule(p), scen)
+        x, y = traj.slot_positions()
+        d2_fea = x**2 + y**2 + prog.h2
+        slope = (taylor_rate_surrogate(d2_fea, d2_fea, prog.p_scaled)
+                 - taylor_rate_surrogate(d2_fea + 1.0, d2_fea, prog.p_scaled))
+        assert prog.g_u == pytest.approx(slope, rel=1e-9, abs=1e-15)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            d2 = d2_fea * rng.uniform(0.5, 2.0, scen.n_slots)
+            value = taylor_rate_surrogate(d2, d2_fea, prog.p_scaled).sum()
+            assert prog.obj_const - (prog.g_u * d2).sum() == pytest.approx(value, rel=1e-12)
+
 
 class TestAssemble:
     def test_benchmark_constraint_counts(self):
+        # 321 mobility steps, 320 t floors and 2 x 320 disk margins, over
+        # blocks [x, y, t]
         scen = make_scenario(**benchmark_fields(160.0))
         traj = best_effort_trajectory(scen)
         prog = assemble(traj, equal_power(scen), scen)
-        assert prog.n_mobility == 321
-        assert prog.n_soc_blocks == 2 * 320
-        assert prog.n_affine_rows == 0
-        assert prog.n_bounds == 320 + 640
+        assert prog.eve_kx.shape == prog.eve_ky.shape == prog.eve_k0.shape == (2, 320)
+        assert list(prog.eve_r) == [20.0, 80.0]
+        ws = _Workspace(prog)
+        assert ws.B == 3 and ws.nz == 3 * 320
+        z = ws.pack(prog.x_start, prog.y_start, prog.t_start)
+        assert ws.margins(z).size == ws.m_bar == 321 + 320 + 2 * 320
 
     def test_zero_power_program_still_solvable(self):
         scen = make_scenario()
@@ -148,11 +182,6 @@ class TestSolveStep:
         for eve in scen.eves:
             theta = worst_case_dist_sq((x, y), eve, scen.altitude)
             assert np.all(theta >= sol.t - 1e-6)
-
-    def test_multipliers_nonnegative(self):
-        scen = make_scenario()
-        sol, _ = _iterate_sca(scen, max_steps=3, tol=0.0)
-        assert np.all(sol.xi >= 0.0)
 
     def test_tiny_reachable_ball_degenerate(self):
         scen = make_scenario(flight_duration=0.5, n_slots=1,
