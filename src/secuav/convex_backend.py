@@ -25,15 +25,23 @@ margins alone bound t by the worst-case squared distance, and ``solve_step``
 re-checks every returned t against ``worst_case_dist_sq``, which is at least
 H^2.  The floor only keeps log2(1 + P/t) finite.  It must lie below H^2: at a
 slot inside a disk lin - huber equals H^2 at the expansion point, so a floor
-of H^2 leaves no interior and the pull-in phase fails.
+of H^2 leaves no interior there.
 
 Everything is handled with logarithmic barriers and damped Newton steps; the
 KKT matrices are block tridiagonal (slots couple only through the mobility
-chain), so each step costs one banded Cholesky solve.  A single-slack pull-in
-phase produces a strictly interior starting point when the warm start sits on
-the boundary (for example a trajectory that flies at maximum speed, which
-makes every mobility constraint tight).  The slack s shifts every margin to
-m + s, so its derivative is 1 for every row.
+chain), so each step costs one banded Cholesky solve.
+
+Interior start.  The warm start usually sits on the boundary: a track that
+flies at maximum speed makes its mobility margins zero.  Every margin is
+concave, so on the segment from the warm start to the straight track between
+the pins (same t) each margin is at least the interpolation of its two ends.
+At the warm start the floor and disk margins are positive (``assemble`` puts
+t between the floor and the tight t), and on the straight track the mobility
+margins are positive whenever the pins are closer than the (N+1)-step budget,
+which ``scenario.validate`` demands.  So every point of the segment close
+enough to the warm start, but off it, is interior.  The solver starts at the
+step 2^-k along the segment of least barrier; the barrier is convex there, so
+the search stops at its first increase.
 
 Constraint families.  Every margin is concave, and one table describes the
 three families (mobility ball, t floor, disk).  At a point each family gives
@@ -41,10 +49,10 @@ its margins m over (rows, slots), with eavesdroppers as rows, the gradient of
 m per block column and its Hessian entries, constants or per-row arrays.  The
 mobility family is written in the step differences (x[j]-x[j-1],
 y[j]-y[j-1]) and reaches the two slots of each step through the chain rule;
-the others are slot-local.  Both phases read the same table:
+the others are slot-local.  The solver reads the table everywhere:
 
-  * the margins serve the domain check, the line search merit, the pull-in
-    deficit (minus the smallest margin) and the post-hoc margin of the result;
+  * the margins serve the interior start, the domain check, the line search
+    merit and the post-hoc margin of the result;
   * the Newton system adds -grad m / m to the gradient and
     grad m grad m^T / m^2 - hess m / m to the Hessian, written straight into
     the lower band array that ``cholesky_banded`` reads;
@@ -56,12 +64,12 @@ the others are slot-local.  Both phases read the same table:
 
 Line search.  Once per Newton step the models are built.  Their smallest
 positive root bounds the step (the exact fraction-to-boundary rule of Nocedal
-& Wright, Numerical Optimization, sect. 19.2, for the quadratic rows); halving
-starts at the largest power of two below it.  A trial first checks the models
-(cheap), then evaluates the table at the trial point, demands every margin
-strictly positive there and computes the Armijo merit from those margins.  The
-accepted trial's table supplies the next step's Newton system, so a step that
-accepts its first trial makes one pass over the families.
+& Wright, Numerical Optimization, sect. 19.2, for the quadratic rows); in
+every centering stage the halving starts at ``first_step``, the largest power
+of two below it.  A trial evaluates the table at the trial point, demands
+every margin strictly positive there and computes the Armijo merit from those
+margins.  The accepted trial's table supplies the next step's Newton system,
+so a step that accepts its first trial makes one pass over the families.
 
 Duality gap.  At the central point of weight tau the multipliers
 1/(tau*m_i) are dual feasible and leave the gap m_bar/tau, with m_bar =
@@ -69,21 +77,6 @@ Duality gap.  At the central point of weight tau the multipliers
 11.2.2).  The argument uses only a concave objective and concave margins, not
 quadratic or self-concordant ones, so the disk rows, whose Hessian jumps at
 the rim, leave the bound intact.
-
-The first centering stage of the main phase starts from the pull-in point,
-which is interior but far from the central path (Boyd & Vandenberghe, Convex
-Optimization, sect. 11.3.1).  There the exact start lets a step land as close
-to the boundary as it likes, so single margins can collapse by orders of
-magnitude while their neighbours stay large; the pinned slots then hold the
-mobility chain, and Newton crawls with full steps for hundreds of iterations
-(the first program of paper_fig2 at 0.1 s slots took 1006 steps and ran out
-of budget).  So in that stage, whenever the boundary cuts the full step, the
-halving starts instead at the largest power of two at which every margin keeps
-more than ``_INITIAL_KEEP`` of its current value, a bounded fraction-to-boundary
-rule (Waechter & Biegler, Math. Prog. 2006, sect. 2.2).  Later stages start
-near a central point and keep the exact start: bounding every stage more than
-doubled the Newton steps of the paper_fig2 T sweep, and bounding also the steps
-the boundary does not cut added 5%.
 
 Noise floor.  The merit tau*(f0 - f0_ref) + barrier is rounded to about
 eps*(|merit| + tau*|f0_ref|); at tau ~ 1e9 that is ~1e-5, far above the
@@ -112,17 +105,15 @@ from .geometry import LN2, log2_1p
 
 @dataclass(frozen=True)
 class SolverSettings:
-    feas_tol: float = 1e-8
     opt_tol: float = 1e-8              # relative duality-gap target
-    max_newton_iters: int = 3000       # Newton budget per phase
+    max_newton_iters: int = 3000       # Newton budget per solve
     max_centering_iters: int = 1000    # Newton cap per barrier stage
     barrier_mu: float = 30.0           # barrier parameter growth factor
     tau0_gap: float = 64.0             # initial gap (objective units) fixing tau0
     newton_tol: float = 1e-9           # centering stop on lambda^2 / 2
-    interior_margin_rel: float = 1e-3  # pull-in depth, relative to step^2 scale
 
     def __post_init__(self):
-        if min(self.feas_tol, self.opt_tol, self.newton_tol) <= 0:
+        if min(self.opt_tol, self.newton_tol) <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -221,7 +212,6 @@ class _Workspace:
         self.L2 = prog.step_sq_max
         self.m_bar = (N + 1) + (prog.eve_r.size + 1) * N
         self.robust = bool(prog.eve_r.any())
-        self.scale_ref = max(self.L2, 1e-9 * self.h2)
 
     # -- packing ---------------------------------------------------------
     @staticmethod
@@ -233,18 +223,18 @@ class _Workspace:
         return z.reshape(self.N, self.B).T.copy()
 
     # -- constraint-family table -----------------------------------------
-    def table(self, z, s: float = 0.0) -> list[_Family]:
-        """Every constraint family at (z, s); the slack s shifts every margin."""
+    def table(self, z) -> list[_Family]:
+        """Every constraint family at z."""
         p = self.prog
         x, y, t = self.rows(z)
         dx = _steps(x, p.pin_start[0], p.pin_end[0])
         dy = _steps(y, p.pin_start[1], p.pin_end[1])
         fams = [
-            _Family(self.L2 - dx**2 - dy**2 + s, {X: -2.0 * dx, Y: -2.0 * dy},
+            _Family(self.L2 - dx**2 - dy**2, {X: -2.0 * dx, Y: -2.0 * dy},
                     {(X, X): -2.0, (Y, Y): -2.0}, chain=True),
-            _Family(t - T_FLOOR * self.h2 + s, {T: 1.0}, {}),
+            _Family(t - T_FLOOR * self.h2, {T: 1.0}, {}),
         ]
-        m = p.eve_kx * x + p.eve_ky * y + p.eve_k0 - (t - s)
+        m = p.eve_kx * x + p.eve_ky * y + p.eve_k0 - t
         if not self.robust:  # every huber_0 vanishes: the disk rows are affine
             fams.append(_Family(m, {X: p.eve_kx, Y: p.eve_ky, T: -1.0}, {}))
             return fams
@@ -265,9 +255,9 @@ class _Workspace:
              (Y, Y): curv * wy * wy - two_phi}))
         return fams
 
-    def margins(self, z, s: float = 0.0) -> np.ndarray:
+    def margins(self, z) -> np.ndarray:
         """All constraint margins, flat; strictly positive means interior."""
-        return _flat(f.m for f in self.table(z, s))
+        return _flat(f.m for f in self.table(z))
 
     def f0(self, z) -> float:
         p = self.prog
@@ -297,82 +287,63 @@ class _Workspace:
         else:
             V[kj - ki, :, ki] += W.sum(0) if W.ndim == 2 else W
 
-    def assemble(self, fams, z, tau, pull_in: bool):
+    def assemble(self, fams, z, tau):
         """Gradient and Hessian of tau*f0 + barrier from the table at z.
 
-        Returns (gz, ab, gs, v, h): the Hessian in the lower band form that
-        ``cholesky_banded`` reads and, in pull-in mode, the dense slack border
-        (v, h) plus its gradient entry gs.
+        Returns (gz, ab), the Hessian in the lower band form that
+        ``cholesky_banded`` reads.
         """
         N, B, kd = self.N, self.B, self.kd
-        G = np.zeros((B, N))   # objective gradient, as rows like z
+        p = self.prog
+        Z = z.reshape(N, B)
+        t = Z[:, T]
+        i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
+        curv = 2.0 * tau * p.g_u
+        G = np.empty((B, N))   # objective gradient, as rows like z
+        G[X] = curv * Z[:, X]
+        G[Y] = curv * Z[:, Y]
+        G[T] = (tau / LN2) * (i2 - i1)
         Gb = np.zeros((B, N))  # sum of grad m / m
         # column-major, as LAPACK stores it; V[d, n, c] = ab[d, n*B + c]
         band = np.zeros((N, B, kd + 1))
         ab = band.reshape(self.nz, kd + 1).T
         V = band.transpose(2, 0, 1)
-        vr = np.zeros((B, N)) if pull_in else None
-        h = 0.0
-        gs = tau if pull_in else 0.0  # pull-in objective is the slack itself
-        if not pull_in:
-            p = self.prog
-            Z = z.reshape(N, B)
-            t = Z[:, T]
-            i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
-            curv = 2.0 * tau * p.g_u
-            G[X] = curv * Z[:, X]
-            G[Y] = curv * Z[:, Y]
-            G[T] = (tau / LN2) * (i2 - i1)
-            V[0, :, X] = curv
-            V[0, :, Y] = curv
-            V[0, :, T] = (tau / LN2) * (i1 * i1 - i2 * i2)
+        V[0, :, X] = curv
+        V[0, :, Y] = curv
+        V[0, :, T] = (tau / LN2) * (i1 * i1 - i2 * i2)
         for f in fams:
             w1 = 1.0 / f.m
             gw = {k: g * w1 for k, g in f.grad.items()}  # grad m / m per key
             keys = list(gw)
-            if pull_in:  # dm/ds = 1: the slack's column of the Hessian is v
-                gs -= float(w1.sum())
-                h += float((w1 * w1).sum())
             for i, ki in enumerate(keys):
                 self._add_vec(Gb, f, ki, gw[ki])
-                if pull_in:
-                    self._add_vec(vr, f, ki, gw[ki] * w1)
                 for kj in keys[i:]:
                     W = gw[ki] * gw[kj]
                     if (ki, kj) in f.hess:
                         W = W - f.hess[ki, kj] * w1
                     self._add_band(V, f, ki, kj, W)
-        v = vr.T.ravel() if pull_in else None
-        return (G - Gb).T.ravel(), ab, gs, v, h
+        return (G - Gb).T.ravel(), ab
 
-    def solve_kkt(self, ab, gz, gs, v, h, pull_in: bool, ridge: float):
+    @staticmethod
+    def solve_kkt(ab, gz, ridge: float):
         if ridge > 0.0:
             ab = ab.copy()
             ab[0, :] += ridge * max(1.0, ab[0, :].max())
         # in the lower form LAPACK's unblocked factorization reads contiguous
         # columns; it ran ~40% faster than the upper form at N = 1600
         cfac = cholesky_banded(ab, lower=True)
-        if not pull_in:
-            dz = cho_solve_banded((cfac, True), -gz)
-            return dz, 0.0
-        pvec, wvec = cho_solve_banded((cfac, True), np.column_stack((-gz, v))).T
-        denom = h - float(v @ wvec)
-        if denom <= 0.0:
-            raise np.linalg.LinAlgError("indefinite slack border")
-        ds = (-gs - float(v @ pvec)) / denom
-        dz = pvec - ds * wvec
-        return dz, ds
+        return cho_solve_banded((cfac, True), -gz)
 
     # -- line search -------------------------------------------------------
-    def ray(self, fams, dz, ds):
+    def ray(self, fams, dz):
         """Second-order model m0 + a*m1 + a^2*m2 of the margins along
-        (z + a*dz, s + a*ds), flat; exact on the quadratic rows."""
+        z + a*dz, flat; exact on the quadratic rows."""
         D = self.rows(dz)
         m1s, m2s = [], []
         for f in fams:
             # the pins do not move
             d = {k: _steps(D[k], 0.0, 0.0) if f.chain else D[k] for k in f.grad}
-            m1s.append(_total(f.grad[k] * dk for k, dk in d.items()) + ds)
+            m1s.append(_total(f.grad[k] * dk for k, dk in d.items()))
             m2 = _total((0.5 * hk if ki == kj else hk) * d[ki] * d[kj]
                         for (ki, kj), hk in f.hess.items())
             m2s.append(np.zeros(f.m.shape) if m2 is None else m2)
@@ -391,152 +362,99 @@ def _loose_status(lam2) -> str:
     return "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
 
 
-# Share of every margin a step of the initial centering stage must keep when
-# the boundary cuts the full step (see "Line search" above).  Keeping 0.75 to
-# 0.85 gave Newton counts within 8% of each other; keeping 0.01 (the textbook
-# fraction-to-boundary 0.99) leaves single margins free to collapse.
-_INITIAL_KEEP = 0.8
-
-
-def line_search_start(m0, m1, m2, initial: bool):
-    """First trial step along the ray, or None when no step is interior.
-
-    The exact fraction-to-boundary start; in the initial centering stage, when
-    that cuts the full step, the largest 2^-k keeping every margin above
-    ``_INITIAL_KEEP`` times its current value, if one exists.
-    """
-    step = first_step(m0, m1, m2)
-    if initial and step is not None and step < 1.0:
-        bounded = first_step((1.0 - _INITIAL_KEEP) * m0, m1, m2)
-        if bounded is not None:
-            return bounded
-    return step
-
-
-def _center(ws: _Workspace, z, s, tau, pull_in, settings, budget, early_stop=None,
-            initial: bool = False):
+def _center(ws: _Workspace, z, tau, settings):
     """Damped Newton to the central point at barrier weight tau.
 
-    ``initial`` marks the main phase's first stage, which bounds its
-    boundary-cut steps (``line_search_start``).
-
-    Returns (z, s, iters, status, lam2) with status in {"centered", "early",
-    "budget", "trouble"}.  The merit tau*f0 + barrier is asserted
-    non-increasing across Armijo steps, up to its floating-point resolution;
-    below that resolution the stage takes pure Newton steps ("Noise floor").
+    Returns (z, iters, status, lam2) with status in {"centered", "budget",
+    "trouble"}.  The merit tau*f0 + barrier is asserted non-increasing across
+    Armijo steps, up to its floating-point resolution; below that resolution
+    the stage takes pure Newton steps ("Noise floor").
     """
     # measure the objective relative to the entry point: tau*f0 alone can reach
     # 1e13, whose float resolution would swallow the remaining decrements
-    f0_ref = 0.0 if pull_in else ws.f0(z)
-    fams = ws.table(z, s)
-    cur = (tau * s if pull_in else 0.0) - float(np.log(_flat(f.m for f in fams)).sum())
+    f0_ref = ws.f0(z)
+    fams = ws.table(z)
+    cur = -float(np.log(_flat(f.m for f in fams)).sum())
     iters = 0
     no_progress = 0
     lam2 = math.inf
     pure_lam2 = math.inf  # lambda^2 before the last pure Newton step
     eps8 = 8.0 * np.finfo(float).eps
-    while iters < min(budget, settings.max_centering_iters):
+    while iters < min(settings.max_newton_iters, settings.max_centering_iters):
         resolution = eps8 * max(1.0, abs(cur))
-        gz, ab, gs, v, h = ws.assemble(fams, z, tau, pull_in)
-        dz = ds = None
+        gz, ab = ws.assemble(fams, z, tau)
+        dz = None
         for ridge in _RIDGES:
             try:
-                dz, ds = ws.solve_kkt(ab, gz, gs, v, h, pull_in, ridge)
+                dz = ws.solve_kkt(ab, gz, ridge)
                 break
             except np.linalg.LinAlgError:
                 continue
         if dz is None:
-            return z, s, iters, "trouble", lam2
-        lam2 = -(float(gz @ dz) + gs * ds)
+            return z, iters, "trouble", lam2
+        lam2 = -float(gz @ dz)
         if lam2 < -1e-6 * max(1.0, abs(cur)):
-            return z, s, iters, "trouble", lam2
+            return z, iters, "trouble", lam2
         if lam2 / 2.0 <= settings.newton_tol:
-            return z, s, iters, "centered", lam2
-        m0, m1, m2 = ws.ray(fams, dz, ds)
-        step = line_search_start(m0, m1, m2, initial)
+            return z, iters, "centered", lam2
+        step = first_step(*ws.ray(fams, dz))
         if step is None:
-            return z, s, iters, "trouble", lam2
+            return z, iters, "trouble", lam2
         # the merit cannot resolve the Armijo decrease: go on with full steps
         # only while they are interior and lambda^2 falls 4x ("Noise floor")
         pure = 0.25 * lam2 <= resolution + eps8 * tau * abs(f0_ref)
         if pure and (step < 1.0 or 4.0 * lam2 > pure_lam2):
-            return z, s, iters, _loose_status(lam2), lam2
+            return z, iters, _loose_status(lam2), lam2
         new = None
         for _ in range(1 if pure else 60):
-            # the model first (cheap), then the margins themselves
-            if (m0 + step * (m1 + step * m2)).min() > 0.0:
-                z_new, s_new = z + step * dz, s + step * ds
-                fams_new = ws.table(z_new, s_new)
-                m = _flat(f.m for f in fams_new)
-                if m.min() > 0.0:
-                    base = s_new if pull_in else ws.f0(z_new) - f0_ref
-                    cand = tau * base - float(np.log(m).sum())
-                    if pure or cand <= cur - 0.25 * step * lam2 + resolution:
-                        new = cand
-                        break
+            z_new = z + step * dz
+            fams_new = ws.table(z_new)
+            m = _flat(f.m for f in fams_new)
+            if m.min() > 0.0:
+                cand = tau * (ws.f0(z_new) - f0_ref) - float(np.log(m).sum())
+                if pure or cand <= cur - 0.25 * step * lam2 + resolution:
+                    new = cand
+                    break
             step *= 0.5
         if new is None:
-            return z, s, iters, _loose_status(lam2), lam2
-        z, s, fams = z_new, s_new, fams_new
+            return z, iters, _loose_status(lam2), lam2
+        z, fams = z_new, fams_new
         if pure:
             pure_lam2 = lam2
         elif new > cur + resolution:
-            return z, s, iters, "trouble", lam2
+            return z, iters, "trouble", lam2
         elif cur - new <= resolution:
             no_progress += 1
             if no_progress >= 3:
-                return z, s, iters, _loose_status(lam2), lam2
+                return z, iters, _loose_status(lam2), lam2
         else:
             no_progress = 0
         cur = new
         iters += 1
-        if early_stop is not None and early_stop(z, s):
-            return z, s, iters, "early", lam2
-    return z, s, iters, "budget", lam2
+    return z, iters, "budget", lam2
 
 
-def _pull_in(ws: _Workspace, z, settings):
-    """Find a strictly interior point near z (phase-I with one slack).
+def _interior_start(ws: _Workspace, z0):
+    """Strictly interior start on the segment from z0 to the straight track.
 
-    Returns (z, used_iters, ok).
+    The track joins the pins at z0's t.  Returns z0 + 2^-k * (track - z0) for
+    the k < 60 of least barrier, or None when none of those points is interior
+    (see "Interior start").
     """
-    delta = settings.interior_margin_rel * ws.scale_ref
-    deficit = -_min_margin(ws.table(z))  # the slack still needed for interiority
-    if deficit <= -delta:
-        return z, 0, True
-
-    def domain_ok(z_, s_):
-        return ws.margins(z_, s_).min() > 0.0
-
-    s = max(0.0, deficit) + max(10.0 * delta, 1e-2 * ws.scale_ref)
-    if not domain_ok(z, s):  # pad again if a margin rounded to zero
-        s = 2.0 * s + ws.scale_ref
-        if not domain_ok(z, s):
-            return z, 0, False
-    # start with the barrier center near the current slack so the slack only
-    # ever travels downward; small weights would first inflate it to ~m/tau
-    tau = ws.m_bar / max(s, 10.0 * delta)
-    tau_end = ws.m_bar / (0.1 * delta)
-    total = 0
-    early = lambda z_, s_: s_ <= -delta
-    while total < settings.max_newton_iters:
-        z, s, it, status, _ = _center(ws, z, s, tau, True, settings,
-                                      settings.max_newton_iters - total, early)
-        total += it
-        if status == "early" or s <= -delta:
-            return z, total, True
-        if status == "trouble":
-            return z, total, False
-        if status == "centered" and s - ws.m_bar / tau > -delta:
-            # the optimal slack is within m_bar/tau of s, so the target depth
-            # is provably unreachable; settle for any strict interior point
+    p = ws.prog
+    frac = np.arange(1, ws.N + 1) / (ws.N + 1)
+    (x0, y0), (x1, y1) = p.pin_start, p.pin_end
+    track = ws.pack(x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), ws.rows(z0)[T])
+    best, best_barrier = None, math.inf
+    for k in range(60):
+        z = z0 + 0.5**k * (track - z0)
+        m = ws.margins(z)
+        barrier = -float(np.log(m).sum()) if m.min() > 0.0 else math.inf
+        if barrier < best_barrier:
+            best, best_barrier = z, barrier
+        elif best is not None:
             break
-        if tau > tau_end:
-            break
-        tau *= settings.barrier_mu
-    if s < 0.0 and domain_ok(z, 0.0):
-        return z, total, True
-    return z, total, False
+    return best
 
 
 def solve(program, settings: SolverSettings | None = None) -> SolverResult:
@@ -549,9 +467,9 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
     if settings is None:
         settings = SolverSettings()
     ws = _Workspace(program)
-    z = ws.pack(program.x_start, program.y_start, program.t_start)
+    z0 = ws.pack(program.x_start, program.y_start, program.t_start)
 
-    def result(status, iters, tau, gap):
+    def result(z, status, iters, tau, gap):
         x, y, t = ws.rows(z)
         fams = ws.table(z)
         min_margin = _min_margin(fams)
@@ -560,7 +478,7 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
         usable = min_margin > 0.0 and tau > 0
         if usable:
             objective = program.obj_const - ws.f0(z)
-            gz = ws.assemble(fams, z, tau, False)[0]
+            gz = ws.assemble(fams, z, tau)[0]
             kkt = float(np.abs(gz).max() / tau)
         else:
             objective = -math.inf
@@ -570,22 +488,19 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
                             duality_gap=gap, kkt_residual=kkt,
                             min_margin=min_margin, tau=tau)
 
-    z, used, ok = _pull_in(ws, z, settings)
-    if not ok:
-        return result(TROUBLE, used, 0.0, math.inf)
+    z = _interior_start(ws, z0)
+    if z is None:
+        return result(z0, TROUBLE, 0, 0.0, math.inf)
 
     tau = ws.m_bar / settings.tau0_gap
-    total = used
+    total = 0
     status = MAX_ITER
     gap = math.inf
-    initial = True
     while True:
-        z, _, it, cstat, lam2 = _center(ws, z, 0.0, tau, False, settings,
-                                        settings.max_newton_iters, initial=initial)
-        initial = False
+        z, it, cstat, lam2 = _center(ws, z, tau, settings)
         total += it
         if cstat == "trouble":
-            return result(TROUBLE, total, tau, math.inf)
+            return result(z, TROUBLE, total, tau, math.inf)
         # off-center exits widen the certified gap by sqrt(m)*lambda
         lam_corr = math.sqrt(ws.m_bar * max(lam2, 0.0)) if math.isfinite(lam2) else 0.0
         gap = (ws.m_bar + lam_corr) / tau
@@ -597,4 +512,4 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
             status = MAX_ITER
             break
         tau *= settings.barrier_mu
-    return result(status, total, tau, gap)
+    return result(z, status, total, tau, gap)

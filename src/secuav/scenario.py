@@ -176,6 +176,12 @@ def validate(scenario: Scenario) -> list[str]:
             f"endpoints unreachable: distance {dist:.6g} m exceeds the "
             f"{scenario.n_slots + 1}-step mobility budget {chain:.6g} m"
         )
+    elif dist == chain:
+        v.append(
+            f"endpoints {dist:.6g} m apart use the whole "
+            f"{scenario.n_slots + 1}-step mobility budget {chain:.6g} m: the "
+            "track is forced and the trajectory step has no interior"
+        )
     if not scenario.epsilon > 0:
         v.append(f"epsilon must be > 0 (got {scenario.epsilon})")
     if scenario.max_iters < 1:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_backend
-from .convex_backend import SolverSettings, OPTIMAL, TROUBLE, T_FLOOR
+from .convex_backend import SolverSettings, TROUBLE, T_FLOOR
 from .geometry import LN2, log2_1p, rate_coefficients, secrecy_sum, worst_case_dist_sq
 from .robust_lmi import block_coeff_arrays
 from .scenario import PowerSchedule, Scenario, Trajectory
@@ -110,7 +110,8 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
         eve_r=np.array([e.radius for e in eves]),
         eve_kx=eve_kx, eve_ky=eve_ky, eve_k0=eve_k0,
         x_start=x.copy(), y_start=y.copy(),
-        t_start=t_fea - 1e-3 * (t_fea - T_FLOOR * h2),
+        # below the tight t, so the disk margins leave the interior start room
+        t_start=t_fea - 0.1 * (t_fea - T_FLOOR * h2),
     )
 
 
@@ -158,7 +159,6 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
         return _fallback(traj_fea, powers, scenario)
     if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):
         return _fallback(traj_fea, powers, scenario)
-    status = res.status if res.status in (OPTIMAL, "max_iter") else TROUBLE
     return SubproblemSolution(trajectory=traj, t=t,
                               surrogate_objective=surrogate,
-                              true_objective=true_val, status=status)
+                              true_objective=true_val, status=res.status)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from secuav.convex_backend import (SolverSettings, _pull_in, _Workspace, first_step,
-                                   line_search_start, solve)
+from secuav.convex_backend import _interior_start, _Workspace, first_step, solve
 from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
@@ -297,7 +296,7 @@ def inside_disks(prog, x, y):
     return np.hypot(x - prog.eve_x[:, None], y - prog.eve_y[:, None]) < prog.eve_r[:, None]
 
 
-def direct_margins(prog, z, s):
+def direct_margins(prog, z):
     """Every barrier margin, written out from the program data, in the order
     of the solver's family table."""
     n = prog.n_slots
@@ -305,13 +304,13 @@ def direct_margins(prog, z, s):
     x, y, t = zz[:, 0], zz[:, 1], zz[:, 2]
     xpad = np.concatenate(([prog.pin_start[0]], x, [prog.pin_end[0]]))
     ypad = np.concatenate(([prog.pin_start[1]], y, [prog.pin_end[1]]))
-    parts = [prog.step_sq_max - np.diff(xpad) ** 2 - np.diff(ypad) ** 2 + s,
-             t - 0.5 * prog.h2 + s]
+    parts = [prog.step_sq_max - np.diff(xpad) ** 2 - np.diff(ypad) ** 2,
+             t - 0.5 * prog.h2]
     for k, r in enumerate(prog.eve_r):
         rho = np.hypot(x - prog.eve_x[k], y - prog.eve_y[k])
         huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
         lin = prog.eve_kx[k] * x + prog.eve_ky[k] * y + prog.eve_k0[k]
-        parts.append(lin - t - huber + s)
+        parts.append(lin - t - huber)
     return np.concatenate(parts)
 
 
@@ -326,15 +325,12 @@ def quadratic_rows(prog, z, z_end):
     return np.concatenate((np.ones(2 * n + 1, bool), disk.ravel()))
 
 
-def merit(prog, z, s, tau, pull_in):
-    m = direct_margins(prog, z, s)
+def merit(prog, z, tau):
+    m = direct_margins(prog, z)
     assert m.min() > 0.0
-    if pull_in:
-        obj = s
-    else:
-        zz = z.reshape(prog.n_slots, -1)
-        obj = ((prog.g_u * (zz[:, 0] ** 2 + zz[:, 1] ** 2 + prog.h2)).sum()
-               + (np.log1p(prog.p_scaled / zz[:, 2]) / LN2).sum())
+    zz = z.reshape(prog.n_slots, -1)
+    obj = ((prog.g_u * (zz[:, 0] ** 2 + zz[:, 1] ** 2 + prog.h2)).sum()
+           + (np.log1p(prog.p_scaled / zz[:, 2]) / LN2).sum())
     return tau * obj - np.log(m).sum()
 
 
@@ -348,15 +344,27 @@ def full_hessian(ws, ab):
     return hess
 
 
+def straight_track(prog, z0):
+    """The straight track between the pins at z0's t, packed like z0."""
+    n = prog.n_slots
+    frac = np.linspace(0.0, 1.0, n + 2)[1:-1]
+    track = z0.reshape(n, 3).copy()
+    track[:, 0] = prog.pin_start[0] + frac * (prog.pin_end[0] - prog.pin_start[0])
+    track[:, 1] = prog.pin_start[1] + frac * (prog.pin_end[1] - prog.pin_start[1])
+    return track.ravel()
+
+
 def kernel_points():
+    """The kernel program's interior start, and a point a quarter of the way
+    from the warm start to the straight track, where slot 2 is still inside
+    the first disk (the start has left it)."""
     prog = kernel_program()
     ws = _Workspace(prog)
     z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
-    z, _, ok = _pull_in(ws, z0, SolverSettings())
-    assert ok
-    # pull-in mode is checked at the start point, main mode at the interior point
-    return prog, ws, {True: (z0, 1.0 - ws.margins(z0).min()),
-                      False: (z, 0.0)}
+    inside = z0 + 0.25 * (straight_track(prog, z0) - z0)
+    assert inside_disks(prog, *inside.reshape(4, 3)[:, :2].T)[0, 1]
+    assert direct_margins(prog, inside).min() > 0.0
+    return prog, ws, {"start": _interior_start(ws, z0), "inside": inside}
 
 
 def random_direction(rng, prog, ws):
@@ -367,16 +375,15 @@ def random_direction(rng, prog, ws):
 
 
 class TestNewtonKernel:
-    @pytest.mark.parametrize("pull_in", [True, False])
-    def test_gradient_and_band_hessian_match_finite_differences(self, pull_in):
+    @pytest.mark.parametrize("point", ["start", "inside"])
+    def test_gradient_and_band_hessian_match_finite_differences(self, point):
         prog, ws, points = kernel_points()
-        z, s = points[pull_in]
+        z = points[point]
         tau = 7.0
-        gz, ab, gs, v, h = ws.assemble(ws.table(z, s), z, tau, pull_in)
+        gz, ab = ws.assemble(ws.table(z), z, tau)
 
-        def grad(z_, s_):
-            out = ws.assemble(ws.table(z_, s_), z_, tau, pull_in)
-            return out[0], out[2]
+        def grad(z_):
+            return ws.assemble(ws.table(z_), z_, tau)[0]
 
         hess = full_hessian(ws, ab)
         fd_grad = np.empty(ws.nz)
@@ -384,35 +391,25 @@ class TestNewtonKernel:
         for i in range(ws.nz):
             e = np.zeros(ws.nz)
             e[i] = 1e-6 * max(1.0, abs(z[i]))
-            fd_grad[i] = (merit(prog, z + e, s, tau, pull_in)
-                          - merit(prog, z - e, s, tau, pull_in)) / (2 * e[i])
-            fd_hess[:, i] = (grad(z + e, s)[0] - grad(z - e, s)[0]) / (2 * e[i])
+            fd_grad[i] = (merit(prog, z + e, tau) - merit(prog, z - e, tau)) / (2 * e[i])
+            fd_hess[:, i] = (grad(z + e) - grad(z - e)) / (2 * e[i])
         scale = np.abs(gz).max()
         assert np.abs(gz - fd_grad).max() <= 1e-6 * scale
         assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
-        if pull_in:
-            e = 1e-6 * max(1.0, s)
-            fd_gs = (merit(prog, z, s + e, tau, True) - merit(prog, z, s - e, tau, True)) / (2 * e)
-            (gz_p, gs_p), (gz_m, gs_m) = grad(z, s + e), grad(z, s - e)
-            assert gs == pytest.approx(fd_gs, rel=1e-6)
-            assert np.abs(v - (gz_p - gz_m) / (2 * e)).max() <= 1e-6 * np.abs(v).max()
-            assert h == pytest.approx((gs_p - gs_m) / (2 * e), rel=1e-6)
 
-    @pytest.mark.parametrize("pull_in", [True, False])
-    def test_fraction_to_boundary_start_matches_brute_force_halving(self, pull_in):
+    def test_fraction_to_boundary_start_matches_brute_force_halving(self):
         prog, ws, points = kernel_points()
-        z, s = points[pull_in]
-        fams = ws.table(z, s)
+        z = points["start"]
+        fams = ws.table(z)
         rng = np.random.default_rng(20261018)
         starts = set()
         for _ in range(200):
             dz = random_direction(rng, prog, ws)
-            ds = float(rng.normal()) * s if pull_in else 0.0
-            m0, m1, m2 = ws.ray(fams, dz, ds)
+            m0, m1, m2 = ws.ray(fams, dz)
             # the model is the margins along the ray on every quadratic row
             a = float(rng.uniform(0.0, 2.0))
             terms = np.abs(m0) + np.abs(a * m1) + np.abs(a * a * m2)
-            direct = direct_margins(prog, z + a * dz, s + a * ds)
+            direct = direct_margins(prog, z + a * dz)
             quad = quadratic_rows(prog, z, z + a * dz)
             assert np.all(np.abs(m0 + a * (m1 + a * m2) - direct)[quad] <= 1e-9 * terms[quad])
             step = first_step(m0, m1, m2)
@@ -422,13 +419,12 @@ class TestNewtonKernel:
             starts.add(step)
         assert len(starts) >= 8  # the directions reach several halving depths
 
-    @pytest.mark.parametrize("pull_in", [True, False])
-    def test_disk_model_error_is_third_order(self, pull_in):
+    def test_disk_model_error_is_third_order(self):
         """Outside its disk a disk margin is not quadratic along a ray; the
         model misses it by O(a^3), so halving a cuts the error 8x."""
         prog, ws, points = kernel_points()
-        z, s = points[pull_in]
-        fams = ws.table(z, s)
+        z = points["start"]
+        fams = ws.table(z)
         rng = np.random.default_rng(20261020)
         n = prog.n_slots
         outer = np.concatenate((np.zeros(2 * n + 1, bool),
@@ -437,9 +433,9 @@ class TestNewtonKernel:
         checked = 0
         for _ in range(20):
             dz = rng.normal(size=ws.nz)
-            m0, m1, m2 = ws.ray(fams, dz, 0.0)
+            m0, m1, m2 = ws.ray(fams, dz)
             steps = 0.5 ** np.arange(3, 9)
-            err = np.array([np.abs(m0 + a * (m1 + a * m2) - direct_margins(prog, z + a * dz, s))
+            err = np.array([np.abs(m0 + a * (m1 + a * m2) - direct_margins(prog, z + a * dz))
                             for a in steps])[:, outer]
             big = err[-1] > 1e-11  # well above rounding at the smallest step
             ratio = err[-2, big] / err[-1, big]
@@ -458,41 +454,57 @@ class TestNewtonKernel:
         assert start(1.0, 2.0, 1.0) == 1.0        # both roots negative
         assert start(1.0, -1e40, 0.0) is None     # root below 2^-95
 
-    def test_initial_stage_start_keeps_most_of_every_margin(self):
-        prog, ws, points = kernel_points()
-        z, _ = points[False]
-        fams = ws.table(z)
-        rng = np.random.default_rng(20261019)
-        bounded = set()
-        full = 0
-        for _ in range(200):
-            dz = random_direction(rng, prog, ws)
-            m0, m1, m2 = ws.ray(fams, dz, 0.0)
-            exact = first_step(m0, m1, m2)
-            assert line_search_start(m0, m1, m2, initial=False) == exact
-            start = line_search_start(m0, m1, m2, initial=True)
-            if exact is None or exact == 1.0:
-                assert start == exact
-                full += exact == 1.0
-                continue
-            keep = next((0.5**k for k in range(96)
-                         if np.all(m0 + 0.5**k * (m1 + 0.5**k * m2) > 0.8 * m0)), None)
-            assert start == (exact if keep is None else keep)
-            if start < exact:
-                bounded.add(start)
-        # both branches ran, and the bound cut the exact start at several depths
-        assert full >= 10 and len(bounded) >= 4
 
-
-def test_fine_slot_first_program_reaches_optimal():
-    """paper_fig2 at 0.1 s slots (N = 1600), first convex step from the best-
-    effort track at equal power.  With the exact start in the first centering
-    stage two single margins collapsed and the solve ended max_iter after
-    1006 Newton steps."""
+def fine_slot_program():
+    """paper_fig2 at 0.1 s slots (N = 1600): the first convex step from the
+    best-effort track at equal power."""
     base = load_scenario(BENCHMARK_SCENARIO)
     scen = derive_scenario(dataclasses.replace(base, slot_len=0.1), "T", 160.0)
     assert scen.n_slots == 1600
-    traj = best_effort_trajectory(scen)
-    res = solve(assemble(traj, equal_power(scen), scen))
+    return assemble(best_effort_trajectory(scen), equal_power(scen), scen)
+
+
+def small_program():
+    """N = 3: the straight track itself is interior, and the least barrier
+    lies at 2^-4 along the segment."""
+    scen, traj, powers = random_small_instance(8)
+    return assemble(traj, powers, scen)
+
+
+class TestInteriorStart:
+    @pytest.mark.parametrize("make", [kernel_program, fine_slot_program, small_program])
+    def test_least_barrier_power_of_two_step_on_the_segment(self, make):
+        prog = make()
+        ws = _Workspace(prog)
+        z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
+        z = _interior_start(ws, z0)
+        assert direct_margins(prog, z).min() > 0.0
+        # brute force over every halving step of the segment
+        track = straight_track(prog, z0)
+        barriers = []
+        for k in range(60):
+            m = direct_margins(prog, z0 + 0.5**k * (track - z0))
+            barriers.append(-np.log(m).sum() if m.min() > 0.0 else math.inf)
+        k = int(np.argmin(barriers))
+        assert np.allclose(z, z0 + 0.5**k * (track - z0), rtol=0.0, atol=1e-9)
+
+    def test_pins_a_full_budget_apart_leave_no_interior(self):
+        """Pins (N+1)*L apart force the straight track at full speed, so no
+        point has positive mobility margins (``validate`` rejects such a
+        scenario)."""
+        prog = dataclasses.replace(
+            toy_program(n=3), pin_start=(-2.0, 0.0), pin_end=(2.0, 0.0),
+            x_start=np.array([-1.0, 0.0, 1.0]), y_start=np.zeros(3))
+        ws = _Workspace(prog)
+        assert _interior_start(ws, ws.pack(prog.x_start, prog.y_start, prog.t_start)) is None
+        res = solve(prog)
+        assert res.status == "numerical_trouble"
+        assert res.newton_iters == 0
+
+
+def test_fine_slot_first_program_reaches_optimal():
+    """Single margins that collapse early in centering let Newton crawl on
+    this program (up to 1006 steps and max_iter)."""
+    res = solve(fine_slot_program())
     assert res.status == "optimal"
     assert res.newton_iters <= 300

@@ -1,16 +1,19 @@
 import dataclasses
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from secuav import planner
+from secuav.convex_backend import TROUBLE
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
 from secuav.planner import (best_effort_trajectory, equal_power, optimize,
                             optimize_non_robust, run_best_effort)
 from secuav.power_alloc import PowerDual
 from secuav.scenario import (EveRegion, PowerSchedule, trajectory_violations,
-                             power_violations)
+                             power_violations, validate)
 
 from conftest import make_scenario, benchmark_fields
 
@@ -174,3 +177,45 @@ class TestRunBestEffort:
         assert res.iterations == ()
         assert res.secrecy_rate == avg_worst_case_secrecy_rate(
             traj, res.powers, tiny_scenario)
+
+
+def _polar(rho, theta):
+    return (rho * math.cos(theta), rho * math.sin(theta))
+
+
+@st.composite
+def valid_scenarios(draw):
+    """Random valid scenarios: N in 4..40, K in 1..4 disks (radius 0 among
+    them), some centred over the best-effort track's racing leg."""
+    n = draw(st.integers(4, 40))
+    reach = 0.4 * (n + 1) * 5.0  # pins at most 0.8 of the mobility budget apart
+    angle = st.floats(0.0, 2.0 * math.pi)
+    start = _polar(draw(st.floats(0.2 * reach, reach)), draw(angle))
+    end = _polar(draw(st.floats(0.0, reach)), draw(angle))
+    radius_share = st.one_of(st.just(0.0), st.floats(0.1, 0.8))
+    eves = []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):  # over the leg from the start to the receiver
+            share = draw(st.floats(0.3, 0.9))
+            center = (share * start[0], share * start[1])
+        else:
+            center = _polar(draw(st.floats(0.05 * reach, 1.5 * reach)), draw(angle))
+        # the disk stays clear of the receiver at the origin
+        eves.append(EveRegion(*center, draw(radius_share) * math.hypot(*center)))
+    return make_scenario(flight_duration=0.5 * n, n_slots=n, start_xy=start,
+                         end_xy=end, eves=tuple(eves), epsilon=1e-2,
+                         max_iters=12)
+
+
+class TestRandomValidScenarios:
+    @given(scen=valid_scenarios())
+    @settings(max_examples=15, deadline=None)
+    def test_plans_improve_on_the_start_without_trouble(self, scen):
+        assert validate(scen) == []
+        for res in (optimize(scen), optimize_non_robust(scen)):
+            objs = [r.objective for r in res.iterations]
+            assert all(r.status != TROUBLE for r in res.iterations)
+            assert trajectory_violations(res.trajectory, scen) == []
+            assert power_violations(res.powers, scen) == []
+            assert all(b >= a - 1e-6 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
+            assert objs[-1] >= objs[0]

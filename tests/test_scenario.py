@@ -46,6 +46,13 @@ class TestValidate:
         msgs = validate(scen)
         assert any("endpoints unreachable" in m for m in msgs)
 
+    def test_endpoints_a_full_budget_apart_rejected(self):
+        # 159 slots of 5 m: the pins are 800 m apart, the whole budget, so the
+        # only track is the straight line at full speed
+        msgs = validate(make_scenario(**benchmark_fields(flight_duration=79.5)))
+        assert any("forced" in m and "no interior" in m for m in msgs)
+        assert validate(make_scenario(**benchmark_fields(flight_duration=80.0))) == []
+
     def test_eve_disk_over_receiver_rejected(self):
         scen = make_scenario(eves=(EveRegion(1.0, 1.0, 5.0),))
         msgs = validate(scen)
