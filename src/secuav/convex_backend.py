@@ -18,7 +18,7 @@ lin - huber_r is at most (|q - c| - r)_+^2 + H^2, the true worst-case squared
 distance to the disk of radius r around c (``robust_lmi`` derives the margin
 from the S-procedure).  Radius-zero eavesdroppers are the case r = 0, an
 affine row; when every radius is zero (the non-robust planner) the table
-writes the family without Hessian entries.
+carries no Hessian entries.
 
 Why the floor H^2/2 is safe.  The floor is no robustness constraint: the disk
 margins alone bound t by the worst-case squared distance, and ``solve_step``
@@ -43,18 +43,23 @@ enough to the warm start, but off it, is interior.  The solver starts at the
 step 2^-k along the segment of least barrier; the barrier is convex there, so
 the search stops at its first increase.
 
-Constraint families.  Every margin is concave, and one table describes the
-three families (mobility ball, t floor, disk).  At a point each family gives
-its margins m over (rows, slots), with eavesdroppers as rows, the gradient of
-m per block column and its Hessian entries, constants or per-row arrays.  The
-mobility family is written in the step differences (x[j]-x[j-1],
-y[j]-y[j-1]) and reaches the two slots of each step through the chain rule;
-the others are slot-local.  The solver reads the table everywhere:
+Constraint families.  Every margin is concave, and the table at a point holds
+two fixed families.  The mobility chain has one row per step, N+1 in all,
+written in the step differences (dx, dy) = (x[j]-x[j-1], y[j]-y[j-1]); it
+reaches the two slots of each step through the chain rule.  The slot-local
+stack has K+1 rows over the N slots: row 0 is the t floor and rows 1..K the
+disks.  Its gradient is (gx, gy) per row, zero on the floor row, and a fixed
+t-sign per row (+1 floor, -1 disk); its Hessian entries xx, xy, yy form one
+(3, K+1, N) array, or None when every radius is zero, since every row is
+then affine.  All margins sit in one flat array of length m_bar, the chain
+first and then the stack row by row.  The solver reads the table everywhere:
 
   * the margins serve the interior start, the domain check, the line search
     merit and the post-hoc margin of the result;
   * the Newton system adds -grad m / m to the gradient and
-    grad m grad m^T / m^2 - hess m / m to the Hessian, written straight into
+    grad m grad m^T / m^2 - hess m / m to the Hessian: the stack's terms are
+    summed over its rows in one reduction into the 3x3 slot blocks, and the
+    chain adds its diagonal and off-diagonal bands, all written straight into
     the lower band array that ``cholesky_banded`` reads;
   * along a Newton ray each margin is modelled by m0 + a*m1 + a^2*m2 in the
     step length a, with m1 = grad m . d and m2 = d^T (hess m) d / 2.  The model
@@ -69,7 +74,7 @@ every centering stage the halving starts at ``first_step``, the largest power
 of two below it.  A trial evaluates the table at the trial point, demands
 every margin strictly positive there and computes the Armijo merit from those
 margins.  The accepted trial's table supplies the next step's Newton system,
-so a step that accepts its first trial makes one pass over the families.
+so a step that accepts its first trial builds one table.
 
 Duality gap.  At the central point of weight tau the multipliers
 1/(tau*m_i) are dual feasible and leave the gap m_bar/tau, with m_bar =
@@ -140,43 +145,16 @@ T_FLOOR = 0.5
 
 _RIDGES = (0.0, 1e-13, 1e-10, 1e-7)
 
-# block columns, the keys of a family's gradient and Hessian entries
-X, Y, T = range(3)
+X, Y, T = range(3)  # block columns
 
 
-class _Family(NamedTuple):
-    """One constraint family at one point."""
+class _Table(NamedTuple):
+    """The two constraint families at one point (see "Constraint families")."""
 
-    m: np.ndarray                  # margins: (rows, slots), (slots,) or chain steps
-    grad: dict                     # key -> dm/dkey, broadcastable to m; keys ascending
-    hess: dict                     # (ki, kj), ki <= kj -> d2m/dki dkj, broadcastable to m
-    chain: bool = False            # rows are the mobility steps j-1 -> j
-
-
-def _flat(parts) -> np.ndarray:
-    return np.concatenate([np.ravel(p) for p in parts])
-
-
-def _total(terms):
-    """Sum of arrays, or None for no terms."""
-    out = None
-    for term in terms:
-        out = term if out is None else out + term
-    return out
-
-
-def _min_margin(fams) -> float:
-    return min(float(f.m.min()) for f in fams)
-
-
-def _steps(v, first, last) -> np.ndarray:
-    """The N+1 differences of [first, *v, last]."""
-    out = np.empty(v.size + 1)
-    out[:-1] = v
-    out[-1] = last
-    out[1:] -= v
-    out[0] -= first
-    return out
+    m: np.ndarray                  # (m_bar,) every margin: the chain, then the stack
+    d: np.ndarray                  # (2, N+1) chain steps dx, dy
+    g: np.ndarray                  # (2, K+1, N) stack gradient in x, y; row 0 zero
+    h: np.ndarray | None           # (3, K+1, N) stack Hessian xx, xy, yy, or None
 
 
 def first_step(m0, m1, m2):
@@ -199,19 +177,38 @@ def first_step(m0, m1, m2):
 
 
 class _Workspace:
-    """Layout, constraint-family table and Newton system of one program."""
+    """Layout, constraint table and Newton system of one program."""
 
     B = 3      # block columns per slot: x, y, t
     kd = B + 1  # bandwidth: x, y couple to the next slot's x, y
+    # positions in a slot's row of the band, c*(kd+1) + d for the entry
+    # (n*B + c + d, n*B + c): the slot block's xx, xy, yy, xt, yt, tt, and the
+    # chain's couplings to the next slot, x'x, y'x, x'y, y'y
+    _DIAG = [0, 1, 5, 2, 6, 10]
+    _OFF = [3, 4, 7, 8]
 
     def __init__(self, prog):
         self.prog = prog
         self.N = N = prog.n_slots
+        K = prog.eve_r.size
         self.nz = N * self.B
         self.h2 = prog.h2
         self.L2 = prog.step_sq_max
-        self.m_bar = (N + 1) + (prog.eve_r.size + 1) * N
+        self.t_min = T_FLOOR * prog.h2
+        self.m_bar = (N + 1) + (K + 1) * N
         self.robust = bool(prog.eve_r.any())
+        self.k = np.stack((prog.eve_kx, prog.eve_ky))        # (2, K, N)
+        self.c = np.stack((prog.eve_x, prog.eve_y))[:, :, None]
+        self.r = prog.eve_r[:, None]
+        self.sign = np.repeat(np.r_[1.0, -np.ones(K)], N)   # dm/dt, stack flat
+        # the stack gradient when every row is affine
+        self.g_affine = np.concatenate((np.zeros((2, 1, N)), self.k), axis=1)
+        # weighted stack terms: grad m / m (x, y, t), then the entries xx, xy,
+        # yy, xt, yt, tt of grad m grad m^T / m^2 - hess m / m
+        self.buf = np.empty((9, K + 1, N))
+        # x, y between the pins, and a ray's dx, dy between pins that stay put
+        self.qpad = np.column_stack((prog.pin_start, np.zeros((2, N)), prog.pin_end))
+        self.dpad = np.zeros((2, N + 2))
 
     # -- packing ---------------------------------------------------------
     @staticmethod
@@ -222,42 +219,45 @@ class _Workspace:
         """z as contiguous (B, N) rows x, y, t."""
         return z.reshape(self.N, self.B).T.copy()
 
-    # -- constraint-family table -----------------------------------------
-    def table(self, z) -> list[_Family]:
-        """Every constraint family at z."""
-        p = self.prog
-        x, y, t = self.rows(z)
-        dx = _steps(x, p.pin_start[0], p.pin_end[0])
-        dy = _steps(y, p.pin_start[1], p.pin_end[1])
-        fams = [
-            _Family(self.L2 - dx**2 - dy**2, {X: -2.0 * dx, Y: -2.0 * dy},
-                    {(X, X): -2.0, (Y, Y): -2.0}, chain=True),
-            _Family(t - T_FLOOR * self.h2, {T: 1.0}, {}),
-        ]
-        m = p.eve_kx * x + p.eve_ky * y + p.eve_k0 - t
+    # -- constraint table --------------------------------------------------
+    def table(self, z) -> _Table:
+        """Both constraint families at z."""
+        N = self.N
+        Z = z.reshape(N, self.B)
+        qpad = self.qpad
+        qpad[:, 1:-1] = Z[:, :2].T
+        q, t = qpad[:, 1:-1], Z[:, T]
+        d = qpad[:, 1:] - qpad[:, :-1]
+        m = np.empty(self.m_bar)
+        chain, stack = m[:N + 1], m[N + 1:].reshape(-1, N)
+        np.subtract(self.L2, np.add.reduce(d * d), out=chain)
+        np.subtract(t, self.t_min, out=stack[0])
+        disk = stack[1:]
+        np.einsum('ikn,in->kn', self.k, q, out=disk)
+        disk += self.prog.eve_k0
+        disk -= t
         if not self.robust:  # every huber_0 vanishes: the disk rows are affine
-            fams.append(_Family(m, {X: p.eve_kx, Y: p.eve_ky, T: -1.0}, {}))
-            return fams
+            return _Table(m, d, self.g_affine, None)
         # w = q - c, phi = min(1, r/|w|) (0 for r = 0), and the outer branch's
         # curvature factor 2*phi/|w|^2 (0 inside the disk)
-        r = p.eve_r[:, None]
-        wx = x - p.eve_x[:, None]
-        wy = y - p.eve_y[:, None]
-        w2 = wx * wx + wy * wy
-        phi = np.minimum(1.0, r / np.maximum(np.sqrt(w2), 1e-300))
+        w = q[:, None] - self.c
+        w2 = np.einsum('ikn,ikn->kn', w, w)
+        phi = np.minimum(1.0, self.r / np.maximum(np.sqrt(w2), 1e-300))
         two_phi = 2.0 * phi
         curv = (phi < 1.0) * two_phi / np.maximum(w2, 1e-300)
-        cx = curv * wx
-        fams.append(_Family(
-            m - (two_phi - phi * phi) * w2,
-            {X: p.eve_kx - two_phi * wx, Y: p.eve_ky - two_phi * wy, T: -1.0},
-            {(X, X): cx * wx - two_phi, (X, Y): cx * wy,
-             (Y, Y): curv * wy * wy - two_phi}))
-        return fams
+        disk -= (two_phi - phi * phi) * w2
+        g = np.zeros(self.g_affine.shape)
+        np.subtract(self.k, two_phi * w, out=g[:, 1:])
+        h = np.zeros((3,) + stack.shape)
+        cw = curv * w
+        np.multiply(cw[0], w, out=h[:2, 1:])
+        np.multiply(cw[1], w[1], out=h[2, 1:])
+        h[::2, 1:] -= two_phi
+        return _Table(m, d, g, h)
 
     def margins(self, z) -> np.ndarray:
         """All constraint margins, flat; strictly positive means interior."""
-        return _flat(f.m for f in self.table(z))
+        return self.table(z).m
 
     def f0(self, z) -> float:
         p = self.prog
@@ -266,28 +266,7 @@ class _Workspace:
                      + log2_1p(p.p_scaled / Z[:, T]).sum())
 
     # -- Newton system ----------------------------------------------------
-    @staticmethod
-    def _add_vec(G, f: _Family, key, vals):
-        """Add per-row values of one key into the (B, N) rows G of a vector."""
-        if f.chain:
-            G[key] += vals[:-1] - vals[1:]
-        else:
-            G[key] += vals.sum(0) if vals.ndim == 2 else vals
-
-    def _add_band(self, V, f: _Family, ki, kj, W):
-        """Add per-row Hessian entries (ki, kj) into the band view V, where
-        V[d, n, c] holds the matrix entry (n*B + c + d, n*B + c)."""
-        if f.chain:
-            # a step's rows touch its head slot with +1 and its tail with -1
-            B = self.B
-            V[kj - ki, :, ki] += W[:-1] + W[1:]
-            V[B + kj - ki, :-1, ki] -= W[1:-1]
-            if ki != kj:
-                V[B + ki - kj, :-1, kj] -= W[1:-1]
-        else:
-            V[kj - ki, :, ki] += W.sum(0) if W.ndim == 2 else W
-
-    def assemble(self, fams, z, tau):
+    def assemble(self, tab: _Table, z, tau):
         """Gradient and Hessian of tau*f0 + barrier from the table at z.
 
         Returns (gz, ab), the Hessian in the lower band form that
@@ -298,31 +277,42 @@ class _Workspace:
         Z = z.reshape(N, B)
         t = Z[:, T]
         i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
-        curv = 2.0 * tau * p.g_u
-        G = np.empty((B, N))   # objective gradient, as rows like z
-        G[X] = curv * Z[:, X]
-        G[Y] = curv * Z[:, Y]
-        G[T] = (tau / LN2) * (i2 - i1)
-        Gb = np.zeros((B, N))  # sum of grad m / m
-        # column-major, as LAPACK stores it; V[d, n, c] = ab[d, n*B + c]
-        band = np.zeros((N, B, kd + 1))
-        ab = band.reshape(self.nz, kd + 1).T
-        V = band.transpose(2, 0, 1)
-        V[0, :, X] = curv
-        V[0, :, Y] = curv
-        V[0, :, T] = (tau / LN2) * (i1 * i1 - i2 * i2)
-        for f in fams:
-            w1 = 1.0 / f.m
-            gw = {k: g * w1 for k, g in f.grad.items()}  # grad m / m per key
-            keys = list(gw)
-            for i, ki in enumerate(keys):
-                self._add_vec(Gb, f, ki, gw[ki])
-                for kj in keys[i:]:
-                    W = gw[ki] * gw[kj]
-                    if (ki, kj) in f.hess:
-                        W = W - f.hess[ki, kj] * w1
-                    self._add_band(V, f, ki, kj, W)
-        return (G - Gb).T.ravel(), ab
+        gt = (tau / LN2) * (i2 - i1)   # d(tau*f0)/dt
+        curv = (2.0 * tau) * p.g_u
+        # the stack, summed over its rows into the per-slot terms S
+        w1 = 1.0 / tab.m[N + 1:]
+        buf = self.buf.reshape(9, -1)
+        np.multiply(tab.g.reshape(2, -1), w1, out=buf[:2])
+        np.multiply(self.sign, w1, out=buf[2])
+        # one product per call: a broadcast product within buf runs ~2x slower
+        for row, (i, j) in enumerate(((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)), 3):
+            np.multiply(buf[i], buf[j], out=buf[row])
+        if tab.h is not None:
+            buf[3:6] -= tab.h.reshape(3, -1) * w1
+        S = np.add.reduce(self.buf, axis=1)
+        # the chain per step: grad m / m in x, y, then the xx, xy, yy entries
+        wc = -2.0 / tab.m[:N + 1]
+        C = np.empty((5, N + 1))
+        np.multiply(tab.d, wc, out=C[:2])
+        np.multiply(C[0], C[0], out=C[2])
+        np.multiply(C[0], C[1], out=C[3])
+        np.multiply(C[1], C[1], out=C[4])
+        C[2::2] -= wc
+        # a step's rows touch its head slot with +1 and its tail with -1
+        S[:2] += C[:2, :-1] - C[:2, 1:]
+        S[3:6] += C[2:, :-1] + C[2:, 1:]
+        # the objective's curvature in x, y and t
+        S[3:6:2] += curv
+        S[8] -= gt * (i1 + i2)
+        # column-major, as LAPACK stores it: band[n, c*(kd+1) + d] = ab[d, n*B + c]
+        band = np.zeros((N, B * (kd + 1)))
+        band[:, self._DIAG] = S[3:].T
+        for pos, row in zip(self._OFF, (2, 3, 3, 4)):  # the chain's xx, xy, xy, yy
+            np.negative(C[row, 1:-1], out=band[:-1, pos])
+        G = S[:3]   # objective gradient minus the sum of grad m / m
+        np.subtract(curv * Z[:, :2].T, G[:2], out=G[:2])
+        np.subtract(gt, G[T], out=G[T])
+        return G.T.ravel(), band.reshape(self.nz, kd + 1).T
 
     @staticmethod
     def solve_kkt(ab, gz, ridge: float):
@@ -335,19 +325,28 @@ class _Workspace:
         return cho_solve_banded((cfac, True), -gz)
 
     # -- line search -------------------------------------------------------
-    def ray(self, fams, dz):
+    def ray(self, tab: _Table, dz):
         """Second-order model m0 + a*m1 + a^2*m2 of the margins along
         z + a*dz, flat; exact on the quadratic rows."""
-        D = self.rows(dz)
-        m1s, m2s = [], []
-        for f in fams:
-            # the pins do not move
-            d = {k: _steps(D[k], 0.0, 0.0) if f.chain else D[k] for k in f.grad}
-            m1s.append(_total(f.grad[k] * dk for k, dk in d.items()))
-            m2 = _total((0.5 * hk if ki == kj else hk) * d[ki] * d[kj]
-                        for (ki, kj), hk in f.hess.items())
-            m2s.append(np.zeros(f.m.shape) if m2 is None else m2)
-        return _flat(f.m for f in fams), _flat(m1s), _flat(m2s)
+        N = self.N
+        D = dz.reshape(N, self.B).T
+        dpad = self.dpad
+        dpad[:, 1:-1] = D[:2]
+        dd = dpad[:, 1:] - dpad[:, :-1]
+        m1, m2 = np.empty(self.m_bar), np.zeros(self.m_bar)
+        np.multiply(-2.0, np.add.reduce(tab.d * dd), out=m1[:N + 1])
+        np.negative(np.add.reduce(dd * dd), out=m2[:N + 1])
+        stack1 = m1[N + 1:].reshape(-1, N)
+        np.add.reduce(tab.g * D[:2, None], out=stack1)
+        stack1 += self.sign.reshape(-1, N) * D[T]
+        if tab.h is not None:
+            # d^T (hess m) d / 2 from the entries xx, xy, yy
+            dq = np.empty((3, N))
+            np.multiply(D[X], D[:2], out=dq[:2])
+            np.multiply(D[Y], D[Y], out=dq[2])
+            dq[::2] *= 0.5
+            np.add.reduce(tab.h * dq[:, None], out=m2[N + 1:].reshape(-1, N))
+        return tab.m, m1, m2
 
 
 # A stage may end slightly off-center when float resolution of the merit
@@ -362,19 +361,19 @@ def _loose_status(lam2) -> str:
     return "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
 
 
-def _center(ws: _Workspace, z, tau, settings):
+def _center(ws: _Workspace, z, tab: _Table, tau, settings):
     """Damped Newton to the central point at barrier weight tau.
 
-    Returns (z, iters, status, lam2) with status in {"centered", "budget",
-    "trouble"}.  The merit tau*f0 + barrier is asserted non-increasing across
-    Armijo steps, up to its floating-point resolution; below that resolution
-    the stage takes pure Newton steps ("Noise floor").
+    ``tab`` is the table at z.  Returns (z, tab, iters, status, lam2) with
+    status in {"centered", "budget", "trouble"}.  The merit tau*f0 + barrier
+    is asserted non-increasing across Armijo steps, up to its floating-point
+    resolution; below that resolution the stage takes pure Newton steps
+    ("Noise floor").
     """
     # measure the objective relative to the entry point: tau*f0 alone can reach
     # 1e13, whose float resolution would swallow the remaining decrements
     f0_ref = ws.f0(z)
-    fams = ws.table(z)
-    cur = -float(np.log(_flat(f.m for f in fams)).sum())
+    cur = -float(np.log(tab.m).sum())
     iters = 0
     no_progress = 0
     lam2 = math.inf
@@ -382,7 +381,7 @@ def _center(ws: _Workspace, z, tau, settings):
     eps8 = 8.0 * np.finfo(float).eps
     while iters < min(settings.max_newton_iters, settings.max_centering_iters):
         resolution = eps8 * max(1.0, abs(cur))
-        gz, ab = ws.assemble(fams, z, tau)
+        gz, ab = ws.assemble(tab, z, tau)
         dz = None
         for ridge in _RIDGES:
             try:
@@ -391,25 +390,25 @@ def _center(ws: _Workspace, z, tau, settings):
             except np.linalg.LinAlgError:
                 continue
         if dz is None:
-            return z, iters, "trouble", lam2
+            return z, tab, iters, "trouble", lam2
         lam2 = -float(gz @ dz)
         if lam2 < -1e-6 * max(1.0, abs(cur)):
-            return z, iters, "trouble", lam2
+            return z, tab, iters, "trouble", lam2
         if lam2 / 2.0 <= settings.newton_tol:
-            return z, iters, "centered", lam2
-        step = first_step(*ws.ray(fams, dz))
+            return z, tab, iters, "centered", lam2
+        step = first_step(*ws.ray(tab, dz))
         if step is None:
-            return z, iters, "trouble", lam2
+            return z, tab, iters, "trouble", lam2
         # the merit cannot resolve the Armijo decrease: go on with full steps
         # only while they are interior and lambda^2 falls 4x ("Noise floor")
         pure = 0.25 * lam2 <= resolution + eps8 * tau * abs(f0_ref)
         if pure and (step < 1.0 or 4.0 * lam2 > pure_lam2):
-            return z, iters, _loose_status(lam2), lam2
+            return z, tab, iters, _loose_status(lam2), lam2
         new = None
         for _ in range(1 if pure else 60):
             z_new = z + step * dz
-            fams_new = ws.table(z_new)
-            m = _flat(f.m for f in fams_new)
+            tab_new = ws.table(z_new)
+            m = tab_new.m
             if m.min() > 0.0:
                 cand = tau * (ws.f0(z_new) - f0_ref) - float(np.log(m).sum())
                 if pure or cand <= cur - 0.25 * step * lam2 + resolution:
@@ -417,21 +416,21 @@ def _center(ws: _Workspace, z, tau, settings):
                     break
             step *= 0.5
         if new is None:
-            return z, iters, _loose_status(lam2), lam2
-        z, fams = z_new, fams_new
+            return z, tab, iters, _loose_status(lam2), lam2
+        z, tab = z_new, tab_new
         if pure:
             pure_lam2 = lam2
         elif new > cur + resolution:
-            return z, iters, "trouble", lam2
+            return z, tab, iters, "trouble", lam2
         elif cur - new <= resolution:
             no_progress += 1
             if no_progress >= 3:
-                return z, iters, _loose_status(lam2), lam2
+                return z, tab, iters, _loose_status(lam2), lam2
         else:
             no_progress = 0
         cur = new
         iters += 1
-    return z, iters, "budget", lam2
+    return z, tab, iters, "budget", lam2
 
 
 def _interior_start(ws: _Workspace, z0):
@@ -471,14 +470,14 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
 
     def result(z, status, iters, tau, gap):
         x, y, t = ws.rows(z)
-        fams = ws.table(z)
-        min_margin = _min_margin(fams)
+        tab = ws.table(z)
+        min_margin = float(tab.m.min())
         if status == OPTIMAL and min_margin <= 0.0:
             status = TROUBLE
         usable = min_margin > 0.0 and tau > 0
         if usable:
             objective = program.obj_const - ws.f0(z)
-            gz = ws.assemble(fams, z, tau)[0]
+            gz = ws.assemble(tab, z, tau)[0]
             kkt = float(np.abs(gz).max() / tau)
         else:
             objective = -math.inf
@@ -492,12 +491,13 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
     if z is None:
         return result(z0, TROUBLE, 0, 0.0, math.inf)
 
+    tab = ws.table(z)
     tau = ws.m_bar / settings.tau0_gap
     total = 0
     status = MAX_ITER
     gap = math.inf
     while True:
-        z, it, cstat, lam2 = _center(ws, z, tau, settings)
+        z, tab, it, cstat, lam2 = _center(ws, z, tab, tau, settings)
         total += it
         if cstat == "trouble":
             return result(z, TROUBLE, total, tau, math.inf)

@@ -227,6 +227,7 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
         "secrecy_rate_bps_hz": result.secrecy_rate,
         "converged": result.converged,
         "iterations": max(len(result.iterations) - 1, 0),
+        "newton_steps": sum(r.newton_iters for r in result.iterations),
         "wall_s": wall_s,
     }
     _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2,

@@ -42,6 +42,7 @@ class IterationRecord:
     powers: PowerSchedule
     status: str
     wall_s: float
+    newton_iters: int = 0     # Newton steps of the iteration's convex step
 
 
 @dataclass(frozen=True)
@@ -117,14 +118,14 @@ def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanR
         sol = solve_step(traj, powers, scenario, options.solver)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
-                                           time.perf_counter() - t0))
+                                           time.perf_counter() - t0, sol.newton_iters))
             break
         traj = sol.trajectory
         dual = optimize_power(traj, scenario)
         powers = dual.schedule
         new_objective = secrecy_sum(traj, powers, scenario)
         records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
-                                       time.perf_counter() - t0))
+                                       time.perf_counter() - t0, sol.newton_iters))
         gain = _fractional_increase(new_objective, objective)
         objective = new_objective
         if gain < scenario.epsilon:

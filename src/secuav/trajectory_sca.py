@@ -69,6 +69,7 @@ class SubproblemSolution:
     surrogate_objective: float
     true_objective: float
     status: str
+    newton_iters: int       # Newton steps of the barrier solve
 
 
 def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -115,11 +116,11 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     )
 
 
-def _fallback(traj_fea: Trajectory, powers, scenario) -> SubproblemSolution:
+def _fallback(traj_fea: Trajectory, powers, scenario, newton_iters) -> SubproblemSolution:
     true_val = secrecy_sum(traj_fea, powers, scenario)
     return SubproblemSolution(trajectory=traj_fea, t=initialize_slacks(traj_fea, scenario),
                               surrogate_objective=true_val, true_objective=true_val,
-                              status=TROUBLE)
+                              status=TROUBLE, newton_iters=newton_iters)
 
 
 def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
@@ -134,20 +135,20 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
     prog = assemble(traj_fea, powers, scenario)
     res = convex_backend.solve(prog, settings)
     if res.status == TROUBLE:
-        return _fallback(traj_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario, res.newton_iters)
 
     xs = np.concatenate(([scenario.start_xy[0]], res.x, [scenario.end_xy[0]]))
     ys = np.concatenate(([scenario.start_xy[1]], res.y, [scenario.end_xy[1]]))
     traj = Trajectory(xs=xs, ys=ys)
     if np.any(traj.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
-        return _fallback(traj_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario, res.newton_iters)
 
     x, y = traj.slot_positions()
     t = res.t
     for k in range(scenario.n_eves):
         theta = worst_case_dist_sq((x, y), scenario.eves[k], scenario.altitude)
         if np.any(theta < t - ROBUST_FEAS_TOL):
-            return _fallback(traj_fea, powers, scenario)
+            return _fallback(traj_fea, powers, scenario, res.newton_iters)
 
     # improvement chain, checked numerically every step: the surrogate under-
     # estimates the truth at the new point and cannot fall below its value at
@@ -156,9 +157,10 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
     true_val = secrecy_sum(traj, powers, scenario)
     sur_fea = _surrogate_value(prog, prog.x_start, prog.y_start, prog.t_fea)
     if surrogate > true_val + 1e-9 * max(1.0, abs(true_val)):
-        return _fallback(traj_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario, res.newton_iters)
     if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):
-        return _fallback(traj_fea, powers, scenario)
+        return _fallback(traj_fea, powers, scenario, res.newton_iters)
     return SubproblemSolution(trajectory=traj, t=t,
                               surrogate_objective=surrogate,
-                              true_objective=true_val, status=res.status)
+                              true_objective=true_val, status=res.status,
+                              newton_iters=res.newton_iters)

@@ -298,7 +298,7 @@ def inside_disks(prog, x, y):
 
 def direct_margins(prog, z):
     """Every barrier margin, written out from the program data, in the order
-    of the solver's family table."""
+    of the solver's flat margins: the mobility chain, the t floor, the disks."""
     n = prog.n_slots
     zz = z.reshape(n, 3)
     x, y, t = zz[:, 0], zz[:, 1], zz[:, 2]
@@ -354,17 +354,27 @@ def straight_track(prog, z0):
     return track.ravel()
 
 
-def kernel_points():
+def kernel_points(radii="kernel"):
     """The kernel program's interior start, and a point a quarter of the way
     from the warm start to the straight track, where slot 2 is still inside
-    the first disk (the start has left it)."""
+    the first disk (the start has left it).
+
+    With ``radii="zero"`` the program is the kernel program with every radius
+    zero, the non-robust planner's case: every disk row is affine and the
+    table has no Hessian entries.  The points stay those of the kernel
+    program; they stay interior, since every margin only grows."""
     prog = kernel_program()
     ws = _Workspace(prog)
     z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
     inside = z0 + 0.25 * (straight_track(prog, z0) - z0)
     assert inside_disks(prog, *inside.reshape(4, 3)[:, :2].T)[0, 1]
     assert direct_margins(prog, inside).min() > 0.0
-    return prog, ws, {"start": _interior_start(ws, z0), "inside": inside}
+    points = {"start": _interior_start(ws, z0), "inside": inside}
+    if radii == "zero":
+        prog = dataclasses.replace(prog, eve_r=np.zeros(3))
+        ws = _Workspace(prog)
+        assert ws.table(z0).h is None
+    return prog, ws, points
 
 
 def random_direction(rng, prog, ws):
@@ -375,9 +385,11 @@ def random_direction(rng, prog, ws):
 
 
 class TestNewtonKernel:
-    @pytest.mark.parametrize("point", ["start", "inside"])
-    def test_gradient_and_band_hessian_match_finite_differences(self, point):
-        prog, ws, points = kernel_points()
+    @pytest.mark.parametrize("point, radii", [
+        ("start", "kernel"), ("inside", "kernel"), ("start", "zero"), ("inside", "zero")],
+        ids=["start", "inside", "start-zero", "inside-zero"])
+    def test_gradient_and_band_hessian_match_finite_differences(self, point, radii):
+        prog, ws, points = kernel_points(radii)
         z = points[point]
         tau = 7.0
         gz, ab = ws.assemble(ws.table(z), z, tau)
@@ -397,15 +409,16 @@ class TestNewtonKernel:
         assert np.abs(gz - fd_grad).max() <= 1e-6 * scale
         assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
 
-    def test_fraction_to_boundary_start_matches_brute_force_halving(self):
-        prog, ws, points = kernel_points()
+    @pytest.mark.parametrize("radii", ["kernel", "zero"])
+    def test_fraction_to_boundary_start_matches_brute_force_halving(self, radii):
+        prog, ws, points = kernel_points(radii)
         z = points["start"]
-        fams = ws.table(z)
+        tab = ws.table(z)
         rng = np.random.default_rng(20261018)
         starts = set()
         for _ in range(200):
             dz = random_direction(rng, prog, ws)
-            m0, m1, m2 = ws.ray(fams, dz)
+            m0, m1, m2 = ws.ray(tab, dz)
             # the model is the margins along the ray on every quadratic row
             a = float(rng.uniform(0.0, 2.0))
             terms = np.abs(m0) + np.abs(a * m1) + np.abs(a * a * m2)
@@ -424,7 +437,7 @@ class TestNewtonKernel:
         model misses it by O(a^3), so halving a cuts the error 8x."""
         prog, ws, points = kernel_points()
         z = points["start"]
-        fams = ws.table(z)
+        tab = ws.table(z)
         rng = np.random.default_rng(20261020)
         n = prog.n_slots
         outer = np.concatenate((np.zeros(2 * n + 1, bool),
@@ -433,7 +446,7 @@ class TestNewtonKernel:
         checked = 0
         for _ in range(20):
             dz = rng.normal(size=ws.nz)
-            m0, m1, m2 = ws.ray(fams, dz)
+            m0, m1, m2 = ws.ray(tab, dz)
             steps = 0.5 ** np.arange(3, 9)
             err = np.array([np.abs(m0 + a * (m1 + a * m2) - direct_margins(prog, z + a * dz))
                             for a in steps])[:, outer]

@@ -178,6 +178,7 @@ class TestCli:
             outs.append(out)
         for name in ("trajectory.csv", "power.csv", "iterations.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert json.loads((outs[0] / "summary.json").read_text())["newton_steps"] > 0
 
     def test_sweep_cli(self, tmp_path):
         scen_file = write_tiny(tmp_path)

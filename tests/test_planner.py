@@ -153,11 +153,17 @@ class TestDegenerateScenarios:
         assert all(b >= a - 1e-6 for a, b in zip(objs, objs[1:]))
         assert trajectory_violations(res.trajectory, scen) == []
 
-    def test_hover_only_scenario_survives(self):
-        # zero speed leaves the mobility set without interior: the trajectory
-        # block cannot move, but the power block still optimizes
+    def test_hover_only_scenario_rejected_and_left_at_start(self):
+        # zero speed leaves the mobility set without interior, so validate()
+        # rejects the scenario; optimize stops at the first trajectory step
+        # and returns the unoptimized start, equal power included
         scen = make_scenario(v_max=0.0, start_xy=(3.0, -2.0), end_xy=(3.0, -2.0))
+        assert any("the track is forced and the trajectory step has no interior" in v
+                   for v in validate(scen))
         res = optimize(scen)
+        assert [r.status for r in res.iterations] == ["init", TROUBLE]
+        assert not res.converged
+        assert np.array_equal(res.powers.p, equal_power(scen).p)
         objs = [r.objective for r in res.iterations]
         assert all(b >= a - 1e-6 for a, b in zip(objs, objs[1:]))
         assert np.all(res.trajectory.xs == 3.0)
