@@ -44,9 +44,9 @@ def main() -> int:
     solve = convex_backend.solve
     solves = []
 
-    def timed_solve(prog, settings=None):
+    def timed_solve(prog):
         t0 = time.perf_counter()
-        res = solve(prog, settings)
+        res = solve(prog)
         solves.append((res, time.perf_counter() - t0))
         return res
 

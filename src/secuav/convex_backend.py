@@ -91,7 +91,7 @@ loosely centered, with the leftover gradient in the x and y columns (KKT
 residuals up to 5e-6 on small programs).  So at the floor the solver takes
 full Newton steps without the test (the pure Newton phase of Boyd &
 Vandenberghe, sect. 9.5.3) while the full step is interior and lambda^2 falls
-at least 4x per step.  Mostly one or two such steps reach ``newton_tol``;
+at least 4x per step.  Mostly one or two such steps reach NEWTON_TOL;
 where lambda^2 stops falling the stage ends loosely centered, and the gap
 carries the sqrt(m)*lambda correction.  Without the 4x bound such stages ran
 the programs of paper_fig2 at N = 1600 into the centering cap.
@@ -108,18 +108,13 @@ from scipy.linalg import cholesky_banded, cho_solve_banded
 from .geometry import LN2, log2_1p
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    opt_tol: float = 1e-8              # relative duality-gap target
-    max_newton_iters: int = 3000       # Newton budget per solve
-    max_centering_iters: int = 1000    # Newton cap per barrier stage
-    barrier_mu: float = 30.0           # barrier parameter growth factor
-    tau0_gap: float = 64.0             # initial gap (objective units) fixing tau0
-    newton_tol: float = 1e-9           # centering stop on lambda^2 / 2
-
-    def __post_init__(self):
-        if min(self.opt_tol, self.newton_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+# Solver constants, read at call time (a test may patch them).
+OPT_TOL = 1e-8         # relative duality-gap target
+MAX_NEWTON = 3000      # Newton budget per solve
+MAX_CENTERING = 1000   # Newton cap per barrier stage
+BARRIER_MU = 30.0      # barrier weight growth factor between stages
+TAU0_GAP = 64.0        # initial gap (objective units) fixing the first tau
+NEWTON_TOL = 1e-9      # centering stop on lambda^2 / 2
 
 
 @dataclass
@@ -142,8 +137,6 @@ TROUBLE = "numerical_trouble"
 
 # the floor t >= T_FLOOR * H^2 (see "Why the floor H^2/2 is safe")
 T_FLOOR = 0.5
-
-_RIDGES = (0.0, 1e-13, 1e-10, 1e-7)
 
 X, Y, T = range(3)  # block columns
 
@@ -255,10 +248,6 @@ class _Workspace:
         h[::2, 1:] -= two_phi
         return _Table(m, d, g, h)
 
-    def margins(self, z) -> np.ndarray:
-        """All constraint margins, flat; strictly positive means interior."""
-        return self.table(z).m
-
     def f0(self, z) -> float:
         p = self.prog
         Z = z.reshape(self.N, self.B)
@@ -315,10 +304,7 @@ class _Workspace:
         return G.T.ravel(), band.reshape(self.nz, kd + 1).T
 
     @staticmethod
-    def solve_kkt(ab, gz, ridge: float):
-        if ridge > 0.0:
-            ab = ab.copy()
-            ab[0, :] += ridge * max(1.0, ab[0, :].max())
+    def solve_kkt(ab, gz):
         # in the lower form LAPACK's unblocked factorization reads contiguous
         # columns; it ran ~40% faster than the upper form at N = 1600
         cfac = cholesky_banded(ab, lower=True)
@@ -357,44 +343,39 @@ _LOOSE_CENTER_TOL = 2.5e-2
 
 
 def _loose_status(lam2) -> str:
-    """Status of a stage that stops above ``newton_tol``."""
+    """Status of a stage that stops above NEWTON_TOL."""
     return "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
 
 
-def _center(ws: _Workspace, z, tab: _Table, tau, settings):
+def _center(ws: _Workspace, z, tab: _Table, tau):
     """Damped Newton to the central point at barrier weight tau.
 
     ``tab`` is the table at z.  Returns (z, tab, iters, status, lam2) with
-    status in {"centered", "budget", "trouble"}.  The merit tau*f0 + barrier
-    is asserted non-increasing across Armijo steps, up to its floating-point
-    resolution; below that resolution the stage takes pure Newton steps
-    ("Noise floor").
+    status "centered" (lambda^2/2 <= NEWTON_TOL, or a loose exit that
+    ``_loose_status`` accepts), "budget" (MAX_CENTERING steps) or "trouble".
+    Armijo acceptance keeps the merit tau*f0 + barrier non-increasing, up to
+    its floating-point resolution; below that resolution the stage takes pure
+    Newton steps ("Noise floor").
     """
     # measure the objective relative to the entry point: tau*f0 alone can reach
     # 1e13, whose float resolution would swallow the remaining decrements
     f0_ref = ws.f0(z)
     cur = -float(np.log(tab.m).sum())
     iters = 0
-    no_progress = 0
     lam2 = math.inf
     pure_lam2 = math.inf  # lambda^2 before the last pure Newton step
     eps8 = 8.0 * np.finfo(float).eps
-    while iters < min(settings.max_newton_iters, settings.max_centering_iters):
+    while iters < MAX_CENTERING:
         resolution = eps8 * max(1.0, abs(cur))
         gz, ab = ws.assemble(tab, z, tau)
-        dz = None
-        for ridge in _RIDGES:
-            try:
-                dz = ws.solve_kkt(ab, gz, ridge)
-                break
-            except np.linalg.LinAlgError:
-                continue
-        if dz is None:
+        try:
+            dz = ws.solve_kkt(ab, gz)
+        except np.linalg.LinAlgError:
             return z, tab, iters, "trouble", lam2
         lam2 = -float(gz @ dz)
         if lam2 < -1e-6 * max(1.0, abs(cur)):
             return z, tab, iters, "trouble", lam2
-        if lam2 / 2.0 <= settings.newton_tol:
+        if lam2 / 2.0 <= NEWTON_TOL:
             return z, tab, iters, "centered", lam2
         step = first_step(*ws.ray(tab, dz))
         if step is None:
@@ -404,31 +385,19 @@ def _center(ws: _Workspace, z, tab: _Table, tau, settings):
         pure = 0.25 * lam2 <= resolution + eps8 * tau * abs(f0_ref)
         if pure and (step < 1.0 or 4.0 * lam2 > pure_lam2):
             return z, tab, iters, _loose_status(lam2), lam2
-        new = None
         for _ in range(1 if pure else 60):
             z_new = z + step * dz
             tab_new = ws.table(z_new)
-            m = tab_new.m
-            if m.min() > 0.0:
-                cand = tau * (ws.f0(z_new) - f0_ref) - float(np.log(m).sum())
-                if pure or cand <= cur - 0.25 * step * lam2 + resolution:
-                    new = cand
+            if tab_new.m.min() > 0.0:
+                new = tau * (ws.f0(z_new) - f0_ref) - float(np.log(tab_new.m).sum())
+                if pure or new <= cur - 0.25 * step * lam2 + resolution:
                     break
             step *= 0.5
-        if new is None:
+        else:  # no trial accepted
             return z, tab, iters, _loose_status(lam2), lam2
-        z, tab = z_new, tab_new
+        z, tab, cur = z_new, tab_new, new
         if pure:
             pure_lam2 = lam2
-        elif new > cur + resolution:
-            return z, tab, iters, "trouble", lam2
-        elif cur - new <= resolution:
-            no_progress += 1
-            if no_progress >= 3:
-                return z, tab, iters, _loose_status(lam2), lam2
-        else:
-            no_progress = 0
-        cur = new
         iters += 1
     return z, tab, iters, "budget", lam2
 
@@ -447,7 +416,7 @@ def _interior_start(ws: _Workspace, z0):
     best, best_barrier = None, math.inf
     for k in range(60):
         z = z0 + 0.5**k * (track - z0)
-        m = ws.margins(z)
+        m = ws.table(z).m
         barrier = -float(np.log(m).sum()) if m.min() > 0.0 else math.inf
         if barrier < best_barrier:
             best, best_barrier = z, barrier
@@ -456,15 +425,15 @@ def _interior_start(ws: _Workspace, z0):
     return best
 
 
-def solve(program, settings: SolverSettings | None = None) -> SolverResult:
+def solve(program) -> SolverResult:
     """Solve the assembled subproblem; deterministic for fixed inputs.
 
-    ``program`` is a ConvexProgram (see trajectory_sca).  A returned status of
+    ``program`` is a ConvexProgram (see trajectory_sca).  The first stage has
+    tau = m_bar/TAU0_GAP and each next one BARRIER_MU times more; the solve
+    ends after MAX_NEWTON Newton steps at the latest.  A returned status of
     "optimal" certifies strict feasibility (checked by direct evaluation) and
-    a duality gap at most opt_tol relative to the objective scale.
+    a duality gap at most OPT_TOL relative to the objective scale.
     """
-    if settings is None:
-        settings = SolverSettings()
     ws = _Workspace(program)
     z0 = ws.pack(program.x_start, program.y_start, program.t_start)
 
@@ -492,12 +461,10 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
         return result(z0, TROUBLE, 0, 0.0, math.inf)
 
     tab = ws.table(z)
-    tau = ws.m_bar / settings.tau0_gap
+    tau = ws.m_bar / TAU0_GAP
     total = 0
-    status = MAX_ITER
-    gap = math.inf
     while True:
-        z, tab, it, cstat, lam2 = _center(ws, z, tab, tau, settings)
+        z, tab, it, cstat, lam2 = _center(ws, z, tab, tau)
         total += it
         if cstat == "trouble":
             return result(z, TROUBLE, total, tau, math.inf)
@@ -505,11 +472,8 @@ def solve(program, settings: SolverSettings | None = None) -> SolverResult:
         lam_corr = math.sqrt(ws.m_bar * max(lam2, 0.0)) if math.isfinite(lam2) else 0.0
         gap = (ws.m_bar + lam_corr) / tau
         obj_scale = max(1.0, abs(program.obj_const - ws.f0(z)))
-        if gap <= settings.opt_tol * obj_scale:
-            status = OPTIMAL
-            break
-        if cstat == "budget" or total >= settings.max_newton_iters:
-            status = MAX_ITER
-            break
-        tau *= settings.barrier_mu
-    return result(z, status, total, tau, gap)
+        if gap <= OPT_TOL * obj_scale:
+            return result(z, OPTIMAL, total, tau, gap)
+        if cstat == "budget" or total >= MAX_NEWTON:
+            return result(z, MAX_ITER, total, tau, gap)
+        tau *= BARRIER_MU

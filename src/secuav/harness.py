@@ -32,13 +32,11 @@ _SCENARIO_KEYS = {
     "avg_power", "peak_power", "gamma0_db", "eves", "epsilon", "max_iters",
 }
 _REQUIRED_KEYS = _SCENARIO_KEYS - {"max_iters"}
-_EVE_KEYS = {"center_x", "center_y", "radius"}
+_NUMBER_KEYS = ("altitude", "flight_duration", "slot_len", "v_max", "avg_power",
+                "peak_power", "gamma0_db", "epsilon")
+_EVE_KEYS = ("center_x", "center_y", "radius")
 
-_CLI_ALGORITHMS = {
-    "robust": (ROBUST, optimize),
-    "non-robust": (NON_ROBUST, optimize_non_robust),
-    "best-effort": (BEST_EFFORT, run_best_effort),
-}
+_CLI_ALGORITHMS = {"robust": ROBUST, "non-robust": NON_ROBUST, "best-effort": BEST_EFFORT}
 _SWEEP_PARAMS = ("T", "avg-power-dbm")
 
 
@@ -79,39 +77,47 @@ def load_scenario(path) -> Scenario:
     missing = sorted(_REQUIRED_KEYS - set(doc))
     if missing:
         raise HarnessError(f"missing field(s): {', '.join(missing)}", file=str(path))
+
+    def number(value, field: str) -> float:
+        """A JSON number as a float; NaN and Infinity pass on to validate()."""
+        try:
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                return float(value)
+        except OverflowError:
+            pass
+        raise HarnessError(f"field '{field}' must be a number (got {value!r})",
+                           file=str(path), field=field)
+
+    nums = {key: number(doc[key], key) for key in _NUMBER_KEYS}
     if not isinstance(doc["eves"], list) or not doc["eves"]:
         raise HarnessError("field 'eves' must be a non-empty list", file=str(path))
     eves = []
     for i, entry in enumerate(doc["eves"]):
-        if not isinstance(entry, dict) or set(entry) != _EVE_KEYS:
+        if not isinstance(entry, dict) or set(entry) != set(_EVE_KEYS):
             raise HarnessError(
                 f"eves[{i}] must have exactly the fields center_x, center_y, radius",
                 file=str(path))
-        eves.append(EveRegion(center_x=float(entry["center_x"]),
-                              center_y=float(entry["center_y"]),
-                              radius=float(entry["radius"])))
+        eves.append(EveRegion(*(number(entry[k], f"eves[{i}].{k}") for k in _EVE_KEYS)))
+    pins = {}
     for key in ("start_xy", "end_xy"):
         if not (isinstance(doc[key], list) and len(doc[key]) == 2):
             raise HarnessError(f"field '{key}' must be a 2-element array", file=str(path))
+        pins[key] = tuple(number(c, f"{key}[{i}]") for i, c in enumerate(doc[key]))
+    max_iters = doc.get("max_iters", 200)
+    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
+        raise HarnessError(f"field 'max_iters' must be an integer (got {max_iters!r})",
+                           file=str(path), field="max_iters")
     try:
-        n = slot_count(float(doc["flight_duration"]), float(doc["slot_len"]))
+        gamma0 = 10.0 ** (nums.pop("gamma0_db") / 10.0)
+    except OverflowError as e:
+        raise HarnessError("field 'gamma0_db' is out of range", file=str(path),
+                           field="gamma0_db") from e
+    try:
+        n = slot_count(nums["flight_duration"], nums["slot_len"])
     except ValueError as e:
         raise HarnessError(str(e), file=str(path), field="flight_duration") from e
-    scenario = Scenario(
-        altitude=float(doc["altitude"]),
-        flight_duration=float(doc["flight_duration"]),
-        slot_len=float(doc["slot_len"]),
-        n_slots=n,
-        v_max=float(doc["v_max"]),
-        start_xy=(float(doc["start_xy"][0]), float(doc["start_xy"][1])),
-        end_xy=(float(doc["end_xy"][0]), float(doc["end_xy"][1])),
-        avg_power=float(doc["avg_power"]),
-        peak_power=float(doc["peak_power"]),
-        gamma0=10.0 ** (float(doc["gamma0_db"]) / 10.0),
-        eves=tuple(eves),
-        epsilon=float(doc["epsilon"]),
-        max_iters=int(doc.get("max_iters", 200)),
-    )
+    scenario = Scenario(n_slots=n, gamma0=gamma0, eves=tuple(eves),
+                        max_iters=max_iters, **nums, **pins)
     violations = validate(scenario)
     if violations:
         raise HarnessError("scenario validation failed", file=str(path),
@@ -129,7 +135,6 @@ class SweepSpec:
     param: str                       # "T" | "avg-power-dbm"
     values: tuple[float, ...]
     algorithms: tuple[str, ...]      # subset of {robust, non_robust, best_effort}
-    seed: int = 0
 
     def __post_init__(self):
         if self.param not in _SWEEP_PARAMS:
@@ -165,6 +170,7 @@ def derive_scenario(base: Scenario, param: str, value: float) -> Scenario:
 
 
 def _run_algorithm(tag: str, scenario: Scenario) -> PlanResult:
+    """The planner of one algorithm tag, looked up by name at call time."""
     if tag == ROBUST:
         return optimize(scenario)
     if tag == NON_ROBUST:
@@ -373,9 +379,9 @@ def verify_suites(level: str):
 
 def _cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
-    tag, runner = _CLI_ALGORITHMS[args.algorithm]
+    tag = _CLI_ALGORITHMS[args.algorithm]
     t0 = time.perf_counter()
-    result = runner(scenario)
+    result = _run_algorithm(tag, scenario)
     export_plan(result, args.out, wall_s=time.perf_counter() - t0)
     print(f"{tag}: secrecy rate {result.secrecy_rate:.6f} bps/Hz "
           f"({max(len(result.iterations) - 1, 0)} iterations) -> {args.out}")
@@ -393,7 +399,7 @@ def _cmd_sweep(args) -> int:
         name = name.strip()
         if name not in _CLI_ALGORITHMS:
             raise HarnessError(f"unknown algorithm '{name}'")
-        tags.append(_CLI_ALGORITHMS[name][0])
+        tags.append(_CLI_ALGORITHMS[name])
     spec = SweepSpec(base=scenario, param=args.param, values=values,
                      algorithms=tuple(tags))
     target = run_sweep(spec, args.out)

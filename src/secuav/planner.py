@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_backend import SolverSettings, TROUBLE
+from .convex_backend import TROUBLE
 from .geometry import avg_worst_case_secrecy_rate, secrecy_sum
 from .power_alloc import optimize_power
 from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
@@ -27,11 +27,6 @@ from .trajectory_sca import initialize_slacks, solve_step  # noqa: F401
 ROBUST = "robust"
 NON_ROBUST = "non_robust"
 BEST_EFFORT = "best_effort"
-
-
-@dataclass(frozen=True)
-class PlannerOptions:
-    solver: SolverSettings = field(default_factory=SolverSettings)
 
 
 @dataclass(frozen=True)
@@ -99,14 +94,12 @@ def _fractional_increase(new: float, old: float) -> float:
     return abs(new - old) / max(abs(old), 1e-12)
 
 
-def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanResult:
+def optimize(scenario: Scenario) -> PlanResult:
     """Joint trajectory and power design (the robust algorithm).
 
     Raises RuntimeError when the plan it would return breaks a trajectory or
     power constraint of the scenario.
     """
-    if options is None:
-        options = PlannerOptions()
     t0 = time.perf_counter()
     traj = best_effort_trajectory(scenario)
     powers = equal_power(scenario)
@@ -115,7 +108,7 @@ def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanR
                                time.perf_counter() - t0)]
     converged = False
     for m in range(1, scenario.max_iters + 1):
-        sol = solve_step(traj, powers, scenario, options.solver)
+        sol = solve_step(traj, powers, scenario)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
                                            time.perf_counter() - t0, sol.newton_iters))
@@ -143,14 +136,13 @@ def optimize(scenario: Scenario, options: PlannerOptions | None = None) -> PlanR
                       converged=converged, algorithm=ROBUST)
 
 
-def optimize_non_robust(scenario: Scenario,
-                        options: PlannerOptions | None = None) -> PlanResult:
+def optimize_non_robust(scenario: Scenario) -> PlanResult:
     """Design as if the estimated eavesdropper positions were exact, judge under truth."""
     zeroed = dataclasses.replace(
         scenario,
         eves=tuple(dataclasses.replace(e, radius=0.0) for e in scenario.eves),
     )
-    inner = optimize(zeroed, options)
+    inner = optimize(zeroed)
     return PlanResult(trajectory=inner.trajectory, powers=inner.powers,
                       iterations=inner.iterations,
                       secrecy_rate=avg_worst_case_secrecy_rate(

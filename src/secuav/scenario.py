@@ -110,10 +110,10 @@ class PowerSchedule:
 
 def slot_count(flight_duration: float, slot_len: float) -> int:
     """Number of in-flight slots; the duration must be an exact multiple of the slot length."""
-    if flight_duration <= 0 or slot_len <= 0:
-        raise ValueError("flight_duration and slot_len must be positive")
+    if not (0 < flight_duration < math.inf and 0 < slot_len < math.inf):
+        raise ValueError("flight_duration and slot_len must be positive and finite")
     ratio = flight_duration / slot_len
-    n = round(ratio)
+    n = round(ratio) if ratio < math.inf else 0
     if n < 1 or abs(ratio - n) > 0.5 * math.ulp(ratio):
         raise ValueError(
             f"flight_duration/slot_len = {ratio!r} is not an integer number of slots"
@@ -127,7 +127,16 @@ def validate(scenario: Scenario) -> list[str]:
     Violations are data, not failures: every problem found is reported with the
     offending field so a caller can fix the instance in one pass.
     """
-    v: list[str] = []
+    numbers = {name: getattr(scenario, name) for name in (
+        "altitude", "flight_duration", "slot_len", "v_max", "avg_power",
+        "peak_power", "gamma0", "epsilon")}
+    for name in ("start_xy", "end_xy"):
+        numbers.update((f"{name}[{i}]", c) for i, c in enumerate(getattr(scenario, name)))
+    for k, eve in enumerate(scenario.eves):
+        numbers.update((f"eves[{k}].{f}", getattr(eve, f))
+                       for f in ("center_x", "center_y", "radius"))
+    v = [f"{name} must be finite (got {value})"
+         for name, value in numbers.items() if not math.isfinite(value)]
     if not scenario.altitude > 0:
         v.append(f"altitude must be > 0 (got {scenario.altitude})")
     if not scenario.slot_len > 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_backend
-from .convex_backend import SolverSettings, TROUBLE, T_FLOOR
+from .convex_backend import TROUBLE, T_FLOOR
 from .geometry import LN2, log2_1p, rate_coefficients, secrecy_sum, worst_case_dist_sq
 from .robust_lmi import block_coeff_arrays
 from .scenario import PowerSchedule, Scenario, Trajectory
@@ -123,8 +123,8 @@ def _fallback(traj_fea: Trajectory, powers, scenario, newton_iters) -> Subproble
                               status=TROUBLE, newton_iters=newton_iters)
 
 
-def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
-               settings: SolverSettings | None = None) -> SubproblemSolution:
+def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
+               scenario: Scenario) -> SubproblemSolution:
     """Solve one convex step and extract a validated trajectory.
 
     On solver failure the expansion point is returned unchanged, so a caller
@@ -133,7 +133,7 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
     the closed-form worst case.
     """
     prog = assemble(traj_fea, powers, scenario)
-    res = convex_backend.solve(prog, settings)
+    res = convex_backend.solve(prog)
     if res.status == TROUBLE:
         return _fallback(traj_fea, powers, scenario, res.newton_iters)
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from secuav import convex_backend
 from secuav.convex_backend import _interior_start, _Workspace, first_step, solve
 from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
@@ -521,3 +522,32 @@ def test_fine_slot_first_program_reaches_optimal():
     res = solve(fine_slot_program())
     assert res.status == "optimal"
     assert res.newton_iters <= 300
+
+
+class TestFailureExits:
+    def test_failed_factorization_is_numerical_trouble(self, monkeypatch):
+        """A factorization that raises ends the solve as numerical_trouble,
+        and solve_step then hands back its expansion point."""
+        calls = []
+
+        def singular(ab, lower):
+            calls.append(ab.shape)
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(convex_backend, "cholesky_banded", singular)
+        res = solve(kernel_program())
+        assert (res.status, res.newton_iters) == ("numerical_trouble", 0)
+        assert len(calls) == 1
+        scen = make_scenario()
+        traj, powers = best_effort_trajectory(scen), equal_power(scen)
+        sol = solve_step(traj, powers, scen)
+        assert sol.status == "numerical_trouble"
+        assert sol.trajectory is traj
+        assert len(calls) == 2
+
+    def test_centering_cap_is_max_iter(self, monkeypatch):
+        monkeypatch.setattr(convex_backend, "MAX_CENTERING", 5)
+        res = solve(kernel_program())
+        assert res.status == "max_iter"
+        assert res.newton_iters == 5
+        assert res.min_margin > 0.0

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,27 @@ class TestCli:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert "not found" in err["error"]
+
+    @pytest.mark.parametrize("field, change", [
+        ("altitude", dict(altitude="high")),
+        ("eves[1].radius", dict(eves=[TINY_DOC["eves"][0],
+                                      dict(TINY_DOC["eves"][1], radius=None)])),
+        ("start_xy[0]", dict(start_xy=[True, -10.0])),
+        ("max_iters", dict(max_iters=2.7)),
+        ("max_iters", dict(max_iters=True)),
+        ("gamma0_db", dict(gamma0_db=1e4)),
+        ("gamma0 must be finite", dict(gamma0_db=math.inf)),
+        ("v_max must be finite", dict(v_max=math.nan)),
+        ("flight_duration", dict(flight_duration=math.inf)),
+    ])
+    def test_bad_field_error_json(self, tmp_path, capsys, field, change):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(dict(TINY_DOC, **change)))
+        code = main(["optimize", "--scenario", str(path),
+                     "--algorithm", "robust", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert field in json.dumps(json.loads(capsys.readouterr().err))
+        assert not (tmp_path / "o").exists()
 
     def test_verify_quick_exit_zero(self, capsys):
         assert main(["verify", "--level", "quick"]) == 0

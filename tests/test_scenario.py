@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,13 @@ class TestSlotCount:
             slot_count(0.0, 0.5)
         with pytest.raises(ValueError):
             slot_count(10.0, -1.0)
+
+    @pytest.mark.parametrize("duration, slot_len", [
+        (math.inf, 0.5), (math.nan, 0.5), (10.0, math.inf), (10.0, math.nan),
+        (1e308, 1e-10)])
+    def test_non_finite_rejected(self, duration, slot_len):
+        with pytest.raises(ValueError):
+            slot_count(duration, slot_len)
 
 
 class TestValidate:
@@ -61,6 +69,26 @@ class TestValidate:
     def test_negative_radius_rejected(self):
         scen = make_scenario(eves=(EveRegion(10.0, 0.0, -1.0),))
         assert any("radius" in m for m in validate(scen))
+
+    @pytest.mark.parametrize("name, overrides", [
+        ("altitude", dict(altitude=math.nan)),
+        ("flight_duration", dict(flight_duration=math.inf)),
+        ("slot_len", dict(slot_len=math.nan)),
+        ("v_max", dict(v_max=math.nan)),
+        ("v_max", dict(v_max=math.inf)),
+        ("avg_power", dict(avg_power=math.nan)),
+        ("peak_power", dict(peak_power=math.inf)),
+        ("gamma0", dict(gamma0=math.inf)),
+        ("epsilon", dict(epsilon=math.nan)),
+        ("start_xy[0]", dict(start_xy=(math.nan, -10.0))),
+        ("end_xy[1]", dict(end_xy=(15.0, -math.inf))),
+        ("eves[0].center_x", dict(eves=(EveRegion(math.nan, 4.0, 2.0),))),
+        ("eves[1].center_y", dict(eves=(EveRegion(-10.0, 4.0, 2.0),
+                                        EveRegion(10.0, math.inf, 3.0)))),
+        ("eves[0].radius", dict(eves=(EveRegion(10.0, 4.0, math.nan),))),
+    ])
+    def test_non_finite_number_rejected(self, name, overrides):
+        assert f"{name} must be finite" in " ".join(validate(make_scenario(**overrides)))
 
     def test_validate_is_pure(self):
         scen = make_scenario()

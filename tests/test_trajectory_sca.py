@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from secuav.convex_backend import SolverSettings, _Workspace
+from secuav import convex_backend
+from secuav.convex_backend import _Workspace
 from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.robust_lmi import block_coeff_arrays
@@ -124,7 +125,7 @@ class TestAssemble:
         ws = _Workspace(prog)
         assert ws.B == 3 and ws.nz == 3 * 320
         z = ws.pack(prog.x_start, prog.y_start, prog.t_start)
-        assert ws.margins(z).size == ws.m_bar == 321 + 320 + 2 * 320
+        assert ws.table(z).m.size == ws.m_bar == 321 + 320 + 2 * 320
 
     def test_zero_power_program_still_solvable(self):
         scen = make_scenario()
@@ -145,13 +146,13 @@ class TestAssemble:
             assemble(traj, equal_power(scen), scen)
 
 
-def _iterate_sca(scen, max_steps=80, tol=1e-10, settings=None):
+def _iterate_sca(scen, max_steps=80, tol=1e-10):
     traj = best_effort_trajectory(scen)
     powers = equal_power(scen)
     sol = None
     prev = secrecy_sum(traj, powers, scen)
     for _ in range(max_steps):
-        sol = solve_step(traj, powers, scen, settings)
+        sol = solve_step(traj, powers, scen)
         assert sol.status == "optimal"
         gain = sol.true_objective - prev
         assert gain >= -1e-6
@@ -218,9 +219,9 @@ class TestSolveStep:
                     best = max(best, true_objective(x, y))
         assert sol.true_objective >= best - 1e-3
 
-    def test_fixed_point_improvement_negligible(self):
+    def test_fixed_point_improvement_negligible(self, monkeypatch):
+        monkeypatch.setattr(convex_backend, "OPT_TOL", 1e-10)
         scen = make_scenario()
-        settings = SolverSettings(opt_tol=1e-10)
-        sol, powers = _iterate_sca(scen, settings=settings)
-        again = solve_step(sol.trajectory, powers, scen, settings)
+        sol, powers = _iterate_sca(scen)
+        again = solve_step(sol.trajectory, powers, scen)
         assert again.true_objective - sol.true_objective <= 1e-8
