@@ -1,9 +1,9 @@
 """Robust UAV trajectory and transmit-power planning for worst-case secrecy rate."""
 
 from .convex_backend import SolverResult, solve
-from .geometry import (WorstCaseGeometry, avg_worst_case_secrecy_rate, rate_bob,
-                       rate_coefficients, secrecy_sum, worst_case_dist_sq,
-                       worst_case_dist_sq_oracle, worst_case_rate_eves)
+from .geometry import (WorstCaseGeometry, avg_worst_case_secrecy_rate, secrecy_sum,
+                       worst_case_dist_sq, worst_case_dist_sq_oracle,
+                       worst_case_geometry)
 from .harness import SweepSpec, load_scenario, run_sweep
 from .planner import (IterationRecord, PlanResult, best_effort_trajectory,
                       equal_power, optimize, optimize_non_robust,

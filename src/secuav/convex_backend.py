@@ -15,10 +15,11 @@ subject to
 
 lin is the tangent lower bound of |q - c|^2 + H^2 at the expansion point, so
 lin - huber_r is at most (|q - c| - r)_+^2 + H^2, the true worst-case squared
-distance to the disk of radius r around c (``robust_lmi`` derives the margin
-from the S-procedure).  Radius-zero eavesdroppers are the case r = 0, an
-affine row; when every radius is zero (the non-robust planner) the table
-carries no Hessian entries.
+distance to the disk of radius r around c (``trajectory_sca`` derives the
+margin from the S-procedure; the huber-margin suite of ``secuav verify``
+checks the rows against ``worst_case_dist_sq``).  Radius-zero eavesdroppers
+are the case r = 0, an affine row; when every radius is zero (the non-robust
+planner) the table carries no Hessian entries.
 
 Why the floor H^2/2 is safe.  The floor is no robustness constraint: the disk
 margins alone bound t by the worst-case squared distance, and ``solve_step``

@@ -26,16 +26,11 @@ def log2_1p(z):
 
 @dataclass(frozen=True)
 class WorstCaseGeometry:
-    """Per-slot, per-eavesdropper worst-case squared distances and rate coefficients.
+    """Per-slot squared 3-D distances of one track: ``d2[n]`` to the receiver,
+    ``theta[k, n]`` the minimum over eavesdropper k's disk."""
 
-    ``theta[k, n]`` is the minimum over eavesdropper k's disk of squared 3-D
-    distance to the slot-n position; ``alpha[n]`` / ``beta[n]`` are the SNR
-    coefficients of the legitimate and the strongest-eavesdropper link.
-    """
-
+    d2: np.ndarray         # (N,)   meters^2
     theta: np.ndarray      # (K, N) meters^2
-    alpha: np.ndarray      # (N,)   per watt
-    beta: np.ndarray       # (N,)   per watt
 
 
 def worst_case_dist_sq(uav_xy, eve: EveRegion, altitude: float):
@@ -89,30 +84,12 @@ def worst_case_dist_sq_oracle(uav_xy, eve: EveRegion, altitude: float,
     return float(d2.min())
 
 
-def rate_bob(uav_xy, altitude: float, gamma0: float, power):
-    """Achievable rate of the legitimate link, bps/Hz."""
-    x, y = uav_xy
-    d2 = np.asarray(x, dtype=float) ** 2 + np.asarray(y, dtype=float) ** 2 + altitude**2
-    out = log2_1p(gamma0 * np.asarray(power, dtype=float) / d2)
-    return float(out) if out.ndim == 0 else out
-
-
-def worst_case_rate_eves(uav_xy, eves, altitude: float, gamma0: float, power):
-    """Largest achievable rate over all eavesdroppers and their disks, bps/Hz."""
-    theta = np.stack([worst_case_dist_sq(uav_xy, e, altitude) for e in eves])
-    theta_min = theta.min(axis=0)
-    out = log2_1p(gamma0 * np.asarray(power, dtype=float) / theta_min)
-    return float(out) if out.ndim == 0 else out
-
-
 def per_slot_secrecy_terms(traj: Trajectory, powers: PowerSchedule,
                            scenario: Scenario) -> np.ndarray:
     """Unclamped per-slot secrecy terms: legitimate rate minus worst-case leak."""
-    x, y = traj.slot_positions()
-    rb = rate_bob((x, y), scenario.altitude, scenario.gamma0, powers.p)
-    re = worst_case_rate_eves((x, y), scenario.eves, scenario.altitude,
-                              scenario.gamma0, powers.p)
-    return rb - re
+    geo = worst_case_geometry(traj, scenario)
+    snr = scenario.gamma0 * powers.p
+    return log2_1p(snr / geo.d2) - log2_1p(snr / geo.theta.min(axis=0))
 
 
 def secrecy_sum(traj: Trajectory, powers: PowerSchedule, scenario: Scenario) -> float:
@@ -127,12 +104,10 @@ def avg_worst_case_secrecy_rate(traj: Trajectory, powers: PowerSchedule,
     return float(np.maximum(terms, 0.0).mean())
 
 
-def rate_coefficients(traj: Trajectory, scenario: Scenario) -> WorstCaseGeometry:
-    """Worst-case geometry and the per-slot SNR coefficients of both links."""
+def worst_case_geometry(traj: Trajectory, scenario: Scenario) -> WorstCaseGeometry:
+    """Distances to the receiver and to every disk; every rate, tight slack
+    and robust re-check is derived from this stack."""
     x, y = traj.slot_positions()
-    h2 = scenario.altitude**2
     theta = np.stack([worst_case_dist_sq((x, y), eve, scenario.altitude)
                       for eve in scenario.eves])
-    alpha = scenario.gamma0 / (x**2 + y**2 + h2)
-    beta = scenario.gamma0 / theta.min(axis=0)
-    return WorstCaseGeometry(theta=theta, alpha=alpha, beta=beta)
+    return WorstCaseGeometry(d2=x**2 + y**2 + scenario.altitude**2, theta=theta)

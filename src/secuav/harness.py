@@ -21,11 +21,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import geometry, planner, power_alloc, robust_lmi, trajectory_sca
+from . import convex_backend, geometry, planner, power_alloc, trajectory_sca
 from .geometry import LN2
 from .planner import (BEST_EFFORT, NON_ROBUST, ROBUST, PlanResult,
                       optimize, optimize_non_robust, run_best_effort)
-from .scenario import EveRegion, Scenario, slot_count, validate
+from .scenario import EveRegion, Scenario, Trajectory, slot_count, validate
 
 _SCENARIO_KEYS = {
     "altitude", "flight_duration", "slot_len", "v_max", "start_xy", "end_xy",
@@ -273,19 +273,39 @@ def _check_theta_oracle(n_pairs: int, n_samples: int, seed: int):
     return ok, f"worst relative oracle gap {worst_gap:.2e} over {n_pairs} pairs"
 
 
-def _check_psd_soc(n_blocks: int, seed: int):
+def _huber_margin_draw(n_slots: int, seed: int):
+    """A random track, 8 random disks (two of them points) and a random shift
+    per slot, for the huber-margin suite."""
     rng = np.random.default_rng(seed)
-    a = 1.0 + rng.exponential(2.0, n_blocks)
-    b = rng.normal(0.0, 30.0, n_blocks)
-    c = rng.normal(0.0, 30.0, n_blocks)
-    d = rng.normal(200.0, 500.0, n_blocks)
-    near = np.abs(a * d - b**2 - c**2) <= 1e-9 * np.maximum.reduce(
-        [np.ones(n_blocks), np.abs(a * d), b**2 + c**2])
-    psd = robust_lmi.psd_check_many(a, b, c, d)
-    soc = robust_lmi.soc_feasible_many(a, b, c, d)
-    diff = (psd != soc) & ~near
-    detail = f"{int(diff.sum())} disagreements outside the boundary band of {n_blocks}"
-    return not diff.any(), detail
+    xs, ys = rng.uniform(-300.0, 300.0, (2, n_slots + 2))
+    radii = np.r_[0.0, 0.0, rng.uniform(5.0, 100.0, 6)]
+    eves = tuple(EveRegion(*map(float, e)) for e in
+                 zip(*rng.uniform(-300.0, 300.0, (2, 8)), radii))
+    scen = dataclasses.replace(
+        _tiny_scenario(), altitude=100.0, flight_duration=float(n_slots), slot_len=1.0,
+        n_slots=n_slots, v_max=1000.0, start_xy=(xs[0], ys[0]), end_xy=(xs[-1], ys[-1]),
+        eves=eves)
+    shift = rng.normal(0.0, 1.0, (2, n_slots)) * 10.0 ** rng.uniform(-3.0, 2.0, n_slots)
+    return scen, Trajectory(xs, ys), shift
+
+
+def _check_huber_margin(n_slots: int, seed: int):
+    """The solver's disk rows at t = 0 against the closed-form worst case:
+    equal at the expansion point, never above it elsewhere."""
+    scen, traj, shift = _huber_margin_draw(n_slots, seed)
+    prog = trajectory_sca.assemble(traj, planner.equal_power(scen), scen)
+    ws = convex_backend._Workspace(prog)  # the margin the solver itself uses
+    x, y = traj.slot_positions()
+    errs = []
+    for qx, qy in ((x, y), (x + shift[0], y + shift[1])):
+        rows = ws.table(ws.pack(qx, qy, np.zeros(n_slots))).m[n_slots + 1:]
+        theta = np.stack([geometry.worst_case_dist_sq((qx, qy), e, scen.altitude)
+                          for e in scen.eves])
+        errs.append((rows.reshape(-1, n_slots)[1:] - theta) / theta)
+    at_fea, above = float(np.abs(errs[0]).max()), float(errs[1].max())
+    detail = (f"{errs[0].size} disk rows: relative error {at_fea:.1e} at the "
+              f"expansion point, {above:.1e} worst excess at shifted points")
+    return at_fea <= 1e-9 and above <= 1e-9, detail
 
 
 def _grid_power_oracle(alpha: float, beta: float, lam: float, peak: float,
@@ -342,11 +362,8 @@ def _check_sca_monotone(n_steps: int):
             return False, "trajectory step reported numerical trouble"
         if sol.true_objective < prev - 1e-6:
             return False, f"objective decreased {prev} -> {sol.true_objective}"
-        x, y = sol.trajectory.slot_positions()
-        for eve in scen.eves:
-            theta = geometry.worst_case_dist_sq((x, y), eve, scen.altitude)
-            if np.any(theta < sol.t - 1e-6):
-                return False, "robust distance requirement violated after a step"
+        if np.any(trajectory_sca.initialize_slacks(sol.trajectory, scen) < sol.t - 1e-6):
+            return False, "robust distance requirement violated after a step"
         prev = sol.true_objective
         traj = sol.trajectory
     return True, f"objective non-decreasing over {n_steps} steps (final {prev:.6f})"
@@ -357,14 +374,14 @@ def verify_suites(level: str):
     if level == "quick":
         jobs = [
             ("theta-oracle", lambda: _check_theta_oracle(100, 2000, 20260809)),
-            ("psd-vs-soc", lambda: _check_psd_soc(10_000, 7)),
+            ("huber-margin", lambda: _check_huber_margin(2_000, 7)),
             ("power-grid", lambda: _check_power_alloc(10, 10_000, 11)),
             ("sca-monotone", lambda: _check_sca_monotone(3)),
         ]
     elif level == "full":
         jobs = [
             ("theta-oracle", lambda: _check_theta_oracle(1000, 10_000, 20260809)),
-            ("psd-vs-soc", lambda: _check_psd_soc(100_000, 7)),
+            ("huber-margin", lambda: _check_huber_margin(50_000, 7)),
             ("power-grid", lambda: _check_power_alloc(100, 100_000, 11)),
             ("sca-monotone", lambda: _check_sca_monotone(10)),
         ]

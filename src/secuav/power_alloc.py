@@ -10,10 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LN2, rate_coefficients
+from .geometry import LN2, worst_case_geometry
 from .scenario import PowerSchedule, Scenario, Trajectory
 
-LAMBDA_TOL = 1e-12       # dual variables below this are treated as zero
 POWER_RESIDUAL_REL = 1e-9
 MAX_BISECT_ITERS = 200
 
@@ -97,6 +96,7 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
 
 def optimize_power(traj: Trajectory, scenario: Scenario) -> PowerDual:
     """Solve the power subproblem exactly for a fixed trajectory."""
-    coeffs = rate_coefficients(traj, scenario)
-    return solve_power_subproblem(coeffs.alpha, coeffs.beta,
+    geo = worst_case_geometry(traj, scenario)
+    return solve_power_subproblem(scenario.gamma0 / geo.d2,
+                                  scenario.gamma0 / geo.theta.min(axis=0),
                                   scenario.avg_power, scenario.peak_power)

@@ -127,16 +127,22 @@ def validate(scenario: Scenario) -> list[str]:
     Violations are data, not failures: every problem found is reported with the
     offending field so a caller can fix the instance in one pass.
     """
-    numbers = {name: getattr(scenario, name) for name in (
-        "altitude", "flight_duration", "slot_len", "v_max", "avg_power",
-        "peak_power", "gamma0", "epsilon")}
+    lengths = {"altitude": scenario.altitude}
     for name in ("start_xy", "end_xy"):
-        numbers.update((f"{name}[{i}]", c) for i, c in enumerate(getattr(scenario, name)))
+        lengths.update((f"{name}[{i}]", c) for i, c in enumerate(getattr(scenario, name)))
     for k, eve in enumerate(scenario.eves):
-        numbers.update((f"eves[{k}].{f}", getattr(eve, f))
+        lengths.update((f"eves[{k}].{f}", getattr(eve, f))
                        for f in ("center_x", "center_y", "radius"))
+    numbers = {name: getattr(scenario, name) for name in (
+        "flight_duration", "slot_len", "v_max", "avg_power", "peak_power",
+        "gamma0", "epsilon")}
     v = [f"{name} must be finite (got {value})"
-         for name, value in numbers.items() if not math.isfinite(value)]
+         for name, value in {**lengths, **numbers}.items() if not math.isfinite(value)]
+    # the planner squares lengths, and a Python float's ** raises on overflow
+    lengths["v_max*slot_len"] = scenario.max_step
+    v += [f"{name} is too large: its square overflows (got {value})"
+          for name, value in lengths.items()
+          if math.isfinite(value) and not math.isfinite(value * value)]
     if not scenario.altitude > 0:
         v.append(f"altitude must be > 0 (got {scenario.altitude})")
     if not scenario.slot_len > 0:
@@ -171,7 +177,7 @@ def validate(scenario: Scenario) -> list[str]:
     for k, eve in enumerate(scenario.eves):
         if eve.radius < 0:
             v.append(f"eves[{k}].radius must be >= 0 (got {eve.radius})")
-        if eve.center_x**2 + eve.center_y**2 <= eve.radius**2:
+        if math.hypot(eve.center_x, eve.center_y) <= eve.radius:
             v.append(
                 f"eves[{k}] uncertainty disk contains the receiver at the origin"
             )

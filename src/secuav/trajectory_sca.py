@@ -1,19 +1,31 @@
 """One trajectory improvement step: surrogate assembly, solve, extraction.
 
 With the power schedule fixed, the trajectory subproblem is made convex by
-(a) replacing log2(1 + P/d2), with d2 = x^2 + y^2 + H^2 the squared
-transmitter-to-receiver distance, by its tangent in d2 at the expansion point,
-which leaves the term -g_u*d2, concave in (x, y), in the objective with no
-slack variable, and (b) writing the robust eavesdropper-distance requirement
-"every point of the disk is at least sqrt(t) away" per (eavesdropper, slot).
-The paper does (b) with the S-procedure: one multiplier nu >= 0 per block and
-a 3x3 arrowhead LMI, whose only nonlinearity (the squared trajectory
-coordinates) is replaced by tangent lines.  The best multiplier has a closed
-form (``robust_lmi``), so the block reduces to one concave disk margin
-t <= lin(q) - huber_r(|q - c|) in (x, y, t) alone, with lin the tangent of
-|q - c|^2 + H^2.  Both replacements under-estimate the true objective and
-shrink the feasible set, so the solved step can never decrease the true
-objective and is always robustly feasible.
+(a) replacing log2(1 + P/d2), d2 = x^2 + y^2 + H^2 the squared distance to the
+receiver, by its tangent in d2 at the expansion point, which leaves the
+concave term -g_u*d2 in the objective, and (b) writing the robust requirement
+"every point of the disk is at least sqrt(t) away" per (eavesdropper, slot)
+as one concave disk margin.  Both under-estimate the true objective and shrink
+the feasible set, so a solved step never decreases the true objective and is
+always robustly feasible.
+
+The disk margin.  The paper's S-procedure asks for nu >= 0 that makes the
+arrowhead [[a, 0, b], [0, a, c], [b, c, d]] PSD, with a = nu + 1,
+(b, c) = c_eve - q, d = L - r^2*nu, L = lin(q) - t, and lin the tangent
+under-estimate of |q - c_eve|^2 + H^2 in the squared coordinates.  As a >= 1,
+that is exactly (Schur complement) the rotated cone
+f(nu) = (nu + 1)*(L - r^2*nu) >= rho^2, rho = |q - c_eve|.  The S-lemma is
+lossless for one quadratic constraint (Polik & Terlaky, "A survey of the
+S-lemma", SIAM Review 2007), and f is concave in nu, so the multiplier can be
+maximized out.  For r > 0 the maximizer is nu* = max(0, (L - r^2)/(2r^2)):
+
+  * L >= r^2: f(nu*) = (L + r^2)^2/(4r^2), certifiable iff L >= 2*r*rho - r^2;
+  * L < r^2: f(0) = L, certifiable iff L >= rho^2 (which forces rho < r).
+
+Both read L >= huber_r(rho), with huber_r(rho) = rho^2 for rho <= r and
+2*r*rho - r^2 beyond.  For r = 0, f is unbounded in nu when L > 0, so the
+condition is L >= 0 = huber_0(rho), an affine row.  The program carries the
+margin t <= lin(q) - huber_r(|q - c_eve|) in (x, y, t) and no multiplier.
 """
 from __future__ import annotations
 
@@ -23,8 +35,7 @@ import numpy as np
 
 from . import convex_backend
 from .convex_backend import TROUBLE, T_FLOOR
-from .geometry import LN2, log2_1p, rate_coefficients, secrecy_sum, worst_case_dist_sq
-from .robust_lmi import block_coeff_arrays
+from .geometry import LN2, log2_1p, secrecy_sum, worst_case_geometry
 from .scenario import PowerSchedule, Scenario, Trajectory
 
 ROBUST_FEAS_TOL = 1e-6   # meters^2, allowed slack when re-checking t against disks
@@ -74,7 +85,7 @@ class SubproblemSolution:
 
 def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """Tight t at a trajectory: the worst-case squared distance to any disk."""
-    return rate_coefficients(traj, scenario).theta.min(axis=0)
+    return worst_case_geometry(traj, scenario).theta.min(axis=0)
 
 
 def _surrogate_value(prog: ConvexProgram, x, y, t) -> float:
@@ -88,28 +99,31 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     """Build the convex step program around a feasible expansion point."""
     if np.any(traj_fea.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
         raise ValueError("expansion trajectory violates the mobility constraint")
-    n = scenario.n_slots
     h2 = scenario.altitude**2
     x, y = traj_fea.slot_positions()
-    t_fea = initialize_slacks(traj_fea, scenario)
+    geo = worst_case_geometry(traj_fea, scenario)
+    t_fea = geo.theta.min(axis=0)
 
     p_scaled = scenario.gamma0 * powers.p
-    d2_fea = x**2 + y**2 + h2
+    d2_fea = geo.d2
     g_u = np.where(p_scaled > 0,
                    p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea)), 0.0)
     obj_const = float(log2_1p(p_scaled / d2_fea).sum() + (g_u * d2_fea).sum())
 
+    # lin = |q - c|^2 + H^2 with x^2, y^2 tangent at the expansion point; the
+    # centre squares stay Python floats (pow and numpy's square differ in ulps)
     eves = scenario.eves
-    eve_kx, eve_ky, eve_k0 = (np.array(c) for c in zip(
-        *(block_coeff_arrays(eve, x, y, scenario.altitude) for eve in eves)))
+    cx = np.array([[e.center_x] for e in eves])
+    cy = np.array([[e.center_y] for e in eves])
+    k0 = (np.array([[e.center_x**2] for e in eves]) - x**2
+          + np.array([[e.center_y**2] for e in eves]) - y**2 + h2)
     return ConvexProgram(
-        n_slots=n, h2=h2, step_sq_max=scenario.max_step**2,
+        n_slots=scenario.n_slots, h2=h2, step_sq_max=scenario.max_step**2,
         pin_start=tuple(scenario.start_xy), pin_end=tuple(scenario.end_xy),
         p_scaled=p_scaled, g_u=g_u, obj_const=obj_const, t_fea=t_fea,
-        eve_x=np.array([e.center_x for e in eves]),
-        eve_y=np.array([e.center_y for e in eves]),
+        eve_x=cx[:, 0], eve_y=cy[:, 0],
         eve_r=np.array([e.radius for e in eves]),
-        eve_kx=eve_kx, eve_ky=eve_ky, eve_k0=eve_k0,
+        eve_kx=2.0 * (x - cx), eve_ky=2.0 * (y - cy), eve_k0=k0,
         x_start=x.copy(), y_start=y.copy(),
         # below the tight t, so the disk margins leave the interior start room
         t_start=t_fea - 0.1 * (t_fea - T_FLOOR * h2),
@@ -143,12 +157,10 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     if np.any(traj.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
         return _fallback(traj_fea, powers, scenario, res.newton_iters)
 
-    x, y = traj.slot_positions()
     t = res.t
-    for k in range(scenario.n_eves):
-        theta = worst_case_dist_sq((x, y), scenario.eves[k], scenario.altitude)
-        if np.any(theta < t - ROBUST_FEAS_TOL):
-            return _fallback(traj_fea, powers, scenario, res.newton_iters)
+    if np.any(initialize_slacks(traj, scenario) < t - ROBUST_FEAS_TOL):
+        return _fallback(traj_fea, powers, scenario, res.newton_iters)
+    x, y = traj.slot_positions()
 
     # improvement chain, checked numerically every step: the surrogate under-
     # estimates the truth at the new point and cannot fall below its value at

@@ -1,9 +1,11 @@
-"""Scalar arrowhead-block helpers for the robust-LMI tests.
+"""The paper's S-procedure arrowhead block, as a test oracle.
 
-The planner uses only ``block_coeff_arrays`` and ``secuav verify`` the
-vectorized checks of ``secuav.robust_lmi``; these scalar forms (entry maps,
-matrix round trips, the exact and linearized border entry, the PSD test)
-spell out the S-procedure derivation the tests check the disk margin against.
+The planner never builds this block: ``secuav.trajectory_sca`` maximizes the
+multiplier out in closed form (its docstring has the derivation) and the
+solver works with the disk margin lin(q) - t - huber_r(|q - c|) alone.  These
+helpers (entry maps, matrix round trips, the exact and linearized border
+entry, scalar and vectorized PSD tests, rotated-cone membership) spell the
+block out, so that the tests, c02 among them, can check the margin against it.
 """
 from __future__ import annotations
 
@@ -11,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from secuav.robust_lmi import PSD_TOL_REL
 from secuav.scenario import EveRegion
+
+PSD_TOL_REL = 1e-9
 
 
 def psd_check(a: float, b: float, c: float, d: float) -> bool:
@@ -20,6 +23,23 @@ def psd_check(a: float, b: float, c: float, d: float) -> bool:
     m = np.array([[a, 0.0, b], [0.0, a, c], [b, c, d]])
     min_eig = float(np.linalg.eigvalsh(m)[0])
     return min_eig >= -PSD_TOL_REL * max(1.0, abs(a), abs(d))
+
+
+def psd_check_many(a, b, c, d) -> np.ndarray:
+    """Eigenvalue test of stacked arrowhead blocks, with a scale-relative tolerance."""
+    a, b, c, d = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (a, b, c, d)))
+    zeros = np.zeros_like(a)
+    m = np.stack([np.stack([a, zeros, b], axis=-1),
+                  np.stack([zeros, a, c], axis=-1),
+                  np.stack([b, c, d], axis=-1)], axis=-2)
+    min_eig = np.linalg.eigvalsh(m)[..., 0]
+    return min_eig >= -PSD_TOL_REL * np.maximum.reduce([np.ones_like(a), np.abs(a), np.abs(d)])
+
+
+def soc_feasible_many(a, b, c, d) -> np.ndarray:
+    """Vectorized rotated-cone membership (exact inequalities, no tolerance)."""
+    a, b, c, d = (np.asarray(v, dtype=float) for v in (a, b, c, d))
+    return (a >= 0.0) & (d >= 0.0) & (a * d - b**2 - c**2 >= 0.0)
 
 
 class ArrowheadPatternError(ValueError):

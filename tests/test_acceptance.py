@@ -16,10 +16,10 @@ from secuav.harness import dbm_to_watts, main
 from secuav.planner import (best_effort_trajectory, equal_power, optimize,
                             optimize_non_robust, run_best_effort)
 from secuav.power_alloc import solve_power_subproblem
-from secuav.robust_lmi import psd_check_many, soc_feasible_many
 from secuav.scenario import EveRegion, Scenario
 from secuav.trajectory_sca import solve_step
 
+from arrowhead import psd_check_many, soc_feasible_many
 from conftest import make_scenario, benchmark_fields
 
 LN2 = math.log(2.0)

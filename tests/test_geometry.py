@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from secuav.geometry import (avg_worst_case_secrecy_rate, disk_samples,
-                             rate_bob, rate_coefficients, secrecy_sum,
+from secuav.geometry import (avg_worst_case_secrecy_rate, disk_samples, log2_1p,
+                             per_slot_secrecy_terms, secrecy_sum,
                              worst_case_dist_sq, worst_case_dist_sq_oracle,
-                             worst_case_rate_eves)
+                             worst_case_geometry)
 from secuav.scenario import EveRegion, PowerSchedule
 
 from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
@@ -72,32 +72,46 @@ class TestWorstCaseDistSq:
         assert a == b
 
 
+def slot_rates(xy, power, eves=(EVE1, EVE2)):
+    """Legitimate rate, worst-case leak and secrecy term of one slot hovering
+    at xy, 100 m up with gamma0 = 1e8, the rates from ``worst_case_geometry``."""
+    scen = make_scenario(altitude=100.0, flight_duration=0.5, slot_len=0.5, n_slots=1,
+                         start_xy=xy, end_xy=xy, gamma0=1e8, eves=eves)
+    traj = hover_trajectory(scen, xy)
+    geo = worst_case_geometry(traj, scen)
+    snr = scen.gamma0 * power
+    bob = float(log2_1p(snr / geo.d2[0]))
+    leak = float(log2_1p(snr / geo.theta.min(axis=0)[0]))
+    term = float(per_slot_secrecy_terms(traj, PowerSchedule([power]), scen)[0])
+    assert term == bob - leak
+    return bob, leak
+
+
 class TestRates:
     def test_rate_bob_hover(self):
-        got = rate_bob((0.0, 0.0), 100.0, 1e8, P_BAR_NEG5_DBM)
+        got, _ = slot_rates((0.0, 0.0), P_BAR_NEG5_DBM)
         assert got == pytest.approx(math.log2(1.0 + 1e8 * P_BAR_NEG5_DBM / 1e4), abs=1e-12)
         assert got == pytest.approx(2.0573732086067946, abs=1e-12)
 
     def test_rate_bob_zero_power(self):
-        assert rate_bob((123.0, -45.0), 100.0, 1e8, 0.0) == 0.0
+        assert slot_rates((123.0, -45.0), 0.0) == (0.0, 0.0)
 
     def test_rate_bob_offset(self):
-        got = rate_bob((300.0, 400.0), 100.0, 1e8, P_BAR_NEG5_DBM)
+        got, _ = slot_rates((300.0, 400.0), P_BAR_NEG5_DBM)
         assert got == pytest.approx(math.log2(1.0 + 1e8 * P_BAR_NEG5_DBM / 260000.0), abs=1e-12)
         assert got == pytest.approx(0.16559177956285065, abs=1e-9)
 
     def test_worst_eve_rate_hover(self):
-        got = worst_case_rate_eves((0.0, 0.0), (EVE1, EVE2), 100.0, 1e8, P_BAR_NEG5_DBM)
+        _, got = slot_rates((0.0, 0.0), P_BAR_NEG5_DBM)
         assert got == pytest.approx(math.log2(1.0 + 1e8 * P_BAR_NEG5_DBM / 24400.0), abs=1e-12)
         assert got == pytest.approx(1.1991323402692167, abs=1e-12)
 
     def test_worst_eve_rate_zero_power(self):
-        assert worst_case_rate_eves((0.0, 0.0), (EVE1, EVE2), 100.0, 1e8, 0.0) == 0.0
+        assert slot_rates((0.0, 0.0), 0.0)[1] == 0.0
 
     def test_degenerate_disk_matches_point_eavesdropper(self):
-        eve = EveRegion(70.0, -10.0, 0.0)
-        got = worst_case_rate_eves((0.0, 0.0), (eve,), 100.0, 1e8, 2e-4)
-        want = rate_bob((70.0, -10.0), 100.0, 1e8, 2e-4)
+        _, got = slot_rates((0.0, 0.0), 2e-4, eves=(EveRegion(70.0, -10.0, 0.0),))
+        want, _ = slot_rates((70.0, -10.0), 2e-4)
         assert got == pytest.approx(want, abs=1e-12)
 
 
@@ -155,30 +169,34 @@ class TestSecrecyMetrics:
 
 
 class TestRateCoefficients:
+    """The SNR coefficients gamma0/d2 and gamma0/theta_min that the power
+    subproblem reads off ``worst_case_geometry``."""
+
     def test_hover_at_origin(self):
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         scen = make_scenario(**fields)
-        geom = rate_coefficients(hover_trajectory(scen), scen)
-        assert geom.alpha == pytest.approx([1e4, 1e4])
-        assert geom.beta == pytest.approx([1e8 / 24400.0] * 2)
-        assert geom.theta.min(axis=0) == pytest.approx([24400.0, 24400.0])
+        geo = worst_case_geometry(hover_trajectory(scen), scen)
+        assert scen.gamma0 / geo.d2 == pytest.approx([1e4, 1e4])
+        assert scen.gamma0 / geo.theta.min(axis=0) == pytest.approx([1e8 / 24400.0] * 2)
+        assert geo.theta.min(axis=0) == pytest.approx([24400.0, 24400.0])
 
     def test_above_eve_center_beta_dominates(self):
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         scen = make_scenario(**fields)
-        geom = rate_coefficients(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
-        assert geom.beta == pytest.approx([1e4, 1e4])
-        assert geom.alpha == pytest.approx([2000.0, 2000.0])
-        assert np.all(geom.alpha < geom.beta)
+        geo = worst_case_geometry(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
+        alpha, beta = scen.gamma0 / geo.d2, scen.gamma0 / geo.theta.min(axis=0)
+        assert beta == pytest.approx([1e4, 1e4])
+        assert alpha == pytest.approx([2000.0, 2000.0])
+        assert np.all(alpha < beta)
 
     def test_theta_floor_invariant(self):
         scen = make_scenario()
         traj = hover_trajectory(scen, xy=(-10.0, 4.0))  # at eve 1 center
-        geom = rate_coefficients(traj, scen)
+        geo = worst_case_geometry(traj, scen)
         h2 = scen.altitude**2
-        assert np.all(geom.theta >= h2 - 1e-12)
+        assert np.all(geo.theta >= h2 - 1e-12)
         inside = np.array([np.hypot(-10.0 - e.center_x, 4.0 - e.center_y) <= e.radius
                            for e in scen.eves])[:, None]
-        assert np.all((geom.theta == h2) == inside)
+        assert np.all((geo.theta == h2) == inside)

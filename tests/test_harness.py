@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secuav.harness import (HarnessError, SweepSpec, dbm_to_watts,
-                            derive_scenario, export_plan, load_scenario, main,
-                            run_sweep, verify_suites)
+from secuav import trajectory_sca
+from secuav.harness import (HarnessError, SweepSpec, _check_huber_margin,
+                            _huber_margin_draw, dbm_to_watts, derive_scenario,
+                            export_plan, load_scenario, main, run_sweep,
+                            verify_suites)
 from secuav.planner import run_best_effort, optimize
 from secuav.scenario import (PowerSchedule, Trajectory, power_violations,
                              trajectory_violations)
@@ -209,6 +212,7 @@ class TestCli:
         ("gamma0 must be finite", dict(gamma0_db=math.inf)),
         ("v_max must be finite", dict(v_max=math.nan)),
         ("flight_duration", dict(flight_duration=math.inf)),
+        ("altitude is too large", dict(altitude=1e200)),
     ])
     def test_bad_field_error_json(self, tmp_path, capsys, field, change):
         path = tmp_path / "s.json"
@@ -226,9 +230,37 @@ class TestCli:
 
 
 class TestVerifySuites:
-    def test_quick_all_pass(self):
-        results = verify_suites("quick")
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_quick_all_pass(self, level):
+        results = verify_suites(level)
+        assert [name for name, _, _ in results] == [
+            "theta-oracle", "huber-margin", "power-grid", "sca-monotone"]
         assert all(ok for _, ok, _ in results)
+
+    def test_huber_margin_fails_on_shifted_disk_rows(self, monkeypatch):
+        assemble = trajectory_sca.assemble
+
+        def shifted(*args):
+            prog = assemble(*args)
+            return dataclasses.replace(prog, eve_k0=prog.eve_k0 + 1.0)
+
+        monkeypatch.setattr(trajectory_sca, "assemble", shifted)
+        ok, detail = _check_huber_margin(2_000, 7)
+        assert not ok, detail
+
+    def test_huber_margin_draw_covers_both_branches(self):
+        # r = 0 rows, and slots inside and outside a disk, before and after
+        # the shift, some of them crossing a rim
+        scen, traj, shift = _huber_margin_draw(2_000, 7)
+        r = np.array([e.radius for e in scen.eves])
+        assert (r == 0.0).sum() >= 1 and (r > 0.0).sum() >= 1
+        c = np.array([[e.center_x, e.center_y] for e in scen.eves])[r > 0.0]
+        x, y = traj.slot_positions()
+        inside = [np.hypot(qx - c[:, :1], qy - c[:, 1:]) <= r[r > 0.0, None]
+                  for qx, qy in ((x, y), (x + shift[0], y + shift[1]))]
+        for side in inside:
+            assert side.any() and not side.all()
+        assert (inside[0] != inside[1]).any()
 
     def test_unknown_level_rejected(self):
         with pytest.raises(HarnessError):

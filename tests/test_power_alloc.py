@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from secuav.geometry import rate_coefficients
+from secuav.geometry import worst_case_geometry
 from secuav.power_alloc import (optimize_power, power_for_dual,
                                 solve_power_subproblem)
 from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
@@ -159,7 +159,8 @@ class TestOptimizePower:
         scen = make_scenario(**fields)
         traj = hover_trajectory(scen)
         dual = optimize_power(traj, scen)
-        geom = rate_coefficients(traj, scen)
-        want = power_for_dual(geom.alpha, geom.beta, dual.lam, scen.peak_power)
+        geo = worst_case_geometry(traj, scen)
+        want = power_for_dual(scen.gamma0 / geo.d2, scen.gamma0 / geo.theta.min(axis=0),
+                              dual.lam, scen.peak_power)
         assert np.allclose(dual.schedule.p, want, rtol=0, atol=0)
         assert dual.avg_used <= scen.avg_power * (1 + 1e-9)

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from secuav.geometry import disk_samples
-from secuav.robust_lmi import psd_check_many, soc_feasible_many
 from secuav.scenario import EveRegion
 
 from arrowhead import (ArrowheadPatternError, LmiBlock, as_rotated_soc,
-                       block_coeffs, build_block, exact_c, linearized_c, psd_check)
+                       block_coeffs, build_block, exact_c, linearized_c, psd_check,
+                       psd_check_many, soc_feasible_many)
 
 EVE = EveRegion(-200.0, 0.0, 20.0)
 

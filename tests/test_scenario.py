@@ -90,6 +90,18 @@ class TestValidate:
     def test_non_finite_number_rejected(self, name, overrides):
         assert f"{name} must be finite" in " ".join(validate(make_scenario(**overrides)))
 
+    @pytest.mark.parametrize("name, overrides", [
+        ("altitude", dict(altitude=1e200)),
+        ("v_max*slot_len", dict(v_max=1e160)),
+        ("start_xy[0]", dict(start_xy=(-1e160, -10.0))),
+        ("eves[0].center_x", dict(eves=(EveRegion(1e160, 4.0, 2.0),))),
+        ("eves[1].center_y", dict(eves=(EveRegion(-10.0, 4.0, 2.0),
+                                        EveRegion(10.0, -1e160, 3.0)))),
+        ("eves[0].radius", dict(eves=(EveRegion(10.0, 4.0, 1e160),))),
+    ])
+    def test_huge_length_named_not_raised(self, name, overrides):
+        assert f"{name} is too large" in " ".join(validate(make_scenario(**overrides)))
+
     def test_validate_is_pure(self):
         scen = make_scenario()
         first = validate(scen)

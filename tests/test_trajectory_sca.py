@@ -7,7 +7,6 @@ from secuav import convex_backend
 from secuav.convex_backend import _Workspace
 from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
 from secuav.planner import best_effort_trajectory, equal_power
-from secuav.robust_lmi import block_coeff_arrays
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 
@@ -60,10 +59,10 @@ class TestInitializeSlacks:
         traj = best_effort_trajectory(scen)
         x, y = traj.slot_positions()
         t = initialize_slacks(traj, scen)
-        for eve in scen.eves:
+        prog = assemble(traj, equal_power(scen), scen)
+        for k, eve in enumerate(scen.eves):
             r = eve.radius
-            kx, ky, k0 = block_coeff_arrays(eve, x, y, scen.altitude)
-            slack = kx * x + ky * y + k0 - t
+            slack = prog.eve_kx[k] * x + prog.eve_ky[k] * y + prog.eve_k0[k] - t
             rho = np.hypot(x - eve.center_x, y - eve.center_y)
             huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
             assert np.all(slack - huber >= -1e-9 * slack.max())
