@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Time the convex trajectory steps across planner iterations on one scenario.
 
-Each iteration solves its convex step once, through ``solve_step``; the
-Newton steps, time, time per Newton step, duality gap, KKT residual and
-smallest constraint margin printed are those of the solve whose trajectory is
-carried forward.  A last line totals the Newton steps and solve time.
+Each planner iteration solves its convex step once, through ``solve_step``;
+the primal-dual iterations, time, time per iteration, duality gap, KKT
+residual and smallest constraint margin printed are those of the solve whose
+trajectory is carried forward.  A last line totals the primal-dual iterations
+and solve time.
 ``--slot-len`` replaces the scenario's slot length: ``--duration 160
 --slot-len 0.1`` profiles the fine-slot (N = 1600) case.
 """
@@ -50,22 +51,22 @@ def main() -> int:
         solves.append((res, time.perf_counter() - t0))
         return res
 
-    def per_step(ms, steps):
-        return f"{ms / steps:6.3f}" if steps else "     -"
+    def per_iter(ms, iters):
+        return f"{ms / iters:6.3f}" if iters else "     -"
 
     # solve_step looks the solver up as convex_backend.solve
     convex_backend.solve = timed_solve
-    newton, solve_ms = 0, 0.0
+    pd_iters, solve_ms = 0, 0.0
     try:
         for m in range(1, args.steps + 1):
             solves.clear()
             sol = solve_step(traj, powers, scen)
             res, dt_solve = solves[0]
             ms = 1e3 * dt_solve
-            newton += res.newton_iters
+            pd_iters += res.newton_iters
             solve_ms += ms
-            print(f"iter {m}: {res.status:9s} {res.newton_iters:4d} newton steps "
-                  f"{ms:7.1f} ms ({per_step(ms, res.newton_iters)} ms/step)  "
+            print(f"step {m}: {res.status:9s} {res.newton_iters:4d} primal-dual iters "
+                  f"{ms:7.1f} ms ({per_iter(ms, res.newton_iters)} ms/iter)  "
                   f"gap {res.duality_gap:.2e} kkt {res.kkt_residual:.2e} "
                   f"margin {res.min_margin:.2e} objective {res.objective:+.6f}")
             if sol.status == "numerical_trouble":
@@ -74,8 +75,8 @@ def main() -> int:
             powers = optimize_power(traj, scen).schedule
     finally:
         convex_backend.solve = solve
-    print(f"total: {newton} newton steps {solve_ms:.1f} ms "
-          f"({per_step(solve_ms, newton)} ms/step)")
+    print(f"total: {pd_iters} primal-dual iters {solve_ms:.1f} ms "
+          f"({per_iter(solve_ms, pd_iters)} ms/iter)")
     return 0
 
 

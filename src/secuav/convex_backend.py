@@ -1,4 +1,4 @@
-"""Barrier interior-point solver for the trajectory subproblem.
+"""Primal-dual interior-point solver for the trajectory subproblem.
 
 The program class is fixed: maximize a concave objective
 
@@ -28,9 +28,48 @@ H^2.  The floor only keeps log2(1 + P/t) finite.  It must lie below H^2: at a
 slot inside a disk lin - huber equals H^2 at the expansion point, so a floor
 of H^2 leaves no interior there.
 
-Everything is handled with logarithmic barriers and damped Newton steps; the
-KKT matrices are block tridiagonal (slots couple only through the mobility
-chain), so each step costs one banded Cholesky solve.
+The method.  A Mehrotra predictor-corrector primal-dual interior-point method
+(Mehrotra, SIAM J. Optim. 1992; Nocedal & Wright, Numerical Optimization,
+ch. 19) minimizes f0, the negated objective, subject to every margin
+m_i(z) >= 0.  The point z stays strictly interior and each margin carries a
+multiplier lambda_i > 0; the iterations drive the residual
+r = grad f0 - sum_i lambda_i grad m_i and the complementarity
+mu = lambda^T m / m_bar to zero, with m_bar = (N+1) + (K+1)*N margins.  Each
+iteration factors
+
+    H = hess f0 + sum_i (lambda_i/m_i) grad m_i grad m_i^T - sum_i lambda_i hess m_i
+
+once, a banded matrix since slots couple only through the mobility chain,
+and solves with it twice:
+
+  * predictor: H dz = -grad f0 and dlambda = -lambda*(1 + m1/m), Newton's
+    step towards lambda*m = 0 (m1, m2 are the margins' model along dz, see
+    "Constraint families").  Its primal step is the models' first positive
+    root and its dual step the distance to lambda = 0, both capped at 1; the
+    complementarity mu_aff they reach sets sigma = (mu_aff/mu)^3;
+  * corrector: with c = dlambda*m1 + lambda*m2 of the predictor, the
+    second-order terms of (lambda + dlambda)(m + m1 + m2),
+    H dz = -grad f0 + sum_i ((sigma*mu - c_i)/m_i) grad m_i and
+    dlambda = (sigma*mu - c - lambda*m - lambda*m1)/m.
+
+Step rules.  The corrector's primal step is 0.99 times its models' first
+positive root, capped at 1, and halved until the table at the trial point is
+strictly positive (the model of a disk row outside its disk is inexact); its
+dual step is 0.99 times the distance to lambda = 0, capped at 1.  No merit
+function judges a step.  The solve starts at the interior start below with
+lambda_i = TAU0_GAP/(m_bar*m_i), so lambda^T m = TAU0_GAP.
+
+Stop and certificate.  The status is "optimal" once
+lambda^T m <= OPT_TOL*max(1, |objective|) and |r|_inf <= KKT_TOL, at a point
+whose margins, evaluated directly, are all positive; MAX_NEWTON iterations
+end it as "max_iter" and a failed factorization as "numerical_trouble".
+``duality_gap`` is lambda^T m and ``kkt_residual`` is |r|_inf.  The point z
+minimizes the Lagrangian f0 - r.z - lambda^T m exactly, as that is convex in
+z (f0 is convex, every margin concave) and stationary at z; so z is within
+lambda^T m of the optimum of the problem whose objective is tilted by r.z
+(Boyd & Vandenberghe, Convex Optimization, sect. 5.2), a tilt of at most
+KKT_TOL per coordinate.  The argument needs no quadratic or self-concordant
+margins, so the disk rows, whose Hessian jumps at the rim, leave it intact.
 
 Interior start.  The warm start usually sits on the boundary: a track that
 flies at maximum speed makes its mobility margins zero.  Every margin is
@@ -55,47 +94,18 @@ t-sign per row (+1 floor, -1 disk); its Hessian entries xx, xy, yy form one
 then affine.  All margins sit in one flat array of length m_bar, the chain
 first and then the stack row by row.  The solver reads the table everywhere:
 
-  * the margins serve the interior start, the domain check, the line search
-    merit and the post-hoc margin of the result;
-  * the Newton system adds -grad m / m to the gradient and
-    grad m grad m^T / m^2 - hess m / m to the Hessian: the stack's terms are
-    summed over its rows in one reduction into the 3x3 slot blocks, and the
-    chain adds its diagonal and off-diagonal bands, all written straight into
-    the lower band array that ``cholesky_banded`` reads;
-  * along a Newton ray each margin is modelled by m0 + a*m1 + a^2*m2 in the
-    step length a, with m1 = grad m . d and m2 = d^T (hess m) d / 2.  The model
-    is exact for every quadratic row: the mobility and floor rows, r = 0 rows
-    and disk rows inside their disk.  A disk row outside its disk is off by
-    O(a^3).
-
-Line search.  Once per Newton step the models are built.  Their smallest
-positive root bounds the step (the exact fraction-to-boundary rule of Nocedal
-& Wright, Numerical Optimization, sect. 19.2, for the quadratic rows); in
-every centering stage the halving starts at ``first_step``, the largest power
-of two below it.  A trial evaluates the table at the trial point, demands
-every margin strictly positive there and computes the Armijo merit from those
-margins.  The accepted trial's table supplies the next step's Newton system,
-so a step that accepts its first trial builds one table.
-
-Duality gap.  At the central point of weight tau the multipliers
-1/(tau*m_i) are dual feasible and leave the gap m_bar/tau, with m_bar =
-(N+1) + (K+1)*N margins (Boyd & Vandenberghe, Convex Optimization, sect.
-11.2.2).  The argument uses only a concave objective and concave margins, not
-quadratic or self-concordant ones, so the disk rows, whose Hessian jumps at
-the rim, leave the bound intact.
-
-Noise floor.  The merit tau*(f0 - f0_ref) + barrier is rounded to about
-eps*(|merit| + tau*|f0_ref|); at tau ~ 1e9 that is ~1e-5, far above the
-0.25*lambda^2 decrease the Armijo test asks for near the center.  Below that
-floor the test cannot judge a step, and stopping there leaves the stage
-loosely centered, with the leftover gradient in the x and y columns (KKT
-residuals up to 5e-6 on small programs).  So at the floor the solver takes
-full Newton steps without the test (the pure Newton phase of Boyd &
-Vandenberghe, sect. 9.5.3) while the full step is interior and lambda^2 falls
-at least 4x per step.  Mostly one or two such steps reach NEWTON_TOL;
-where lambda^2 stops falling the stage ends loosely centered, and the gap
-carries the sqrt(m)*lambda correction.  Without the 4x bound such stages ran
-the programs of paper_fig2 at N = 1600 into the centering cap.
+  * the margins serve the interior start, the domain check of every trial
+    point and the margin of the result;
+  * the Newton matrix H adds (lambda/m) grad m grad m^T - lambda hess m: the
+    stack's terms are summed over its rows in one reduction into the 3x3
+    slot blocks, and the chain adds its diagonal and off-diagonal bands, all
+    written straight into the lower band array that ``cholesky_banded``
+    reads; ``jt`` sums w_i grad m_i for the residual and the corrector;
+  * along a step dz each margin is modelled by m0 + a*m1 + a^2*m2 in the
+    step length a, with m1 = grad m . dz and m2 = dz^T (hess m) dz / 2.  The
+    model is exact for every quadratic row: the mobility and floor rows,
+    r = 0 rows and disk rows inside their disk.  A disk row outside its disk
+    is off by O(a^3).
 """
 from __future__ import annotations
 
@@ -111,11 +121,9 @@ from .geometry import LN2, log2_1p
 
 # Solver constants, read at call time (a test may patch them).
 OPT_TOL = 1e-8         # relative duality-gap target
-MAX_NEWTON = 3000      # Newton budget per solve
-MAX_CENTERING = 1000   # Newton cap per barrier stage
-BARRIER_MU = 30.0      # barrier weight growth factor between stages
-TAU0_GAP = 64.0        # initial gap (objective units) fixing the first tau
-NEWTON_TOL = 1e-9      # centering stop on lambda^2 / 2
+KKT_TOL = 1e-7         # stationarity target, objective units per coordinate
+MAX_NEWTON = 3000      # iteration cap per solve (one factorization each)
+TAU0_GAP = 64.0        # duality gap lambda^T m of the start
 
 
 @dataclass
@@ -125,11 +133,10 @@ class SolverResult:
     t: np.ndarray
     objective: float        # maximized surrogate value, constants included
     status: str             # "optimal" | "max_iter" | "numerical_trouble"
-    newton_iters: int
-    duality_gap: float      # absolute bound, objective units
-    kkt_residual: float     # scaled stationarity residual at the returned point
+    newton_iters: int       # primal-dual iterations, one factorization each
+    duality_gap: float      # lambda^T m, objective units
+    kkt_residual: float     # |grad f0 - sum lambda_i grad m_i|_inf
     min_margin: float       # smallest margin, evaluated directly at the result
-    tau: float              # final barrier weight (1/tau = barrier multiplier scale)
 
 
 OPTIMAL = "optimal"
@@ -151,23 +158,23 @@ class _Table(NamedTuple):
     h: np.ndarray | None           # (3, K+1, N) stack Hessian xx, xy, yy, or None
 
 
-def first_step(m0, m1, m2):
-    """Largest 2^-k (k < 96) below the first root of every m0 + a*m1 + a^2*m2.
+def first_root(m0, m1, m2) -> float:
+    """Smallest positive root of every m0 + a*m1 + a^2*m2, or math.inf.
 
-    ``m0`` must be positive.  Returns None when no such step exists.
+    ``m0`` must be positive.
     """
     disc = m1 * m1 - 4.0 * m0 * m2
-    # the smallest positive root is 2*m0/den when den > 0 and disc >= 0
+    # 1/a solves m0*s^2 + m1*s + m2 = 0; the largest s is the first root
     inv = (np.sqrt(np.maximum(disc, 0.0)) - m1) / (2.0 * m0)
     inv[disc < 0.0] = 0.0
     top = float(inv.max())
-    a_max = 1.0 / top if top > 0.0 else math.inf
-    step = 1.0
-    for _ in range(96):
-        if step < a_max:
-            return step
-        step *= 0.5
-    return None
+    return 1.0 / top if top > 0.0 else math.inf
+
+
+def dual_root(lam, dlam) -> float:
+    """Smallest step a > 0 at which some lam + a*dlam reaches 0, or math.inf."""
+    low = float((dlam / lam).min())
+    return -1.0 / low if low < 0.0 else math.inf
 
 
 class _Workspace:
@@ -197,8 +204,8 @@ class _Workspace:
         self.sign = np.repeat(np.r_[1.0, -np.ones(K)], N)   # dm/dt, stack flat
         # the stack gradient when every row is affine
         self.g_affine = np.concatenate((np.zeros((2, 1, N)), self.k), axis=1)
-        # weighted stack terms: grad m / m (x, y, t), then the entries xx, xy,
-        # yy, xt, yt, tt of grad m grad m^T / m^2 - hess m / m
+        # weighted stack terms: grad m * sqrt(lam/m) (x, y, t), then the
+        # entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T - lam hess m
         self.buf = np.empty((9, K + 1, N))
         # x, y between the pins, and a ray's dx, dy between pins that stay put
         self.qpad = np.column_stack((prog.pin_start, np.zeros((2, N)), prog.pin_end))
@@ -256,10 +263,10 @@ class _Workspace:
                      + log2_1p(p.p_scaled / Z[:, T]).sum())
 
     # -- Newton system ----------------------------------------------------
-    def assemble(self, tab: _Table, z, tau):
-        """Gradient and Hessian of tau*f0 + barrier from the table at z.
+    def assemble(self, tab: _Table, z, lam):
+        """Objective gradient and Newton matrix H at z with multipliers lam.
 
-        Returns (gz, ab), the Hessian in the lower band form that
+        Returns (grad f0, ab), H in the lower band form that
         ``cholesky_banded`` reads.
         """
         N, B, kd = self.N, self.B, self.kd
@@ -267,51 +274,57 @@ class _Workspace:
         Z = z.reshape(N, B)
         t = Z[:, T]
         i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
-        gt = (tau / LN2) * (i2 - i1)   # d(tau*f0)/dt
-        curv = (2.0 * tau) * p.g_u
-        # the stack, summed over its rows into the per-slot terms S
-        w1 = 1.0 / tab.m[N + 1:]
+        gt = (i2 - i1) / LN2   # d f0/dt
+        curv = 2.0 * p.g_u
+        # the stack, summed over its rows into the per-slot entries S: xx, xy,
+        # yy, xt, yt, tt of (lam/m) grad m grad m^T - lam hess m
+        lam_s = lam[N + 1:]
+        s = np.sqrt(lam_s / tab.m[N + 1:])
         buf = self.buf.reshape(9, -1)
-        np.multiply(tab.g.reshape(2, -1), w1, out=buf[:2])
-        np.multiply(self.sign, w1, out=buf[2])
+        np.multiply(tab.g.reshape(2, -1), s, out=buf[:2])
+        np.multiply(self.sign, s, out=buf[2])
         # one product per call: a broadcast product within buf runs ~2x slower
         for row, (i, j) in enumerate(((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)), 3):
             np.multiply(buf[i], buf[j], out=buf[row])
         if tab.h is not None:
-            buf[3:6] -= tab.h.reshape(3, -1) * w1
-        S = np.add.reduce(self.buf, axis=1)
-        # the chain per step: grad m / m in x, y, then the xx, xy, yy entries
-        wc = -2.0 / tab.m[:N + 1]
+            buf[3:6] -= tab.h.reshape(3, -1) * lam_s
+        S = np.add.reduce(self.buf[3:], axis=1)
+        # the chain per step: grad m * sqrt(lam/m) in x, y, then xx, xy, yy
+        lam_c = lam[:N + 1]
         C = np.empty((5, N + 1))
-        np.multiply(tab.d, wc, out=C[:2])
+        np.multiply(tab.d, -2.0 * np.sqrt(lam_c / tab.m[:N + 1]), out=C[:2])
         np.multiply(C[0], C[0], out=C[2])
         np.multiply(C[0], C[1], out=C[3])
         np.multiply(C[1], C[1], out=C[4])
-        C[2::2] -= wc
-        # a step's rows touch its head slot with +1 and its tail with -1
-        S[:2] += C[:2, :-1] - C[:2, 1:]
-        S[3:6] += C[2:, :-1] + C[2:, 1:]
+        C[2::2] += 2.0 * lam_c
+        # a step's rows touch its head slot and its tail alike
+        S[:3] += C[2:, :-1] + C[2:, 1:]
         # the objective's curvature in x, y and t
-        S[3:6:2] += curv
-        S[8] -= gt * (i1 + i2)
+        S[0:3:2] += curv
+        S[5] -= gt * (i1 + i2)
         # column-major, as LAPACK stores it: band[n, c*(kd+1) + d] = ab[d, n*B + c]
         band = np.zeros((N, B * (kd + 1)))
-        band[:, self._DIAG] = S[3:].T
+        band[:, self._DIAG] = S.T
         for pos, row in zip(self._OFF, (2, 3, 3, 4)):  # the chain's xx, xy, xy, yy
             np.negative(C[row, 1:-1], out=band[:-1, pos])
-        G = S[:3]   # objective gradient minus the sum of grad m / m
-        np.subtract(curv * Z[:, :2].T, G[:2], out=G[:2])
-        np.subtract(gt, G[T], out=G[T])
-        return G.T.ravel(), band.reshape(self.nz, kd + 1).T
+        g0 = np.empty((N, B))
+        np.multiply(curv[:, None], Z[:, :2], out=g0[:, :2])
+        g0[:, T] = gt
+        return g0.ravel(), band.reshape(self.nz, kd + 1).T
 
-    @staticmethod
-    def solve_kkt(ab, gz):
-        # in the lower form LAPACK's unblocked factorization reads contiguous
-        # columns; it ran ~40% faster than the upper form at N = 1600
-        cfac = cholesky_banded(ab, lower=True)
-        return cho_solve_banded((cfac, True), -gz)
+    def jt(self, tab: _Table, w) -> np.ndarray:
+        """sum_i w_i grad m_i over every margin, packed like z."""
+        N = self.N
+        ws = w[N + 1:].reshape(-1, N)
+        out = np.empty((self.B, N))
+        np.add.reduce(tab.g * ws, axis=1, out=out[:2])
+        np.add.reduce(self.sign.reshape(-1, N) * ws, axis=0, out=out[T])
+        # a step's rows touch its head slot with +1 and its tail with -1
+        C = tab.d * (-2.0 * w[:N + 1])
+        out[:2] += C[:, :-1] - C[:, 1:]
+        return out.T.ravel()
 
-    # -- line search -------------------------------------------------------
+    # -- step model --------------------------------------------------------
     def ray(self, tab: _Table, dz):
         """Second-order model m0 + a*m1 + a^2*m2 of the margins along
         z + a*dz, flat; exact on the quadratic rows."""
@@ -334,73 +347,6 @@ class _Workspace:
             dq[::2] *= 0.5
             np.add.reduce(tab.h * dq[:, None], out=m2[N + 1:].reshape(-1, N))
         return tab.m, m1, m2
-
-
-# A stage may end slightly off-center when float resolution of the merit
-# (which scales with tau*|f0|) swallows the remaining decrements.  Exits with
-# lambda^2/2 below this are still accepted; the reported duality gap carries
-# the sqrt(m)*lambda correction, which stays well under one percent.
-_LOOSE_CENTER_TOL = 2.5e-2
-
-
-def _loose_status(lam2) -> str:
-    """Status of a stage that stops above NEWTON_TOL."""
-    return "centered" if lam2 / 2.0 <= _LOOSE_CENTER_TOL else "trouble"
-
-
-def _center(ws: _Workspace, z, tab: _Table, tau):
-    """Damped Newton to the central point at barrier weight tau.
-
-    ``tab`` is the table at z.  Returns (z, tab, iters, status, lam2) with
-    status "centered" (lambda^2/2 <= NEWTON_TOL, or a loose exit that
-    ``_loose_status`` accepts), "budget" (MAX_CENTERING steps) or "trouble".
-    Armijo acceptance keeps the merit tau*f0 + barrier non-increasing, up to
-    its floating-point resolution; below that resolution the stage takes pure
-    Newton steps ("Noise floor").
-    """
-    # measure the objective relative to the entry point: tau*f0 alone can reach
-    # 1e13, whose float resolution would swallow the remaining decrements
-    f0_ref = ws.f0(z)
-    cur = -float(np.log(tab.m).sum())
-    iters = 0
-    lam2 = math.inf
-    pure_lam2 = math.inf  # lambda^2 before the last pure Newton step
-    eps8 = 8.0 * np.finfo(float).eps
-    while iters < MAX_CENTERING:
-        resolution = eps8 * max(1.0, abs(cur))
-        gz, ab = ws.assemble(tab, z, tau)
-        try:
-            dz = ws.solve_kkt(ab, gz)
-        except np.linalg.LinAlgError:
-            return z, tab, iters, "trouble", lam2
-        lam2 = -float(gz @ dz)
-        if lam2 < -1e-6 * max(1.0, abs(cur)):
-            return z, tab, iters, "trouble", lam2
-        if lam2 / 2.0 <= NEWTON_TOL:
-            return z, tab, iters, "centered", lam2
-        step = first_step(*ws.ray(tab, dz))
-        if step is None:
-            return z, tab, iters, "trouble", lam2
-        # the merit cannot resolve the Armijo decrease: go on with full steps
-        # only while they are interior and lambda^2 falls 4x ("Noise floor")
-        pure = 0.25 * lam2 <= resolution + eps8 * tau * abs(f0_ref)
-        if pure and (step < 1.0 or 4.0 * lam2 > pure_lam2):
-            return z, tab, iters, _loose_status(lam2), lam2
-        for _ in range(1 if pure else 60):
-            z_new = z + step * dz
-            tab_new = ws.table(z_new)
-            if tab_new.m.min() > 0.0:
-                new = tau * (ws.f0(z_new) - f0_ref) - float(np.log(tab_new.m).sum())
-                if pure or new <= cur - 0.25 * step * lam2 + resolution:
-                    break
-            step *= 0.5
-        else:  # no trial accepted
-            return z, tab, iters, _loose_status(lam2), lam2
-        z, tab, cur = z_new, tab_new, new
-        if pure:
-            pure_lam2 = lam2
-        iters += 1
-    return z, tab, iters, "budget", lam2
 
 
 def _interior_start(ws: _Workspace, z0):
@@ -429,52 +375,66 @@ def _interior_start(ws: _Workspace, z0):
 def solve(program) -> SolverResult:
     """Solve the assembled subproblem; deterministic for fixed inputs.
 
-    ``program`` is a ConvexProgram (see trajectory_sca).  The first stage has
-    tau = m_bar/TAU0_GAP and each next one BARRIER_MU times more; the solve
-    ends after MAX_NEWTON Newton steps at the latest.  A returned status of
-    "optimal" certifies strict feasibility (checked by direct evaluation) and
-    a duality gap at most OPT_TOL relative to the objective scale.
+    ``program`` is a ConvexProgram (see trajectory_sca).  A returned status of
+    "optimal" certifies strict feasibility (checked by direct evaluation), a
+    duality gap at most OPT_TOL relative to the objective scale and a
+    stationarity residual at most KKT_TOL ("Stop and certificate").
     """
     ws = _Workspace(program)
     z0 = ws.pack(program.x_start, program.y_start, program.t_start)
 
-    def result(z, status, iters, tau, gap):
+    def result(z, tab, status, iters, gap, kkt):
         x, y, t = ws.rows(z)
-        tab = ws.table(z)
         min_margin = float(tab.m.min())
-        if status == OPTIMAL and min_margin <= 0.0:
-            status = TROUBLE
-        usable = min_margin > 0.0 and tau > 0
-        if usable:
-            objective = program.obj_const - ws.f0(z)
-            gz = ws.assemble(tab, z, tau)[0]
-            kkt = float(np.abs(gz).max() / tau)
-        else:
-            objective = -math.inf
-            kkt = math.inf
+        objective = program.obj_const - ws.f0(z) if min_margin > 0.0 else -math.inf
         return SolverResult(x=x, y=y, t=t, objective=objective,
                             status=status, newton_iters=iters,
                             duality_gap=gap, kkt_residual=kkt,
-                            min_margin=min_margin, tau=tau)
+                            min_margin=min_margin)
 
     z = _interior_start(ws, z0)
     if z is None:
-        return result(z0, TROUBLE, 0, 0.0, math.inf)
+        return result(z0, ws.table(z0), TROUBLE, 0, math.inf, math.inf)
 
     tab = ws.table(z)
-    tau = ws.m_bar / TAU0_GAP
-    total = 0
+    lam = (TAU0_GAP / ws.m_bar) / tab.m
+    iters = 0
     while True:
-        z, tab, it, cstat, lam2 = _center(ws, z, tab, tau)
-        total += it
-        if cstat == "trouble":
-            return result(z, TROUBLE, total, tau, math.inf)
-        # off-center exits widen the certified gap by sqrt(m)*lambda
-        lam_corr = math.sqrt(ws.m_bar * max(lam2, 0.0)) if math.isfinite(lam2) else 0.0
-        gap = (ws.m_bar + lam_corr) / tau
-        obj_scale = max(1.0, abs(program.obj_const - ws.f0(z)))
-        if gap <= OPT_TOL * obj_scale:
-            return result(z, OPTIMAL, total, tau, gap)
-        if cstat == "budget" or total >= MAX_NEWTON:
-            return result(z, MAX_ITER, total, tau, gap)
-        tau *= BARRIER_MU
+        m = tab.m
+        g0, ab = ws.assemble(tab, z, lam)
+        gap = float(lam @ m)
+        kkt = float(np.abs(g0 - ws.jt(tab, lam)).max())
+        if (kkt <= KKT_TOL
+                and gap <= OPT_TOL * max(1.0, abs(program.obj_const - ws.f0(z)))):
+            return result(z, tab, OPTIMAL, iters, gap, kkt)
+        if iters >= MAX_NEWTON:
+            return result(z, tab, MAX_ITER, iters, gap, kkt)
+        try:
+            cfac = (cholesky_banded(ab, lower=True), True)
+        except np.linalg.LinAlgError:
+            return result(z, tab, TROUBLE, iters, gap, kkt)
+        iters += 1
+        mu = gap / ws.m_bar
+        # predictor: the affine-scaling step towards lam*m = 0
+        _, m1, m2 = ws.ray(tab, cho_solve_banded(cfac, -g0))
+        dlam = -lam * (1.0 + m1 / m)
+        a_p = min(1.0, first_root(m, m1, m2))
+        a_d = min(1.0, dual_root(lam, dlam))
+        mu_aff = float((lam + a_d * dlam) @ (m + a_p * (m1 + a_p * m2))) / ws.m_bar
+        sigma = (mu_aff / mu) ** 3
+        # corrector: centring at sigma*mu plus the predictor's second-order terms
+        w = (sigma * mu - dlam * m1 - lam * m2) / m
+        dz = cho_solve_banded(cfac, ws.jt(tab, w) - g0)
+        _, m1, m2 = ws.ray(tab, dz)
+        dlam = w - lam * (1.0 + m1 / m)
+        a_p = min(1.0, 0.99 * first_root(m, m1, m2))
+        for _ in range(60):
+            z_new = z + a_p * dz
+            tab_new = ws.table(z_new)
+            if tab_new.m.min() > 0.0:
+                break
+            a_p *= 0.5
+        else:
+            return result(z, tab, TROUBLE, iters, gap, kkt)
+        z, tab = z_new, tab_new
+        lam = lam + min(1.0, 0.99 * dual_root(lam, dlam)) * dlam

@@ -228,12 +228,15 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
               for r in result.iterations]
     _atomic_write(out_dir / "iterations.csv", "\n".join(lines) + "\n")
 
+    max_kkt = max((r.kkt_residual for r in result.iterations), default=0.0)
     summary = {
         "algorithm": result.algorithm,
         "secrecy_rate_bps_hz": result.secrecy_rate,
         "converged": result.converged,
         "iterations": max(len(result.iterations) - 1, 0),
         "newton_steps": sum(r.newton_iters for r in result.iterations),
+        # null when a solve had no interior start (an infinite residual)
+        "max_kkt_residual": max_kkt if math.isfinite(max_kkt) else None,
         "wall_s": wall_s,
     }
     _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2,

@@ -22,7 +22,7 @@ from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
                        trajectory_violations)
 # initialize_slacks is unused here, but planbench's tracer and its tests wrap
 # the name at this site
-from .trajectory_sca import initialize_slacks, solve_step  # noqa: F401
+from .trajectory_sca import initialize_slacks, solve_step, solver_facts  # noqa: F401
 
 ROBUST = "robust"
 NON_ROBUST = "non_robust"
@@ -37,7 +37,11 @@ class IterationRecord:
     powers: PowerSchedule
     status: str
     wall_s: float
-    newton_iters: int = 0     # Newton steps of the iteration's convex step
+    # the facts of the iteration's convex solve, 0 on the start record
+    newton_iters: int = 0
+    duality_gap: float = 0.0
+    kkt_residual: float = 0.0
+    min_margin: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -111,14 +115,14 @@ def optimize(scenario: Scenario) -> PlanResult:
         sol = solve_step(traj, powers, scenario)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
-                                           time.perf_counter() - t0, sol.newton_iters))
+                                           time.perf_counter() - t0, **solver_facts(sol)))
             break
         traj = sol.trajectory
         dual = optimize_power(traj, scenario)
         powers = dual.schedule
         new_objective = secrecy_sum(traj, powers, scenario)
         records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
-                                       time.perf_counter() - t0, sol.newton_iters))
+                                       time.perf_counter() - t0, **solver_facts(sol)))
         gain = _fractional_increase(new_objective, objective)
         objective = new_objective
         if gain < scenario.epsilon:

@@ -138,6 +138,16 @@ def validate(scenario: Scenario) -> list[str]:
         "gamma0", "epsilon")}
     v = [f"{name} must be finite (got {value})"
          for name, value in {**lengths, **numbers}.items() if not math.isfinite(value)]
+    if all(math.isfinite(value) for value in lengths.values()):
+        # the planner squares squared distances (the rate tangent's d2^2, the
+        # solver's step model), so bound the scene's squared scale: the span
+        # between any two pins or disk edges, squared, plus the altitude's
+        reach = max([math.hypot(*scenario.start_xy), math.hypot(*scenario.end_xy)]
+                    + [math.hypot(e.center_x, e.center_y) + e.radius for e in scenario.eves])
+        scale_sq = 4.0 * reach * reach + scenario.altitude * scenario.altitude
+        if not math.isfinite(16.0 * scale_sq * scale_sq):
+            v.append(f"scene is too large: its squared scale {scale_sq:.6g} m^2 "
+                     "(pins, disks and altitude) overflows when squared")
     # the planner squares lengths, and a Python float's ** raises on overflow
     lengths["v_max*slot_len"] = scenario.max_step
     v += [f"{name} is too large: its square overflows (got {value})"

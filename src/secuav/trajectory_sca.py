@@ -43,7 +43,7 @@ ROBUST_FEAS_TOL = 1e-6   # meters^2, allowed slack when re-checking t against di
 
 @dataclass(frozen=True)
 class ConvexProgram:
-    """Assembled subproblem in the form the barrier backend consumes.
+    """Assembled subproblem in the form the interior-point backend consumes.
 
     Objective (to maximize):
     obj_const - sum_n [g_u[n]*(x[n]^2 + y[n]^2 + h2) + log2(1+P[n]/t[n])],
@@ -80,7 +80,11 @@ class SubproblemSolution:
     surrogate_objective: float
     true_objective: float
     status: str
-    newton_iters: int       # Newton steps of the barrier solve
+    # the solve's own facts (see convex_backend.SolverResult), kept on fallback
+    newton_iters: int
+    duality_gap: float
+    kkt_residual: float
+    min_margin: float
 
 
 def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -130,11 +134,17 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     )
 
 
-def _fallback(traj_fea: Trajectory, powers, scenario, newton_iters) -> SubproblemSolution:
+def solver_facts(res) -> dict:
+    """The solve's iterations, gap, KKT residual and margin, by field name."""
+    return dict(newton_iters=res.newton_iters, duality_gap=res.duality_gap,
+                kkt_residual=res.kkt_residual, min_margin=res.min_margin)
+
+
+def _fallback(traj_fea: Trajectory, powers, scenario, res) -> SubproblemSolution:
     true_val = secrecy_sum(traj_fea, powers, scenario)
     return SubproblemSolution(trajectory=traj_fea, t=initialize_slacks(traj_fea, scenario),
                               surrogate_objective=true_val, true_objective=true_val,
-                              status=TROUBLE, newton_iters=newton_iters)
+                              status=TROUBLE, **solver_facts(res))
 
 
 def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
@@ -149,17 +159,17 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     prog = assemble(traj_fea, powers, scenario)
     res = convex_backend.solve(prog)
     if res.status == TROUBLE:
-        return _fallback(traj_fea, powers, scenario, res.newton_iters)
+        return _fallback(traj_fea, powers, scenario, res)
 
     xs = np.concatenate(([scenario.start_xy[0]], res.x, [scenario.end_xy[0]]))
     ys = np.concatenate(([scenario.start_xy[1]], res.y, [scenario.end_xy[1]]))
     traj = Trajectory(xs=xs, ys=ys)
     if np.any(traj.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
-        return _fallback(traj_fea, powers, scenario, res.newton_iters)
+        return _fallback(traj_fea, powers, scenario, res)
 
     t = res.t
     if np.any(initialize_slacks(traj, scenario) < t - ROBUST_FEAS_TOL):
-        return _fallback(traj_fea, powers, scenario, res.newton_iters)
+        return _fallback(traj_fea, powers, scenario, res)
     x, y = traj.slot_positions()
 
     # improvement chain, checked numerically every step: the surrogate under-
@@ -169,10 +179,10 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     true_val = secrecy_sum(traj, powers, scenario)
     sur_fea = _surrogate_value(prog, prog.x_start, prog.y_start, prog.t_fea)
     if surrogate > true_val + 1e-9 * max(1.0, abs(true_val)):
-        return _fallback(traj_fea, powers, scenario, res.newton_iters)
+        return _fallback(traj_fea, powers, scenario, res)
     if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):
-        return _fallback(traj_fea, powers, scenario, res.newton_iters)
+        return _fallback(traj_fea, powers, scenario, res)
     return SubproblemSolution(trajectory=traj, t=t,
                               surrogate_objective=surrogate,
                               true_objective=true_val, status=res.status,
-                              newton_iters=res.newton_iters)
+                              **solver_facts(res))

@@ -182,7 +182,9 @@ class TestCli:
             outs.append(out)
         for name in ("trajectory.csv", "power.csv", "iterations.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        assert json.loads((outs[0] / "summary.json").read_text())["newton_steps"] > 0
+        summary = json.loads((outs[0] / "summary.json").read_text())
+        assert summary["newton_steps"] > 0
+        assert 0.0 < summary["max_kkt_residual"] <= 1e-7
 
     def test_sweep_cli(self, tmp_path):
         scen_file = write_tiny(tmp_path)
@@ -213,6 +215,7 @@ class TestCli:
         ("v_max must be finite", dict(v_max=math.nan)),
         ("flight_duration", dict(flight_duration=math.inf)),
         ("altitude is too large", dict(altitude=1e200)),
+        ("scene is too large", dict(altitude=1.3e154)),
     ])
     def test_bad_field_error_json(self, tmp_path, capsys, field, change):
         path = tmp_path / "s.json"

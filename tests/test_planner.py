@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from secuav import planner
 from secuav.convex_backend import TROUBLE
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
-from secuav.planner import (best_effort_trajectory, equal_power, optimize,
-                            optimize_non_robust, run_best_effort)
+from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
+                            optimize, optimize_non_robust, run_best_effort)
 from secuav.power_alloc import PowerDual
 from secuav.scenario import (EveRegion, PowerSchedule, trajectory_violations,
                              power_violations, validate)
@@ -94,6 +94,19 @@ class TestOptimize:
         res = optimize(tiny_scenario)
         base = run_best_effort(tiny_scenario)
         assert res.secrecy_rate >= base.secrecy_rate - 1e-9
+
+    def test_iterations_carry_solver_facts(self, tiny_scenario):
+        res = optimize(tiny_scenario)
+        names = [f.name for f in dataclasses.fields(IterationRecord)]
+        assert names[-4:] == ["newton_iters", "duality_gap", "kkt_residual", "min_margin"]
+        start, *steps = res.iterations
+        assert (start.newton_iters, start.duality_gap, start.kkt_residual,
+                start.min_margin) == (0, 0.0, 0.0, 0.0)
+        for r in steps:
+            assert r.status == "optimal"
+            assert r.newton_iters > 0 and r.min_margin > 0.0
+            assert 0.0 < r.duality_gap < 1e-6
+            assert r.kkt_residual <= 1e-7
 
     def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
         # a power block that overspends both budgets: the plan must not be
@@ -215,7 +228,7 @@ def valid_scenarios(draw):
 
 class TestRandomValidScenarios:
     @given(scen=valid_scenarios())
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=50, deadline=None)
     def test_plans_improve_on_the_start_without_trouble(self, scen):
         assert validate(scen) == []
         for res in (optimize(scen), optimize_non_robust(scen)):

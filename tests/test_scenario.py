@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from secuav.planner import optimize
 from secuav.scenario import (EveRegion, PowerSchedule, Trajectory, slot_count,
                              power_violations, trajectory_violations, validate)
 
@@ -101,6 +103,35 @@ class TestValidate:
     ])
     def test_huge_length_named_not_raised(self, name, overrides):
         assert f"{name} is too large" in " ".join(validate(make_scenario(**overrides)))
+
+    @pytest.mark.parametrize("overrides", [
+        dict(altitude=1.3e154),
+        dict(eves=(EveRegion(1e154, 1e154, 2.0),)),
+    ], ids=["altitude", "eve-centre"])
+    def test_scene_whose_squared_sums_overflow_named(self, overrides):
+        """Every length squares finitely, but the planner's squared distances
+        do not: optimize stopped at iteration 1 with overflow warnings."""
+        assert "scene is too large" in " ".join(validate(make_scenario(**overrides)))
+
+    def test_largest_accepted_scene_plans_without_overflow(self):
+        """The paper_fig2-like test scene scaled up to just inside the bound
+        (lengths by s, gamma0 by s^2, an equivalent problem) still plans
+        cleanly."""
+        base = make_scenario()
+        s = 1.3e75
+        scen = dataclasses.replace(
+            base, altitude=base.altitude * s, v_max=base.v_max * s,
+            start_xy=(base.start_xy[0] * s, base.start_xy[1] * s),
+            end_xy=(base.end_xy[0] * s, base.end_xy[1] * s), gamma0=base.gamma0 * s**2,
+            eves=tuple(EveRegion(e.center_x * s, e.center_y * s, e.radius * s)
+                       for e in base.eves))
+        assert validate(scen) == []
+        assert validate(dataclasses.replace(scen, altitude=scen.altitude * 2.0)) != []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = optimize(scen)
+        assert res.converged
+        assert res.secrecy_rate == pytest.approx(optimize(base).secrecy_rate, rel=1e-9)
 
     def test_validate_is_pure(self):
         scen = make_scenario()
