@@ -62,7 +62,8 @@ lambda_i = TAU0_GAP/(m_bar*m_i), so lambda^T m = TAU0_GAP.
 Stop and certificate.  The status is "optimal" once
 lambda^T m <= OPT_TOL*max(1, |objective|) and |r|_inf <= KKT_TOL, at a point
 whose margins, evaluated directly, are all positive; MAX_NEWTON iterations
-end it as "max_iter" and a failed factorization as "numerical_trouble".
+end it as "max_iter" and a failed factorization (not positive definite, or
+a factor that is not finite) as "numerical_trouble".
 ``duality_gap`` is lambda^T m and ``kkt_residual`` is |r|_inf.  The point z
 minimizes the Lagrangian f0 - r.z - lambda^T m exactly, as that is convex in
 z (f0 is convex, every margin concave) and stationary at z; so z is within
@@ -99,8 +100,11 @@ first and then the stack row by row.  The solver reads the table everywhere:
   * the Newton matrix H adds (lambda/m) grad m grad m^T - lambda hess m: the
     stack's terms are summed over its rows in one reduction into the 3x3
     slot blocks, and the chain adds its diagonal and off-diagonal bands, all
-    written straight into the lower band array that ``cholesky_banded``
-    reads; ``jt`` sums w_i grad m_i for the residual and the corrector;
+    written straight into the Fortran-ordered lower band array that
+    ``cholesky_banded`` hands to LAPACK's dpbtrf, which factors it in place
+    (``cho_solve_banded`` solves with dpbtrs; both are thin calls that skip
+    scipy's wrappers); ``jt`` sums w_i grad m_i for the residual and the
+    corrector;
   * along a step dz each margin is modelled by m0 + a*m1 + a^2*m2 in the
     step length a, with m1 = grad m . dz and m2 = dz^T (hess m) dz / 2.  The
     model is exact for every quadratic row: the mobility and floor rows,
@@ -114,7 +118,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cholesky_banded, cho_solve_banded
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .geometry import LN2, log2_1p
 
@@ -147,6 +151,31 @@ TROUBLE = "numerical_trouble"
 T_FLOOR = 0.5
 
 X, Y, T = range(3)  # block columns
+
+
+def cholesky_banded(ab, lower=False):
+    """Banded Cholesky factor, as ``scipy.linalg.cholesky_banded`` computes it.
+
+    LAPACK's dpbtrf is called directly, without scipy's input checks and
+    array wrapping; it factors ``ab`` in place when that is a Fortran-ordered
+    float64 array, as ``assemble`` builds it.
+    Raises LinAlgError when the matrix is not positive definite or the factor
+    is not finite (a NaN in ``ab`` passes dpbtrf and reaches the diagonal).
+    """
+    c, info = dpbtrf(ab, lower=lower, overwrite_ab=1)
+    if info != 0 or not np.isfinite(c[0 if lower else -1]).all():
+        raise np.linalg.LinAlgError(f"banded Cholesky failed (dpbtrf info {info})")
+    return c
+
+
+def cho_solve_banded(cb_and_lower, b):
+    """Solve with a factor of ``cholesky_banded``, as
+    ``scipy.linalg.cho_solve_banded`` does, through LAPACK's dpbtrs."""
+    cb, lower = cb_and_lower
+    x, info = dpbtrs(cb, b, lower=lower)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"banded Cholesky solve failed (dpbtrs info {info})")
+    return x
 
 
 class _Table(NamedTuple):

@@ -235,6 +235,7 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
         "converged": result.converged,
         "iterations": max(len(result.iterations) - 1, 0),
         "newton_steps": sum(r.newton_iters for r in result.iterations),
+        "power_iters": sum(r.power_iters for r in result.iterations),
         # null when a solve had no interior start (an infinite residual)
         "max_kkt_residual": max_kkt if math.isfinite(max_kkt) else None,
         "wall_s": wall_s,

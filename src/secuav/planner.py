@@ -10,6 +10,7 @@ best-effort benchmark skips optimization entirely.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -37,6 +38,10 @@ class IterationRecord:
     powers: PowerSchedule
     status: str
     wall_s: float
+    # the power dual and its power-law evaluations, 0 on the start record and
+    # on a step that ends in numerical trouble (no power update)
+    power_lam: float = 0.0
+    power_iters: int = 0
     # the facts of the iteration's convex solve, 0 on the start record
     newton_iters: int = 0
     duality_gap: float = 0.0
@@ -64,29 +69,31 @@ def best_effort_trajectory(scenario: Scenario) -> Trajectory:
     n = scenario.n_slots
     step = scenario.max_step
     eps = 1e-9 * max(step, 1.0)
-    pos = np.array(scenario.start_xy, dtype=float)
-    end = np.array(scenario.end_xy, dtype=float)
-    bob = np.zeros(2)
-    xs = np.empty(n + 2)
-    ys = np.empty(n + 2)
-    xs[0], ys[0] = pos
+    # Python floats: numpy's per-call cost on 2-element arrays dwarfs the
+    # arithmetic of this loop
+    x, y = map(float, scenario.start_xy)
+    end_x, end_y = map(float, scenario.end_xy)
+    xs, ys = [x], [y]
 
-    def towards(p, target):
-        d = float(np.hypot(*(target - p)))
+    def towards(px, py, tx, ty):
+        dx, dy = tx - px, ty - py
+        d = math.hypot(dx, dy)
         if d <= step:
-            return target.copy()
-        return p + (step / d) * (target - p)
+            return tx, ty
+        f = step / d
+        return px + f * dx, py + f * dy
 
     for i in range(1, n + 2):
-        cand = towards(pos, bob)
+        cx, cy = towards(x, y, 0.0, 0.0)
         remaining = (n + 1) - i
-        if float(np.hypot(*(cand - end))) <= remaining * step + eps:
-            pos = cand
+        if math.hypot(cx - end_x, cy - end_y) <= remaining * step + eps:
+            x, y = cx, cy
         else:
-            pos = towards(pos, end)
-        xs[i], ys[i] = pos
-    xs[n + 1], ys[n + 1] = end
-    return Trajectory(xs=xs, ys=ys)
+            x, y = towards(x, y, end_x, end_y)
+        xs.append(x)
+        ys.append(y)
+    xs[n + 1], ys[n + 1] = end_x, end_y
+    return Trajectory(xs=np.array(xs), ys=np.array(ys))
 
 
 def equal_power(scenario: Scenario) -> PowerSchedule:
@@ -96,6 +103,13 @@ def equal_power(scenario: Scenario) -> PowerSchedule:
 
 def _fractional_increase(new: float, old: float) -> float:
     return abs(new - old) / max(abs(old), 1e-12)
+
+
+def _check_feasible(traj: Trajectory, powers: PowerSchedule, scenario: Scenario):
+    violations = (trajectory_violations(traj, scenario)
+                  + power_violations(powers, scenario))
+    if violations:
+        raise RuntimeError("planned schedule is infeasible: " + "; ".join(violations))
 
 
 def optimize(scenario: Scenario) -> PlanResult:
@@ -122,17 +136,15 @@ def optimize(scenario: Scenario) -> PlanResult:
         powers = dual.schedule
         new_objective = secrecy_sum(traj, powers, scenario)
         records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
-                                       time.perf_counter() - t0, **solver_facts(sol)))
+                                       time.perf_counter() - t0, power_lam=dual.lam,
+                                       power_iters=dual.iterations, **solver_facts(sol)))
         gain = _fractional_increase(new_objective, objective)
         objective = new_objective
         if gain < scenario.epsilon:
             converged = True
             break
     best = max(records, key=lambda r: r.objective)
-    violations = (trajectory_violations(best.trajectory, scenario)
-                  + power_violations(best.powers, scenario))
-    if violations:
-        raise RuntimeError("planned schedule is infeasible: " + "; ".join(violations))
+    _check_feasible(best.trajectory, best.powers, scenario)
     return PlanResult(trajectory=best.trajectory, powers=best.powers,
                       iterations=tuple(records),
                       secrecy_rate=avg_worst_case_secrecy_rate(
@@ -155,8 +167,14 @@ def optimize_non_robust(scenario: Scenario) -> PlanResult:
 
 
 def run_best_effort(scenario: Scenario) -> PlanResult:
+    """The best-effort benchmark: the greedy track with equal power.
+
+    Raises RuntimeError, like ``optimize``, when the plan breaks a trajectory
+    or power constraint of the scenario.
+    """
     traj = best_effort_trajectory(scenario)
     powers = equal_power(scenario)
+    _check_feasible(traj, powers, scenario)
     return PlanResult(trajectory=traj, powers=powers, iterations=(),
                       secrecy_rate=avg_worst_case_secrecy_rate(traj, powers, scenario),
                       converged=True, algorithm=BEST_EFFORT)

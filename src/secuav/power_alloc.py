@@ -2,10 +2,12 @@
 
 With the trajectory fixed, the objective separates over slots; each slot's
 optimal power is a closed-form function of the slot's two SNR coefficients and
-one scalar dual variable for the average-power constraint, found by bisection.
+one scalar dual variable for the average-power constraint, found by a
+safeguarded Newton method on the mean power as a function of the dual.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,7 +16,7 @@ from .geometry import LN2, worst_case_geometry
 from .scenario import PowerSchedule, Scenario, Trajectory
 
 POWER_RESIDUAL_REL = 1e-9
-MAX_BISECT_ITERS = 200
+MAX_DUAL_ITERS = 200       # power-law evaluations per solve
 
 
 @dataclass(frozen=True)
@@ -24,7 +26,15 @@ class PowerDual:
     lam: float
     schedule: PowerSchedule
     avg_used: float
-    iterations: int
+    iterations: int           # power-law evaluations at lam > 0
+
+
+def _stationary(half_diff, half_sum, lam: float):
+    """Stationary point of the per-slot Lagrangian at lam > 0, unclamped, with
+    its square-root term; NaN where half_diff < 0 (alpha < beta)."""
+    with np.errstate(invalid="ignore"):
+        root = np.sqrt(half_diff**2 + 2.0 * half_diff / (lam * LN2))
+    return root - half_sum, root
 
 
 def power_for_dual(alpha, beta, lam: float, peak: float):
@@ -42,20 +52,27 @@ def power_for_dual(alpha, beta, lam: float, peak: float):
     if lam <= 0.0:
         p = np.where(active, peak, 0.0)
         return float(p) if p.ndim == 0 else p
-    half_diff = 0.5 / beta - 0.5 / alpha
-    half_sum = 0.5 / beta + 0.5 / alpha
-    with np.errstate(invalid="ignore"):
-        p_hat = np.sqrt(half_diff**2 + 2.0 * half_diff / (lam * LN2)) - half_sum
+    p_hat, _ = _stationary(0.5 / beta - 0.5 / alpha, 0.5 / beta + 0.5 / alpha, lam)
     p = np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak), 0.0)
     return float(p) if p.ndim == 0 else p
 
 
 def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> PowerDual:
-    """Bisection on the average-power dual for given per-slot coefficients.
+    """Safeguarded Newton method on the average-power dual for given per-slot
+    coefficients.
 
     The mean power is continuous and non-increasing in the dual, so either the
-    unconstrained (lam = 0) schedule already fits the budget, or the bisection
-    pins the mean to it.
+    unconstrained (lam = 0) schedule already fits the budget, or the search
+    pins the mean to it.  It starts at lam = 1 and keeps a bracket: lo, where
+    the mean exceeds the budget, and hi, where it does not (open until found).
+    With hd = 1/(2 beta) - 1/(2 alpha), a free slot (0 < p < peak) has
+    dp/dlam = -hd / (LN2 * lam^2 * sqrt(hd^2 + 2*hd/(lam*LN2))), and the
+    mean's slope is their sum over the slot count.  A Newton step that leaves
+    the bracket, or a zero slope (every active slot clamped at 0 or at peak),
+    gives way to bisection, or to doubling lam while hi is open.  The result
+    is the first point whose mean is within POWER_RESIDUAL_REL of the budget,
+    else, once the bracket is 1e-12 relative wide or MAX_DUAL_ITERS power-law
+    evaluations are spent, hi; RuntimeError when hi was never found.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
@@ -64,34 +81,37 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
         return PowerDual(lam=0.0, schedule=PowerSchedule(p0),
                          avg_used=float(p0.mean()), iterations=0)
 
-    lam_lo, lam_hi = 0.0, 1.0
-    iters = 0
-    while power_for_dual(alpha, beta, lam_hi, peak_power).mean() > avg_power:
-        lam_lo = lam_hi
-        lam_hi *= 2.0
-        iters += 1
-        if iters > 400:
-            raise RuntimeError("dual bracket expansion failed to cap mean power")
-
-    lam = lam_hi
-    p = power_for_dual(alpha, beta, lam, peak_power)
-    for _ in range(MAX_BISECT_ITERS):
-        mid = 0.5 * (lam_lo + lam_hi)
-        p_mid = power_for_dual(alpha, beta, mid, peak_power)
-        mean_mid = p_mid.mean()
-        iters += 1
-        if abs(mean_mid - avg_power) <= POWER_RESIDUAL_REL * avg_power:
-            lam, p = mid, p_mid
-            break
-        if mean_mid > avg_power:
-            lam_lo = mid
+    active = alpha > beta
+    half_diff = 0.5 / beta - 0.5 / alpha
+    half_sum = 0.5 / beta + 0.5 / alpha
+    tol = POWER_RESIDUAL_REL * avg_power
+    lo, hi, p_hi = 0.0, math.inf, None
+    lam = 1.0
+    for iters in range(1, MAX_DUAL_ITERS + 1):
+        p_hat, root = _stationary(half_diff, half_sum, lam)
+        p = np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak_power), 0.0)
+        mean = p.mean()
+        if abs(mean - avg_power) <= tol:
+            return PowerDual(lam=lam, schedule=PowerSchedule(p),
+                             avg_used=float(mean), iterations=iters)
+        if mean > avg_power:
+            lo = lam
         else:
-            lam_hi = mid
-            lam, p = mid, p_mid
-        if lam_hi - lam_lo < 1e-12 * lam_hi:
+            hi, p_hi = lam, p
+        if hi - lo < 1e-12 * hi:
             break
-    return PowerDual(lam=lam, schedule=PowerSchedule(p),
-                     avg_used=float(p.mean()), iterations=iters)
+        free = active & (p_hat > 0.0) & (p_hat < peak_power)
+        slope = -float((half_diff[free] / root[free]).sum()) / (LN2 * lam * lam * p.size)
+        step = lam - (mean - avg_power) / slope if slope < 0.0 else math.nan
+        if lo < step < hi:
+            lam = step
+        else:
+            lam = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+    if p_hi is None:
+        raise RuntimeError(f"power dual found no schedule within the average budget "
+                           f"in {MAX_DUAL_ITERS} evaluations")
+    return PowerDual(lam=hi, schedule=PowerSchedule(p_hi),
+                     avg_used=float(p_hi.mean()), iterations=iters)
 
 
 def optimize_power(traj: Trajectory, scenario: Scenario) -> PowerDual:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import minimize
 
 from secuav import convex_backend
@@ -622,3 +623,70 @@ class TestFailureExits:
         assert res.min_margin > 0.0
         assert math.isfinite(res.objective)
         assert res.duality_gap > 0.0 and math.isfinite(res.kkt_residual)
+
+
+def random_spd_band(rng, nz=960, kd=4, lower=True):
+    """A random diagonally dominant (so SPD) band, Fortran-ordered, in LAPACK's
+    lower or upper band storage; nz = 960 is N = 320 slots of [x, y, t]."""
+    lo = np.zeros((kd + 1, nz), order="F")
+    lo[0] = 2.0 * kd + 1.0 + rng.uniform(0.0, 1.0, nz)
+    for d in range(1, kd + 1):
+        lo[d, :nz - d] = rng.uniform(-1.0, 1.0, nz - d)
+    if lower:
+        return lo
+    up = np.zeros_like(lo)
+    for d in range(kd + 1):
+        up[kd - d, d:] = lo[d, :nz - d]
+    return up
+
+
+def _negated(ab):
+    return -ab
+
+
+def _nan_entry(ab):
+    ab = ab.copy(order="F")
+    ab[2, ab.shape[1] // 3] = np.nan
+    return ab
+
+
+def _inf_entry(ab):
+    ab = ab.copy(order="F")
+    ab[1, ab.shape[1] // 2] = np.inf
+    return ab
+
+
+class TestBandCalls:
+    """The module's thin dpbtrf/dpbtrs calls behind the scipy names."""
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_bit_equal_to_scipy(self, lower):
+        rng = np.random.default_rng(5)
+        ab = random_spd_band(rng, lower=lower)
+        want = scipy.linalg.cholesky_banded(ab, lower=lower)
+        got = convex_backend.cholesky_banded(ab.copy(order="F"), lower=lower)
+        assert np.array_equal(got, want)
+        b = rng.standard_normal(ab.shape[1])
+        assert np.array_equal(convex_backend.cho_solve_banded((got, lower), b),
+                              scipy.linalg.cho_solve_banded((want, lower), b))
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("spoil", [_negated, _nan_entry, _inf_entry])
+    def test_bad_band_raises_linalg_error(self, spoil, lower):
+        ab = spoil(random_spd_band(np.random.default_rng(6), lower=lower))
+        with pytest.raises(np.linalg.LinAlgError):
+            convex_backend.cholesky_banded(ab, lower=lower)
+
+    @pytest.mark.parametrize("spoil", [_negated, _nan_entry, _inf_entry])
+    def test_bad_band_ends_solve_in_numerical_trouble(self, spoil, monkeypatch):
+        # a non-finite band used to escape solve as scipy's ValueError
+        assemble_band = _Workspace.assemble
+
+        def spoiled(self, tab, z, lam):
+            g0, ab = assemble_band(self, tab, z, lam)
+            return g0, spoil(ab)
+
+        monkeypatch.setattr(_Workspace, "assemble", spoiled)
+        res = solve(kernel_program())
+        assert (res.status, res.newton_iters) == ("numerical_trouble", 0)
+        assert res.min_margin > 0.0

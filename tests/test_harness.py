@@ -13,7 +13,7 @@ from secuav.harness import (HarnessError, SweepSpec, _check_huber_margin,
                             verify_suites)
 from secuav.planner import run_best_effort, optimize
 from secuav.scenario import (PowerSchedule, Trajectory, power_violations,
-                             trajectory_violations)
+                             trajectory_violations, validate)
 
 from conftest import BENCHMARK_SCENARIO, make_scenario
 
@@ -95,7 +95,9 @@ class TestLoadScenario:
 
 class TestExport:
     def test_trajectory_rows_include_endpoints(self, tmp_path):
-        scen = make_scenario(flight_duration=1.5, n_slots=3)
+        # 4 steps of 10 m reach the end pin 30 m away
+        scen = make_scenario(flight_duration=1.5, n_slots=3, v_max=20.0)
+        assert validate(scen) == []
         res = run_best_effort(scen)
         export_plan(res, tmp_path)
         lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
@@ -171,6 +173,7 @@ class TestCli:
         assert (out / "summary.json").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["algorithm"] == "best_effort"
+        assert (summary["newton_steps"], summary["power_iters"]) == (0, 0)
 
     def test_cli_byte_determinism(self, tmp_path):
         scen_file = write_tiny(tmp_path)
@@ -185,6 +188,10 @@ class TestCli:
         summary = json.loads((outs[0] / "summary.json").read_text())
         assert summary["newton_steps"] > 0
         assert 0.0 < summary["max_kkt_residual"] <= 1e-7
+        plan = optimize(load_scenario(scen_file))
+        assert summary["power_iters"] == sum(r.power_iters for r in plan.iterations) > 0
+        assert (outs[0] / "iterations.csv").read_text().splitlines()[0] == \
+            "iter,objective,status,wall_ms"
 
     def test_sweep_cli(self, tmp_path):
         scen_file = write_tiny(tmp_path)

@@ -9,19 +9,74 @@ from hypothesis import given, settings
 from secuav import planner
 from secuav.convex_backend import TROUBLE
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
+from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
                             optimize, optimize_non_robust, run_best_effort)
-from secuav.power_alloc import PowerDual
-from secuav.scenario import (EveRegion, PowerSchedule, trajectory_violations,
+from secuav.power_alloc import PowerDual, optimize_power
+from secuav.scenario import (EveRegion, PowerSchedule, Trajectory, trajectory_violations,
                              power_violations, validate)
 
-from conftest import make_scenario, benchmark_fields
+from conftest import BENCHMARK_SCENARIO, make_scenario, benchmark_fields
+
+
+def numpy_loop_best_effort(scenario):
+    """The greedy as it was first written, on 2-element numpy arrays: the
+    reference for ``best_effort_trajectory``, which runs the same operations
+    on Python floats."""
+    n = scenario.n_slots
+    step = scenario.max_step
+    eps = 1e-9 * max(step, 1.0)
+    pos = np.array(scenario.start_xy, dtype=float)
+    end = np.array(scenario.end_xy, dtype=float)
+    bob = np.zeros(2)
+    xs = np.empty(n + 2)
+    ys = np.empty(n + 2)
+    xs[0], ys[0] = pos
+
+    def towards(p, target):
+        d = float(np.hypot(*(target - p)))
+        if d <= step:
+            return target.copy()
+        return p + (step / d) * (target - p)
+
+    for i in range(1, n + 2):
+        cand = towards(pos, bob)
+        remaining = (n + 1) - i
+        if float(np.hypot(*(cand - end))) <= remaining * step + eps:
+            pos = cand
+        else:
+            pos = towards(pos, end)
+        xs[i], ys[i] = pos
+    xs[n + 1], ys[n + 1] = end
+    return Trajectory(xs=xs, ys=ys)
+
+
+def assert_matches_numpy_loop(scen):
+    """Equal to the numpy-loop greedy within ulps: math.hypot and np.hypot
+    may differ in the last bit."""
+    got, want = best_effort_trajectory(scen), numpy_loop_best_effort(scen)
+    tol = 1e-9 * max(scen.max_step, 1.0)
+    assert np.abs(got.xs - want.xs).max() <= tol
+    assert np.abs(got.ys - want.ys).max() <= tol
 
 
 class TestBestEffortTrajectory:
+    @pytest.mark.parametrize("flight_duration", [80.0 + 10.0 * i for i in range(10)])
+    def test_bit_identical_to_numpy_loop_on_paper_fig2(self, flight_duration):
+        scen = derive_scenario(load_scenario(BENCHMARK_SCENARIO), "T", flight_duration)
+        got, want = best_effort_trajectory(scen), numpy_loop_best_effort(scen)
+        assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
+
+    def test_bit_identical_to_numpy_loop_on_fine_slots(self):
+        scen = dataclasses.replace(load_scenario(BENCHMARK_SCENARIO),
+                                   slot_len=0.1, n_slots=1600)
+        got, want = best_effort_trajectory(scen), numpy_loop_best_effort(scen)
+        assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
+
     def test_long_flight_hovers_above_receiver(self):
         scen = make_scenario(**benchmark_fields(160.0))
         traj = best_effort_trajectory(scen)
+        assert_matches_numpy_loop(scen)
         assert trajectory_violations(traj, scen) == []
         at_bob = np.hypot(traj.xs, traj.ys) < 1e-9
         # ~70.6 s of hover at 0.5 s slots
@@ -33,6 +88,7 @@ class TestBestEffortTrajectory:
     def test_short_flight_turns_midway(self):
         scen = make_scenario(**benchmark_fields(80.0))
         traj = best_effort_trajectory(scen)
+        assert_matches_numpy_loop(scen)
         assert trajectory_violations(traj, scen) == []
         d_bob = np.hypot(traj.xs, traj.ys)
         assert d_bob.min() > 1.0  # never reaches the receiver
@@ -45,6 +101,7 @@ class TestBestEffortTrajectory:
     def test_degenerate_stationary_endpoints(self):
         scen = make_scenario(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         traj = best_effort_trajectory(scen)
+        assert_matches_numpy_loop(scen)
         assert np.all(traj.xs == 0.0) and np.all(traj.ys == 0.0)
 
     def test_departure_is_as_late_as_possible(self):
@@ -102,11 +159,17 @@ class TestOptimize:
         start, *steps = res.iterations
         assert (start.newton_iters, start.duality_gap, start.kkt_residual,
                 start.min_margin) == (0, 0.0, 0.0, 0.0)
+        assert (start.power_lam, start.power_iters) == (0.0, 0)
         for r in steps:
             assert r.status == "optimal"
             assert r.newton_iters > 0 and r.min_margin > 0.0
             assert 0.0 < r.duality_gap < 1e-6
             assert r.kkt_residual <= 1e-7
+            # the record's power dual is the one its schedule came from
+            dual = optimize_power(r.trajectory, tiny_scenario)
+            assert (r.power_lam, r.power_iters) == (dual.lam, dual.iterations)
+            assert np.array_equal(r.powers.p, dual.schedule.p)
+            assert r.power_lam > 0.0 and r.power_iters > 0
 
     def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
         # a power block that overspends both budgets: the plan must not be
@@ -188,6 +251,19 @@ class TestDegenerateScenarios:
 
 
 class TestRunBestEffort:
+    def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
+        # a track that jumps across the scene in one slot breaks the mobility
+        # limit: the benchmark must not report it as a plan
+        def jump(scenario):
+            traj = best_effort_trajectory(scenario)
+            xs = traj.xs.copy()
+            xs[1] += 10.0 * scenario.max_step
+            return Trajectory(xs=xs, ys=traj.ys)
+
+        monkeypatch.setattr(planner, "best_effort_trajectory", jump)
+        with pytest.raises(RuntimeError, match="step 0 length exceeds"):
+            run_best_effort(tiny_scenario)
+
     def test_composition(self, tiny_scenario):
         res = run_best_effort(tiny_scenario)
         traj = best_effort_trajectory(tiny_scenario)
@@ -231,6 +307,7 @@ class TestRandomValidScenarios:
     @settings(max_examples=50, deadline=None)
     def test_plans_improve_on_the_start_without_trouble(self, scen):
         assert validate(scen) == []
+        assert_matches_numpy_loop(scen)
         for res in (optimize(scen), optimize_non_robust(scen)):
             objs = [r.objective for r in res.iterations]
             assert all(r.status != TROUBLE for r in res.iterations)

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from secuav import power_alloc
 from secuav.geometry import worst_case_geometry
-from secuav.power_alloc import (optimize_power, power_for_dual,
+from secuav.power_alloc import (POWER_RESIDUAL_REL, optimize_power, power_for_dual,
                                 solve_power_subproblem)
 from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
 
@@ -150,6 +151,92 @@ class TestSolvePowerSubproblem:
         a = solve_power_subproblem(alpha, beta, 1e-3, 4e-3)
         b = solve_power_subproblem(alpha, beta, 1e-3, 4e-3)
         assert np.array_equal(a.schedule.p, b.schedule.p) and a.lam == b.lam
+
+
+def c03_draws(seed, count=100):
+    """(alpha, beta, p_bar, peak) drawn as the c03 acceptance check draws them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 17))
+        alpha = 10.0 ** rng.uniform(2, 6, n)
+        beta = 10.0 ** rng.uniform(2, 6, n)
+        p_bar = 10.0 ** rng.uniform(-5, -2)
+        yield alpha, beta, p_bar, p_bar * rng.uniform(1.5, 6.0)
+
+
+def assert_pinned(dual, p_bar):
+    """The schedule is the power law at the returned dual, and its mean meets
+    the budget within POWER_RESIDUAL_REL."""
+    p = dual.schedule.p
+    assert dual.lam > 0.0
+    assert abs(p.mean() - p_bar) <= POWER_RESIDUAL_REL * p_bar
+    assert dual.avg_used == p.mean()
+
+
+class TestNewtonDual:
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_evaluation_count_on_c03_draws(self, seed):
+        counts = []
+        for alpha, beta, p_bar, peak in c03_draws(seed):
+            dual = solve_power_subproblem(alpha, beta, p_bar, peak)
+            if dual.lam > 0.0:
+                assert_pinned(dual, p_bar)
+                counts.append(dual.iterations)
+        assert len(counts) > 50
+        assert max(counts) <= 25
+        assert np.median(counts) <= 15
+
+    def test_root_inside_a_clamped_plateau(self):
+        # slot A sits at peak for lam <= 1e-2 and slot B at 0 for lam >= 1e-3,
+        # so on [1e-3, 1e-2] the mean is exactly peak/2 with zero slope.  At
+        # the start lam = 1 both slots are at 0 (lam > (alpha - beta)/LN2 for
+        # both): the slope is 0 there too, so only bisection gets below
+        alpha = np.array([1.0 + 0.5 * LN2, 1.0 + 1e-3 * LN2])
+        beta = np.array([1.0, 1.0])
+        peak = float(power_for_dual(alpha[0], beta[0], 1e-2, math.inf))
+        assert power_for_dual(alpha, beta, 1.0, peak).max() == 0.0
+        dual = solve_power_subproblem(alpha, beta, 0.5 * peak, peak)
+        assert_pinned(dual, 0.5 * peak)
+        assert 1e-3 <= dual.lam <= 1e-2
+        assert np.array_equal(dual.schedule.p, [peak, 0.0])
+
+    @pytest.mark.parametrize("lam_star", [1e-6, 1e6])
+    def test_extreme_roots(self, lam_star):
+        # the budget is the mean power at lam_star, so lam_star is the root
+        rng = np.random.default_rng(3)
+        beta = 10.0 ** rng.uniform(2, 4, 8)
+        alpha = beta + 1e7 * rng.uniform(1.0, 2.0, 8)
+        peak = 10.0 * float(power_for_dual(alpha, beta, lam_star, math.inf).max())
+        p_bar = float(power_for_dual(alpha, beta, lam_star, peak).mean())
+        dual = solve_power_subproblem(alpha, beta, p_bar, peak)
+        assert_pinned(dual, p_bar)
+        assert dual.lam == pytest.approx(lam_star, rel=1e-6)
+        assert dual.iterations <= 40
+
+    def test_iteration_cap_returns_last_point_within_budget(self, monkeypatch):
+        # the root lies below the start lam = 1, so the mean at lam = 1 fits
+        # the budget and bounds the bracket from the first evaluation on
+        alpha, beta = np.array([2e4, 3e4, 5e4]), np.array([1e4, 1e4, 2e4])
+        peak = 10.0 * float(power_for_dual(alpha, beta, 1e-3, math.inf).max())
+        p_bar = float(power_for_dual(alpha, beta, 1e-3, peak).mean())
+        full = solve_power_subproblem(alpha, beta, p_bar, peak)
+        assert full.iterations > 3
+        monkeypatch.setattr(power_alloc, "MAX_DUAL_ITERS", 3)
+        capped = solve_power_subproblem(alpha, beta, p_bar, peak)
+        assert capped.iterations == 3
+        assert capped.lam > full.lam
+        assert capped.avg_used < p_bar
+        assert np.array_equal(capped.schedule.p,
+                              power_for_dual(alpha, beta, capped.lam, peak))
+
+    def test_iteration_cap_without_a_point_within_budget_raises(self, monkeypatch):
+        # lam doubles from 1 while every slot stays at peak, so no evaluated
+        # point fits the budget before the cap
+        alpha = np.array([1e7, 2e7])
+        beta = np.array([1e2, 1e2])
+        monkeypatch.setattr(power_alloc, "MAX_DUAL_ITERS", 3)
+        with pytest.raises(RuntimeError, match="no schedule within the average budget"):
+            solve_power_subproblem(alpha, beta, 1e-3, 4e-3)
 
 
 class TestOptimizePower:
