@@ -34,7 +34,7 @@ ch. 19) minimizes f0, the negated objective, subject to every margin
 m_i(z) >= 0.  The point z stays strictly interior and each margin carries a
 multiplier lambda_i > 0; the iterations drive the residual
 r = grad f0 - sum_i lambda_i grad m_i and the complementarity
-mu = lambda^T m / m_bar to zero, with m_bar = (N+1) + (K+1)*N margins.  Each
+mu = lambda^T m / m_bar to zero, with m_bar = (N+1) + N + K*N margins.  Each
 iteration factors
 
     H = hess f0 + sum_i (lambda_i/m_i) grad m_i grad m_i^T - sum_i lambda_i hess m_i
@@ -85,26 +85,26 @@ step 2^-k along the segment of least barrier; the barrier is convex there, so
 the search stops at its first increase.
 
 Constraint families.  Every margin is concave, and the table at a point holds
-two fixed families.  The mobility chain has one row per step, N+1 in all,
+three row blocks, in the flat order chain, floor, disks (``_Workspace`` names
+the three slices).  The mobility chain has one row per step, N+1 in all,
 written in the step differences (dx, dy) = (x[j]-x[j-1], y[j]-y[j-1]); it
-reaches the two slots of each step through the chain rule.  The slot-local
-stack has K+1 rows over the N slots: row 0 is the t floor and rows 1..K the
-disks.  Its gradient is (gx, gy) per row, zero on the floor row, and a fixed
-t-sign per row (+1 floor, -1 disk); its Hessian entries xx, xy, yy form one
-(3, K+1, N) array, or None when every radius is zero, since every row is
-then affine.  All margins sit in one flat array of length m_bar, the chain
-first and then the stack row by row.  The solver reads the table everywhere:
+reaches the two slots of each step through the chain rule.  The floor has
+one bound row t - H^2/2 per slot, with gradient +1 in t and no Hessian.  The
+disks form a (K, N) stack, eavesdropper by eavesdropper: a row's gradient is
+(gx, gy) in x, y and -1 in t, and its Hessian entries xx, xy, yy form one
+(3, K, N) array, or None when every radius is zero, since every row is then
+affine.  The solver reads the table everywhere:
 
   * the margins serve the interior start, the domain check of every trial
     point and the margin of the result;
   * the Newton matrix H adds (lambda/m) grad m grad m^T - lambda hess m: the
-    stack's terms are summed over its rows in one reduction into the 3x3
-    slot blocks, and the chain adds its diagonal and off-diagonal bands, all
-    written straight into the Fortran-ordered lower band array that
-    ``cholesky_banded`` hands to LAPACK's dpbtrf, which factors it in place
-    (``cho_solve_banded`` solves with dpbtrs; both are thin calls that skip
-    scipy's wrappers); ``jt`` sums w_i grad m_i for the residual and the
-    corrector;
+    disks' terms are summed over the K rows in one reduction into the 3x3
+    slot blocks, the floor adds lambda/m to each slot's tt entry, and the
+    chain adds its diagonal and off-diagonal bands, all written straight
+    into the Fortran-ordered lower band array that ``cholesky_banded`` hands
+    to LAPACK's dpbtrf, which factors it in place (``cho_solve_banded``
+    solves with dpbtrs; both are thin calls that skip scipy's wrappers);
+    ``jt`` sums w_i grad m_i for the residual and the corrector;
   * along a step dz each margin is modelled by m0 + a*m1 + a^2*m2 in the
     step length a, with m1 = grad m . dz and m2 = dz^T (hess m) dz / 2.  The
     model is exact for every quadratic row: the mobility and floor rows,
@@ -153,8 +153,9 @@ T_FLOOR = 0.5
 X, Y, T = range(3)  # block columns
 
 
-def cholesky_banded(ab, lower=False):
-    """Banded Cholesky factor, as ``scipy.linalg.cholesky_banded`` computes it.
+def cholesky_banded(ab):
+    """Lower banded Cholesky factor, as ``scipy.linalg.cholesky_banded`` with
+    ``lower=True`` computes it.
 
     LAPACK's dpbtrf is called directly, without scipy's input checks and
     array wrapping; it factors ``ab`` in place when that is a Fortran-ordered
@@ -162,29 +163,34 @@ def cholesky_banded(ab, lower=False):
     Raises LinAlgError when the matrix is not positive definite or the factor
     is not finite (a NaN in ``ab`` passes dpbtrf and reaches the diagonal).
     """
-    c, info = dpbtrf(ab, lower=lower, overwrite_ab=1)
-    if info != 0 or not np.isfinite(c[0 if lower else -1]).all():
+    c, info = dpbtrf(ab, lower=1, overwrite_ab=1)
+    if info != 0 or not np.isfinite(c[0]).all():
         raise np.linalg.LinAlgError(f"banded Cholesky failed (dpbtrf info {info})")
     return c
 
 
-def cho_solve_banded(cb_and_lower, b):
+def cho_solve_banded(c, b):
     """Solve with a factor of ``cholesky_banded``, as
     ``scipy.linalg.cho_solve_banded`` does, through LAPACK's dpbtrs."""
-    cb, lower = cb_and_lower
-    x, info = dpbtrs(cb, b, lower=lower)
+    x, info = dpbtrs(c, b, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky solve failed (dpbtrs info {info})")
     return x
 
 
 class _Table(NamedTuple):
-    """The two constraint families at one point (see "Constraint families")."""
+    """The three row blocks at one point (see "Constraint families")."""
 
-    m: np.ndarray                  # (m_bar,) every margin: the chain, then the stack
+    m: np.ndarray                  # (m_bar,) every margin: chain, floor, disks
     d: np.ndarray                  # (2, N+1) chain steps dx, dy
-    g: np.ndarray                  # (2, K+1, N) stack gradient in x, y; row 0 zero
-    h: np.ndarray | None           # (3, K+1, N) stack Hessian xx, xy, yy, or None
+    g: np.ndarray                  # (2, K, N) disk gradient in x, y
+    h: np.ndarray | None           # (3, K, N) disk Hessian xx, xy, yy, or None
+
+
+def surrogate(prog, x, y, t) -> float:
+    """The maximized objective at (x, y, t), constants included."""
+    return prog.obj_const - float((prog.g_u * (x**2 + y**2 + prog.h2)).sum()
+                                  + log2_1p(prog.p_scaled / t).sum())
 
 
 def first_root(m0, m1, m2) -> float:
@@ -222,20 +228,20 @@ class _Workspace:
         self.N = N = prog.n_slots
         K = prog.eve_r.size
         self.nz = N * self.B
-        self.h2 = prog.h2
         self.L2 = prog.step_sq_max
         self.t_min = T_FLOOR * prog.h2
-        self.m_bar = (N + 1) + (K + 1) * N
+        self.m_bar = (N + 1) + N + K * N
+        # the flat margin order: the chain, the floor, the disks
+        self.chain = slice(0, N + 1)
+        self.floor = slice(N + 1, 2 * N + 1)
+        self.disks = slice(2 * N + 1, self.m_bar)
         self.robust = bool(prog.eve_r.any())
         self.k = np.stack((prog.eve_kx, prog.eve_ky))        # (2, K, N)
         self.c = np.stack((prog.eve_x, prog.eve_y))[:, :, None]
         self.r = prog.eve_r[:, None]
-        self.sign = np.repeat(np.r_[1.0, -np.ones(K)], N)   # dm/dt, stack flat
-        # the stack gradient when every row is affine
-        self.g_affine = np.concatenate((np.zeros((2, 1, N)), self.k), axis=1)
-        # weighted stack terms: grad m * sqrt(lam/m) (x, y, t), then the
-        # entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T - lam hess m
-        self.buf = np.empty((9, K + 1, N))
+        # the disks' entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T
+        # - lam hess m, before assemble sums them over the rows
+        self.buf = np.empty((6, K, N))
         # x, y between the pins, and a ray's dx, dy between pins that stay put
         self.qpad = np.column_stack((prog.pin_start, np.zeros((2, N)), prog.pin_end))
         self.dpad = np.zeros((2, N + 2))
@@ -251,7 +257,7 @@ class _Workspace:
 
     # -- constraint table --------------------------------------------------
     def table(self, z) -> _Table:
-        """Both constraint families at z."""
+        """The three row blocks at z."""
         N = self.N
         Z = z.reshape(N, self.B)
         qpad = self.qpad
@@ -259,15 +265,14 @@ class _Workspace:
         q, t = qpad[:, 1:-1], Z[:, T]
         d = qpad[:, 1:] - qpad[:, :-1]
         m = np.empty(self.m_bar)
-        chain, stack = m[:N + 1], m[N + 1:].reshape(-1, N)
-        np.subtract(self.L2, np.add.reduce(d * d), out=chain)
-        np.subtract(t, self.t_min, out=stack[0])
-        disk = stack[1:]
+        np.subtract(self.L2, np.add.reduce(d * d), out=m[self.chain])
+        np.subtract(t, self.t_min, out=m[self.floor])
+        disk = m[self.disks].reshape(-1, N)
         np.einsum('ikn,in->kn', self.k, q, out=disk)
         disk += self.prog.eve_k0
         disk -= t
         if not self.robust:  # every huber_0 vanishes: the disk rows are affine
-            return _Table(m, d, self.g_affine, None)
+            return _Table(m, d, self.k, None)
         # w = q - c, phi = min(1, r/|w|) (0 for r = 0), and the outer branch's
         # curvature factor 2*phi/|w|^2 (0 inside the disk)
         w = q[:, None] - self.c
@@ -276,20 +281,13 @@ class _Workspace:
         two_phi = 2.0 * phi
         curv = (phi < 1.0) * two_phi / np.maximum(w2, 1e-300)
         disk -= (two_phi - phi * phi) * w2
-        g = np.zeros(self.g_affine.shape)
-        np.subtract(self.k, two_phi * w, out=g[:, 1:])
-        h = np.zeros((3,) + stack.shape)
+        g = self.k - two_phi * w
+        h = np.empty((3,) + disk.shape)
         cw = curv * w
-        np.multiply(cw[0], w, out=h[:2, 1:])
-        np.multiply(cw[1], w[1], out=h[2, 1:])
-        h[::2, 1:] -= two_phi
+        np.multiply(cw[0], w, out=h[:2])
+        np.multiply(cw[1], w[1], out=h[2])
+        h[::2] -= two_phi
         return _Table(m, d, g, h)
-
-    def f0(self, z) -> float:
-        p = self.prog
-        Z = z.reshape(self.N, self.B)
-        return float((p.g_u * (Z[:, X]**2 + Z[:, Y]**2 + self.h2)).sum()
-                     + log2_1p(p.p_scaled / Z[:, T]).sum())
 
     # -- Newton system ----------------------------------------------------
     def assemble(self, tab: _Table, z, lam):
@@ -305,23 +303,23 @@ class _Workspace:
         i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
         gt = (i2 - i1) / LN2   # d f0/dt
         curv = 2.0 * p.g_u
-        # the stack, summed over its rows into the per-slot entries S: xx, xy,
-        # yy, xt, yt, tt of (lam/m) grad m grad m^T - lam hess m
-        lam_s = lam[N + 1:]
-        s = np.sqrt(lam_s / tab.m[N + 1:])
-        buf = self.buf.reshape(9, -1)
-        np.multiply(tab.g.reshape(2, -1), s, out=buf[:2])
-        np.multiply(self.sign, s, out=buf[2])
-        # one product per call: a broadcast product within buf runs ~2x slower
-        for row, (i, j) in enumerate(((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)), 3):
-            np.multiply(buf[i], buf[j], out=buf[row])
+        # the disks, summed over their rows into the per-slot entries S: xx,
+        # xy, yy, xt, yt, tt, from lam/m and -grad m = (-gx, -gy, 1)
+        lam_d = lam[self.disks]
+        buf = self.buf.reshape(6, -1)
+        ng = -tab.g.reshape(2, -1)
+        np.divide(lam_d, tab.m[self.disks], out=buf[5])
+        np.multiply(ng, buf[5], out=buf[3:5])
+        np.multiply(buf[3], ng, out=buf[:2])
+        np.multiply(buf[4], ng[1], out=buf[2])
         if tab.h is not None:
-            buf[3:6] -= tab.h.reshape(3, -1) * lam_s
-        S = np.add.reduce(self.buf[3:], axis=1)
+            buf[:3] -= tab.h.reshape(3, -1) * lam_d
+        S = np.add.reduce(self.buf, axis=1)
+        S[5] += lam[self.floor] / tab.m[self.floor]  # the floor: grad m = (0, 0, 1)
         # the chain per step: grad m * sqrt(lam/m) in x, y, then xx, xy, yy
-        lam_c = lam[:N + 1]
+        lam_c = lam[self.chain]
         C = np.empty((5, N + 1))
-        np.multiply(tab.d, -2.0 * np.sqrt(lam_c / tab.m[:N + 1]), out=C[:2])
+        np.multiply(tab.d, -2.0 * np.sqrt(lam_c / tab.m[self.chain]), out=C[:2])
         np.multiply(C[0], C[0], out=C[2])
         np.multiply(C[0], C[1], out=C[3])
         np.multiply(C[1], C[1], out=C[4])
@@ -344,12 +342,12 @@ class _Workspace:
     def jt(self, tab: _Table, w) -> np.ndarray:
         """sum_i w_i grad m_i over every margin, packed like z."""
         N = self.N
-        ws = w[N + 1:].reshape(-1, N)
+        wd = w[self.disks].reshape(-1, N)
         out = np.empty((self.B, N))
-        np.add.reduce(tab.g * ws, axis=1, out=out[:2])
-        np.add.reduce(self.sign.reshape(-1, N) * ws, axis=0, out=out[T])
+        np.add.reduce(tab.g * wd, axis=1, out=out[:2])
+        np.subtract(w[self.floor], np.add.reduce(wd), out=out[T])
         # a step's rows touch its head slot with +1 and its tail with -1
-        C = tab.d * (-2.0 * w[:N + 1])
+        C = tab.d * (-2.0 * w[self.chain])
         out[:2] += C[:, :-1] - C[:, 1:]
         return out.T.ravel()
 
@@ -363,27 +361,27 @@ class _Workspace:
         dpad[:, 1:-1] = D[:2]
         dd = dpad[:, 1:] - dpad[:, :-1]
         m1, m2 = np.empty(self.m_bar), np.zeros(self.m_bar)
-        np.multiply(-2.0, np.add.reduce(tab.d * dd), out=m1[:N + 1])
-        np.negative(np.add.reduce(dd * dd), out=m2[:N + 1])
-        stack1 = m1[N + 1:].reshape(-1, N)
-        np.add.reduce(tab.g * D[:2, None], out=stack1)
-        stack1 += self.sign.reshape(-1, N) * D[T]
+        np.multiply(-2.0, np.add.reduce(tab.d * dd), out=m1[self.chain])
+        np.negative(np.add.reduce(dd * dd), out=m2[self.chain])
+        m1[self.floor] = D[T]
+        np.subtract(np.add.reduce(tab.g * D[:2, None]), D[T],
+                    out=m1[self.disks].reshape(-1, N))
         if tab.h is not None:
             # d^T (hess m) d / 2 from the entries xx, xy, yy
             dq = np.empty((3, N))
             np.multiply(D[X], D[:2], out=dq[:2])
             np.multiply(D[Y], D[Y], out=dq[2])
             dq[::2] *= 0.5
-            np.add.reduce(tab.h * dq[:, None], out=m2[N + 1:].reshape(-1, N))
+            np.add.reduce(tab.h * dq[:, None], out=m2[self.disks].reshape(-1, N))
         return tab.m, m1, m2
 
 
 def _interior_start(ws: _Workspace, z0):
     """Strictly interior start on the segment from z0 to the straight track.
 
-    The track joins the pins at z0's t.  Returns z0 + 2^-k * (track - z0) for
-    the k < 60 of least barrier, or None when none of those points is interior
-    (see "Interior start").
+    The track joins the pins at z0's t.  Returns (z, table at z) for
+    z = z0 + 2^-k * (track - z0) at the k < 60 of least barrier, or None when
+    none of those points is interior (see "Interior start").
     """
     p = ws.prog
     frac = np.arange(1, ws.N + 1) / (ws.N + 1)
@@ -392,10 +390,10 @@ def _interior_start(ws: _Workspace, z0):
     best, best_barrier = None, math.inf
     for k in range(60):
         z = z0 + 0.5**k * (track - z0)
-        m = ws.table(z).m
-        barrier = -float(np.log(m).sum()) if m.min() > 0.0 else math.inf
+        tab = ws.table(z)
+        barrier = -float(np.log(tab.m).sum()) if tab.m.min() > 0.0 else math.inf
         if barrier < best_barrier:
-            best, best_barrier = z, barrier
+            best, best_barrier = (z, tab), barrier
         elif best is not None:
             break
     return best
@@ -415,17 +413,17 @@ def solve(program) -> SolverResult:
     def result(z, tab, status, iters, gap, kkt):
         x, y, t = ws.rows(z)
         min_margin = float(tab.m.min())
-        objective = program.obj_const - ws.f0(z) if min_margin > 0.0 else -math.inf
+        objective = surrogate(program, x, y, t) if min_margin > 0.0 else -math.inf
         return SolverResult(x=x, y=y, t=t, objective=objective,
                             status=status, newton_iters=iters,
                             duality_gap=gap, kkt_residual=kkt,
                             min_margin=min_margin)
 
-    z = _interior_start(ws, z0)
-    if z is None:
+    start = _interior_start(ws, z0)
+    if start is None:
         return result(z0, ws.table(z0), TROUBLE, 0, math.inf, math.inf)
 
-    tab = ws.table(z)
+    z, tab = start
     lam = (TAU0_GAP / ws.m_bar) / tab.m
     iters = 0
     while True:
@@ -434,18 +432,18 @@ def solve(program) -> SolverResult:
         gap = float(lam @ m)
         kkt = float(np.abs(g0 - ws.jt(tab, lam)).max())
         if (kkt <= KKT_TOL
-                and gap <= OPT_TOL * max(1.0, abs(program.obj_const - ws.f0(z)))):
+                and gap <= OPT_TOL * max(1.0, abs(surrogate(program, *ws.rows(z))))):
             return result(z, tab, OPTIMAL, iters, gap, kkt)
         if iters >= MAX_NEWTON:
             return result(z, tab, MAX_ITER, iters, gap, kkt)
         try:
-            cfac = (cholesky_banded(ab, lower=True), True)
+            c = cholesky_banded(ab)
         except np.linalg.LinAlgError:
             return result(z, tab, TROUBLE, iters, gap, kkt)
         iters += 1
         mu = gap / ws.m_bar
         # predictor: the affine-scaling step towards lam*m = 0
-        _, m1, m2 = ws.ray(tab, cho_solve_banded(cfac, -g0))
+        _, m1, m2 = ws.ray(tab, cho_solve_banded(c, -g0))
         dlam = -lam * (1.0 + m1 / m)
         a_p = min(1.0, first_root(m, m1, m2))
         a_d = min(1.0, dual_root(lam, dlam))
@@ -453,7 +451,7 @@ def solve(program) -> SolverResult:
         sigma = (mu_aff / mu) ** 3
         # corrector: centring at sigma*mu plus the predictor's second-order terms
         w = (sigma * mu - dlam * m1 - lam * m2) / m
-        dz = cho_solve_banded(cfac, ws.jt(tab, w) - g0)
+        dz = cho_solve_banded(c, ws.jt(tab, w) - g0)
         _, m1, m2 = ws.ray(tab, dz)
         dlam = w - lam * (1.0 + m1 / m)
         a_p = min(1.0, 0.99 * first_root(m, m1, m2))

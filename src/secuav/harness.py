@@ -152,6 +152,8 @@ class SweepSpec:
             except ValueError as e:
                 raise HarnessError(f"derived scenario for {self.param}={v} invalid",
                                    violations=[str(e)]) from e
+            except OverflowError as e:
+                raise HarnessError(f"sweep value {self.param}={v} is out of range") from e
             if violations:
                 raise HarnessError(f"derived scenario for {self.param}={v} invalid",
                                    violations=violations)
@@ -302,10 +304,10 @@ def _check_huber_margin(n_slots: int, seed: int):
     x, y = traj.slot_positions()
     errs = []
     for qx, qy in ((x, y), (x + shift[0], y + shift[1])):
-        rows = ws.table(ws.pack(qx, qy, np.zeros(n_slots))).m[n_slots + 1:]
+        rows = ws.table(ws.pack(qx, qy, np.zeros(n_slots))).m[ws.disks]
         theta = np.stack([geometry.worst_case_dist_sq((qx, qy), e, scen.altitude)
                           for e in scen.eves])
-        errs.append((rows.reshape(-1, n_slots)[1:] - theta) / theta)
+        errs.append((rows.reshape(-1, n_slots) - theta) / theta)
     at_fea, above = float(np.abs(errs[0]).max()), float(errs[1].max())
     detail = (f"{errs[0].size} disk rows: relative error {at_fea:.1e} at the "
               f"expansion point, {above:.1e} worst excess at shifted points")

@@ -15,6 +15,7 @@ import numpy as np
 # the optimizers (relative to the natural scale of each constraint).
 MOBILITY_TOL_REL = 1e-6
 POWER_TOL_REL = 1e-9
+MAX_SLOTS = 100_000  # the most slots validate() accepts; planning is per slot
 
 
 @dataclass(frozen=True)
@@ -191,22 +192,25 @@ def validate(scenario: Scenario) -> list[str]:
             v.append(
                 f"eves[{k}] uncertainty disk contains the receiver at the origin"
             )
-    chain = (scenario.n_slots + 1) * scenario.max_step
-    dist = math.hypot(
-        scenario.start_xy[0] - scenario.end_xy[0],
-        scenario.start_xy[1] - scenario.end_xy[1],
-    )
-    if dist > chain:
-        v.append(
-            f"endpoints unreachable: distance {dist:.6g} m exceeds the "
-            f"{scenario.n_slots + 1}-step mobility budget {chain:.6g} m"
+    if scenario.n_slots > MAX_SLOTS:
+        v.append(f"n_slots={scenario.n_slots} is above the ceiling of {MAX_SLOTS} slots")
+    else:
+        chain = (scenario.n_slots + 1) * scenario.max_step
+        dist = math.hypot(
+            scenario.start_xy[0] - scenario.end_xy[0],
+            scenario.start_xy[1] - scenario.end_xy[1],
         )
-    elif dist == chain:
-        v.append(
-            f"endpoints {dist:.6g} m apart use the whole "
-            f"{scenario.n_slots + 1}-step mobility budget {chain:.6g} m: the "
-            "track is forced and the trajectory step has no interior"
-        )
+        if dist > chain:
+            v.append(
+                f"endpoints unreachable: distance {dist:.6g} m exceeds the "
+                f"{scenario.n_slots + 1}-step mobility budget {chain:.6g} m"
+            )
+        elif dist == chain:
+            v.append(
+                f"endpoints {dist:.6g} m apart use the whole "
+                f"{scenario.n_slots + 1}-step mobility budget {chain:.6g} m: the "
+                "track is forced and the trajectory step has no interior"
+            )
     if not scenario.epsilon > 0:
         v.append(f"epsilon must be > 0 (got {scenario.epsilon})")
     if scenario.max_iters < 1:

@@ -92,12 +92,6 @@ def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     return worst_case_geometry(traj, scenario).theta.min(axis=0)
 
 
-def _surrogate_value(prog: ConvexProgram, x, y, t) -> float:
-    val = prog.obj_const - float((prog.g_u * (x**2 + y**2 + prog.h2)).sum())
-    val -= float(log2_1p(prog.p_scaled / t).sum())
-    return val
-
-
 def assemble(traj_fea: Trajectory, powers: PowerSchedule,
              scenario: Scenario) -> ConvexProgram:
     """Build the convex step program around a feasible expansion point."""
@@ -170,14 +164,13 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     t = res.t
     if np.any(initialize_slacks(traj, scenario) < t - ROBUST_FEAS_TOL):
         return _fallback(traj_fea, powers, scenario, res)
-    x, y = traj.slot_positions()
 
     # improvement chain, checked numerically every step: the surrogate under-
     # estimates the truth at the new point and cannot fall below its value at
     # the expansion point, so the true objective never decreases
-    surrogate = _surrogate_value(prog, x, y, t)
+    surrogate = res.objective
     true_val = secrecy_sum(traj, powers, scenario)
-    sur_fea = _surrogate_value(prog, prog.x_start, prog.y_start, prog.t_fea)
+    sur_fea = convex_backend.surrogate(prog, prog.x_start, prog.y_start, prog.t_fea)
     if surrogate > true_val + 1e-9 * max(1.0, abs(true_val)):
         return _fallback(traj_fea, powers, scenario, res)
     if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):

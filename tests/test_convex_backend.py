@@ -372,7 +372,7 @@ def kernel_points(radii="kernel"):
     inside = z0 + 0.25 * (straight_track(prog, z0) - z0)
     assert inside_disks(prog, *inside.reshape(4, 3)[:, :2].T)[0, 1]
     assert direct_margins(prog, inside).min() > 0.0
-    points = {"start": _interior_start(ws, z0), "inside": inside}
+    points = {"start": _interior_start(ws, z0)[0], "inside": inside}
     if radii == "zero":
         prog = dataclasses.replace(prog, eve_r=np.zeros(3))
         ws = _Workspace(prog)
@@ -546,8 +546,11 @@ class TestInteriorStart:
         prog = make()
         ws = _Workspace(prog)
         z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
-        z = _interior_start(ws, z0)
+        z, tab = _interior_start(ws, z0)
         assert direct_margins(prog, z).min() > 0.0
+        # the table of the point it picks, which the solve starts from
+        want = ws.table(z)
+        assert all(np.array_equal(a, b) for a, b in zip(tab, want))
         # brute force over every halving step of the segment
         track = straight_track(prog, z0)
         barriers = []
@@ -600,7 +603,7 @@ class TestFailureExits:
         and solve_step then hands back its expansion point."""
         calls = []
 
-        def singular(ab, lower):
+        def singular(ab):
             calls.append(ab.shape)
             raise np.linalg.LinAlgError("not positive definite")
 
@@ -625,19 +628,14 @@ class TestFailureExits:
         assert res.duality_gap > 0.0 and math.isfinite(res.kkt_residual)
 
 
-def random_spd_band(rng, nz=960, kd=4, lower=True):
+def random_spd_band(rng, nz=960, kd=4):
     """A random diagonally dominant (so SPD) band, Fortran-ordered, in LAPACK's
-    lower or upper band storage; nz = 960 is N = 320 slots of [x, y, t]."""
+    lower band storage; nz = 960 is N = 320 slots of [x, y, t]."""
     lo = np.zeros((kd + 1, nz), order="F")
     lo[0] = 2.0 * kd + 1.0 + rng.uniform(0.0, 1.0, nz)
     for d in range(1, kd + 1):
         lo[d, :nz - d] = rng.uniform(-1.0, 1.0, nz - d)
-    if lower:
-        return lo
-    up = np.zeros_like(lo)
-    for d in range(kd + 1):
-        up[kd - d, d:] = lo[d, :nz - d]
-    return up
+    return lo
 
 
 def _negated(ab):
@@ -659,23 +657,24 @@ def _inf_entry(ab):
 class TestBandCalls:
     """The module's thin dpbtrf/dpbtrs calls behind the scipy names."""
 
-    @pytest.mark.parametrize("lower", [True, False])
+    # the lower band form only, the one solve stores
+    @pytest.mark.parametrize("lower", [True])
     def test_bit_equal_to_scipy(self, lower):
         rng = np.random.default_rng(5)
-        ab = random_spd_band(rng, lower=lower)
+        ab = random_spd_band(rng)
         want = scipy.linalg.cholesky_banded(ab, lower=lower)
-        got = convex_backend.cholesky_banded(ab.copy(order="F"), lower=lower)
+        got = convex_backend.cholesky_banded(ab.copy(order="F"))
         assert np.array_equal(got, want)
         b = rng.standard_normal(ab.shape[1])
-        assert np.array_equal(convex_backend.cho_solve_banded((got, lower), b),
+        assert np.array_equal(convex_backend.cho_solve_banded(got, b),
                               scipy.linalg.cho_solve_banded((want, lower), b))
 
-    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("lower", [True])
     @pytest.mark.parametrize("spoil", [_negated, _nan_entry, _inf_entry])
     def test_bad_band_raises_linalg_error(self, spoil, lower):
-        ab = spoil(random_spd_band(np.random.default_rng(6), lower=lower))
+        ab = spoil(random_spd_band(np.random.default_rng(6)))
         with pytest.raises(np.linalg.LinAlgError):
-            convex_backend.cholesky_banded(ab, lower=lower)
+            convex_backend.cholesky_banded(ab)
 
     @pytest.mark.parametrize("spoil", [_negated, _nan_entry, _inf_entry])
     def test_bad_band_ends_solve_in_numerical_trouble(self, spoil, monkeypatch):

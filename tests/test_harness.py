@@ -223,6 +223,7 @@ class TestCli:
         ("flight_duration", dict(flight_duration=math.inf)),
         ("altitude is too large", dict(altitude=1e200)),
         ("scene is too large", dict(altitude=1.3e154)),
+        ("is above the ceiling", dict(flight_duration=1e300)),
     ])
     def test_bad_field_error_json(self, tmp_path, capsys, field, change):
         path = tmp_path / "s.json"
@@ -231,6 +232,16 @@ class TestCli:
                      "--algorithm", "robust", "--out", str(tmp_path / "o")])
         assert code == 2
         assert field in json.dumps(json.loads(capsys.readouterr().err))
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_sweep_value_error_json(self, tmp_path, capsys):
+        """10^(4000/10) mW overflows while the sweep is set up."""
+        code = main(["sweep", "--scenario", str(write_tiny(tmp_path)),
+                     "--param", "avg-power-dbm", "--values", "4000",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "sweep value avg-power-dbm=4000.0 is out of range"
         assert not (tmp_path / "o").exists()
 
     def test_verify_quick_exit_zero(self, capsys):

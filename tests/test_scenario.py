@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from secuav.planner import optimize
-from secuav.scenario import (EveRegion, PowerSchedule, Trajectory, slot_count,
+from secuav.scenario import (MAX_SLOTS, EveRegion, PowerSchedule, Trajectory, slot_count,
                              power_violations, trajectory_violations, validate)
 
 from conftest import make_scenario, benchmark_fields
@@ -132,6 +132,20 @@ class TestValidate:
             res = optimize(scen)
         assert res.converged
         assert res.secrecy_rate == pytest.approx(optimize(base).secrecy_rate, rel=1e-9)
+
+    def test_slot_count_above_ceiling_named(self):
+        """A huge flight duration gives a slot count no plan could finish;
+        validate() names it.  Only validated here, never planned."""
+        assert validate(make_scenario(**benchmark_fields(MAX_SLOTS * 0.5))) == []
+        over = make_scenario(**benchmark_fields(MAX_SLOTS * 0.5 + 0.5))
+        assert validate(over) == [
+            f"n_slots={MAX_SLOTS + 1} is above the ceiling of {MAX_SLOTS} slots"]
+        n = slot_count(1e300, 0.5)
+        assert n.bit_length() == 998
+        huge = make_scenario(**dict(benchmark_fields(), flight_duration=1e300, n_slots=n))
+        assert validate(huge) == [f"n_slots={n} is above the ceiling of {MAX_SLOTS} slots"]
+        # a count past the float range is named too, not raised on
+        assert len(validate(dataclasses.replace(huge, n_slots=10**400))) == 2
 
     def test_validate_is_pure(self):
         scen = make_scenario()
