@@ -10,7 +10,7 @@ subject to
   * mobility balls   (x[n+1]-x[n])^2 + (y[n+1]-y[n])^2 <= L^2   (pinned ends),
   * a t floor        t >= H^2/2,
   * disk margins     t <= lin(q) - huber_r(|q - c|)  per (eavesdropper, slot),
-                     with q = (x, y), lin = kx*x + ky*y + k0 and
+                     with q = (x, y), lin = k . q + k0 and
                      huber_r(rho) = rho^2 for rho <= r, 2*r*rho - r^2 beyond.
 
 lin is the tangent lower bound of |q - c|^2 + H^2 at the expansion point, so
@@ -72,17 +72,19 @@ lambda^T m of the optimum of the problem whose objective is tilted by r.z
 KKT_TOL per coordinate.  The argument needs no quadratic or self-concordant
 margins, so the disk rows, whose Hessian jumps at the rim, leave it intact.
 
-Interior start.  The warm start usually sits on the boundary: a track that
-flies at maximum speed makes its mobility margins zero.  Every margin is
-concave, so on the segment from the warm start to the straight track between
-the pins (same t) each margin is at least the interpolation of its two ends.
-At the warm start the floor and disk margins are positive (``assemble`` puts
-t between the floor and the tight t), and on the straight track the mobility
-margins are positive whenever the pins are closer than the (N+1)-step budget,
-which ``scenario.validate`` demands.  So every point of the segment close
-enough to the warm start, but off it, is interior.  The solver starts at the
-step 2^-k along the segment of least barrier; the barrier is convex there, so
-the search stops at its first increase.
+Interior start.  The warm start ``_Workspace.z0`` is the expansion point
+with t a tenth of the way from the tight t (at least H^2) down to the floor.
+There each disk's lin - huber_r is the true worst-case squared distance, at
+least the tight t, so the floor and disk margins are positive; the mobility
+margins are often zero, as a track that flies at maximum speed sits on their
+boundary.  Every margin is concave, so on the segment from z0 to the straight
+track between the pins (same t) each margin is at least the interpolation of
+its two ends; on that track the mobility margins are positive whenever the
+pins are closer than the (N+1)-step budget, which ``scenario.validate``
+demands.  So every point of the segment close enough to z0, but off it, is
+interior.  The solver starts at the step 2^-k along the segment of least
+barrier; the barrier is convex there, so the search stops at its first
+increase.
 
 Constraint families.  Every margin is concave, and the table at a point holds
 three row blocks, in the flat order chain, floor, disks (``_Workspace`` names
@@ -236,9 +238,12 @@ class _Workspace:
         self.floor = slice(N + 1, 2 * N + 1)
         self.disks = slice(2 * N + 1, self.m_bar)
         self.robust = bool(prog.eve_r.any())
-        self.k = np.stack((prog.eve_kx, prog.eve_ky))        # (2, K, N)
-        self.c = np.stack((prog.eve_x, prog.eve_y))[:, :, None]
+        self.k = prog.eve_k
+        self.c = prog.eve_c[:, :, None]
         self.r = prog.eve_r[:, None]
+        # the warm start (see "Interior start")
+        self.z0 = self.pack(prog.x_fea, prog.y_fea,
+                            prog.t_fea - 0.1 * (prog.t_fea - self.t_min))
         # the disks' entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T
         # - lam hess m, before assemble sums them over the rows
         self.buf = np.empty((6, K, N))
@@ -376,14 +381,14 @@ class _Workspace:
         return tab.m, m1, m2
 
 
-def _interior_start(ws: _Workspace, z0):
-    """Strictly interior start on the segment from z0 to the straight track.
+def _interior_start(ws: _Workspace):
+    """Strictly interior start on the segment from ws.z0 to the straight track.
 
     The track joins the pins at z0's t.  Returns (z, table at z) for
     z = z0 + 2^-k * (track - z0) at the k < 60 of least barrier, or None when
     none of those points is interior (see "Interior start").
     """
-    p = ws.prog
+    p, z0 = ws.prog, ws.z0
     frac = np.arange(1, ws.N + 1) / (ws.N + 1)
     (x0, y0), (x1, y1) = p.pin_start, p.pin_end
     track = ws.pack(x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), ws.rows(z0)[T])
@@ -408,7 +413,6 @@ def solve(program) -> SolverResult:
     stationarity residual at most KKT_TOL ("Stop and certificate").
     """
     ws = _Workspace(program)
-    z0 = ws.pack(program.x_start, program.y_start, program.t_start)
 
     def result(z, tab, status, iters, gap, kkt):
         x, y, t = ws.rows(z)
@@ -419,9 +423,9 @@ def solve(program) -> SolverResult:
                             duality_gap=gap, kkt_residual=kkt,
                             min_margin=min_margin)
 
-    start = _interior_start(ws, z0)
+    start = _interior_start(ws)
     if start is None:
-        return result(z0, ws.table(z0), TROUBLE, 0, math.inf, math.inf)
+        return result(ws.z0, ws.table(ws.z0), TROUBLE, 0, math.inf, math.inf)
 
     z, tab = start
     lam = (TAU0_GAP / ws.m_bar) / tab.m

@@ -27,10 +27,10 @@ def log2_1p(z):
 @dataclass(frozen=True)
 class WorstCaseGeometry:
     """Per-slot squared 3-D distances of one track: ``d2[n]`` to the receiver,
-    ``theta[k, n]`` the minimum over eavesdropper k's disk."""
+    ``theta[n]`` the minimum over every eavesdropper's disk, the tight t."""
 
-    d2: np.ndarray         # (N,)   meters^2
-    theta: np.ndarray      # (K, N) meters^2
+    d2: np.ndarray         # (N,) meters^2
+    theta: np.ndarray      # (N,) meters^2
 
 
 def worst_case_dist_sq(uav_xy, eve: EveRegion, altitude: float):
@@ -89,7 +89,7 @@ def per_slot_secrecy_terms(traj: Trajectory, powers: PowerSchedule,
     """Unclamped per-slot secrecy terms: legitimate rate minus worst-case leak."""
     geo = worst_case_geometry(traj, scenario)
     snr = scenario.gamma0 * powers.p
-    return log2_1p(snr / geo.d2) - log2_1p(snr / geo.theta.min(axis=0))
+    return log2_1p(snr / geo.d2) - log2_1p(snr / geo.theta)
 
 
 def secrecy_sum(traj: Trajectory, powers: PowerSchedule, scenario: Scenario) -> float:
@@ -105,9 +105,9 @@ def avg_worst_case_secrecy_rate(traj: Trajectory, powers: PowerSchedule,
 
 
 def worst_case_geometry(traj: Trajectory, scenario: Scenario) -> WorstCaseGeometry:
-    """Distances to the receiver and to every disk; every rate, tight slack
-    and robust re-check is derived from this stack."""
+    """Distances to the receiver and to the nearest disk; every rate, tight
+    slack and robust re-check is derived from them."""
     x, y = traj.slot_positions()
     theta = np.stack([worst_case_dist_sq((x, y), eve, scenario.altitude)
-                      for eve in scenario.eves])
+                      for eve in scenario.eves]).min(axis=0)
     return WorstCaseGeometry(d2=x**2 + y**2 + scenario.altitude**2, theta=theta)

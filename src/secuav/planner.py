@@ -23,7 +23,7 @@ from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
                        trajectory_violations)
 # initialize_slacks is unused here, but planbench's tracer and its tests wrap
 # the name at this site
-from .trajectory_sca import initialize_slacks, solve_step, solver_facts  # noqa: F401
+from .trajectory_sca import initialize_slacks, solve_step  # noqa: F401
 
 ROBUST = "robust"
 NON_ROBUST = "non_robust"
@@ -101,6 +101,12 @@ def equal_power(scenario: Scenario) -> PowerSchedule:
     return PowerSchedule(np.full(scenario.n_slots, scenario.avg_power))
 
 
+def solver_facts(res) -> dict:
+    """The solve's iterations, gap, KKT residual and margin, by field name."""
+    return dict(newton_iters=res.newton_iters, duality_gap=res.duality_gap,
+                kkt_residual=res.kkt_residual, min_margin=res.min_margin)
+
+
 def _fractional_increase(new: float, old: float) -> float:
     return abs(new - old) / max(abs(old), 1e-12)
 
@@ -127,9 +133,10 @@ def optimize(scenario: Scenario) -> PlanResult:
     converged = False
     for m in range(1, scenario.max_iters + 1):
         sol = solve_step(traj, powers, scenario)
+        facts = solver_facts(sol.solve)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
-                                           time.perf_counter() - t0, **solver_facts(sol)))
+                                           time.perf_counter() - t0, **facts))
             break
         traj = sol.trajectory
         dual = optimize_power(traj, scenario)
@@ -137,7 +144,7 @@ def optimize(scenario: Scenario) -> PlanResult:
         new_objective = secrecy_sum(traj, powers, scenario)
         records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
                                        time.perf_counter() - t0, power_lam=dual.lam,
-                                       power_iters=dual.iterations, **solver_facts(sol)))
+                                       power_iters=dual.iterations, **facts))
         gain = _fractional_increase(new_objective, objective)
         objective = new_objective
         if gain < scenario.epsilon:

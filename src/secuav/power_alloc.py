@@ -118,5 +118,5 @@ def optimize_power(traj: Trajectory, scenario: Scenario) -> PowerDual:
     """Solve the power subproblem exactly for a fixed trajectory."""
     geo = worst_case_geometry(traj, scenario)
     return solve_power_subproblem(scenario.gamma0 / geo.d2,
-                                  scenario.gamma0 / geo.theta.min(axis=0),
+                                  scenario.gamma0 / geo.theta,
                                   scenario.avg_power, scenario.peak_power)

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import convex_backend
-from .convex_backend import TROUBLE, T_FLOOR
+from .convex_backend import TROUBLE
 from .geometry import LN2, log2_1p, secrecy_sum, worst_case_geometry
 from .scenario import PowerSchedule, Scenario, Trajectory
 
@@ -47,10 +47,10 @@ class ConvexProgram:
 
     Objective (to maximize):
     obj_const - sum_n [g_u[n]*(x[n]^2 + y[n]^2 + h2) + log2(1+P[n]/t[n])],
-    with obj_const chosen so the value at the expansion point equals the true
-    objective there.  Eavesdropper k's disk margin at slot n is
-    eve_kx[k, n]*x + eve_ky[k, n]*y + eve_k0[k, n] - t - huber_r(|q - c|)
-    with c = (eve_x[k], eve_y[k]) and r = eve_r[k].
+    with obj_const chosen so the value at the expansion point (x_fea, y_fea,
+    t_fea) equals the true objective there.  Eavesdropper k's disk margin at
+    slot n is eve_k[:, k, n] . q + eve_k0[k, n] - t - huber_r(|q - c|) with
+    q = (x[n], y[n]), c = eve_c[:, k] and r = eve_r[k].
     """
 
     n_slots: int
@@ -61,16 +61,13 @@ class ConvexProgram:
     p_scaled: np.ndarray
     g_u: np.ndarray
     obj_const: float
+    x_fea: np.ndarray        # (N,) the expansion point
+    y_fea: np.ndarray
     t_fea: np.ndarray        # tight t (worst-case distance^2) at the expansion point
-    eve_x: np.ndarray        # (K,)
-    eve_y: np.ndarray
-    eve_r: np.ndarray
-    eve_kx: np.ndarray       # (K, N)
-    eve_ky: np.ndarray
-    eve_k0: np.ndarray
-    x_start: np.ndarray
-    y_start: np.ndarray
-    t_start: np.ndarray
+    eve_c: np.ndarray        # (2, K) disk centres
+    eve_r: np.ndarray        # (K,)
+    eve_k: np.ndarray        # (2, K, N) the tangents' x, y coefficients
+    eve_k0: np.ndarray       # (K, N)
 
 
 @dataclass(frozen=True)
@@ -80,16 +77,12 @@ class SubproblemSolution:
     surrogate_objective: float
     true_objective: float
     status: str
-    # the solve's own facts (see convex_backend.SolverResult), kept on fallback
-    newton_iters: int
-    duality_gap: float
-    kkt_residual: float
-    min_margin: float
+    solve: convex_backend.SolverResult  # the solve's own facts, kept on fallback
 
 
 def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
     """Tight t at a trajectory: the worst-case squared distance to any disk."""
-    return worst_case_geometry(traj, scenario).theta.min(axis=0)
+    return worst_case_geometry(traj, scenario).theta
 
 
 def assemble(traj_fea: Trajectory, powers: PowerSchedule,
@@ -100,7 +93,6 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     h2 = scenario.altitude**2
     x, y = traj_fea.slot_positions()
     geo = worst_case_geometry(traj_fea, scenario)
-    t_fea = geo.theta.min(axis=0)
 
     p_scaled = scenario.gamma0 * powers.p
     d2_fea = geo.d2
@@ -111,34 +103,24 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     # lin = |q - c|^2 + H^2 with x^2, y^2 tangent at the expansion point; the
     # centre squares stay Python floats (pow and numpy's square differ in ulps)
     eves = scenario.eves
-    cx = np.array([[e.center_x] for e in eves])
-    cy = np.array([[e.center_y] for e in eves])
+    c = np.array([[e.center_x for e in eves], [e.center_y for e in eves]])
     k0 = (np.array([[e.center_x**2] for e in eves]) - x**2
           + np.array([[e.center_y**2] for e in eves]) - y**2 + h2)
     return ConvexProgram(
         n_slots=scenario.n_slots, h2=h2, step_sq_max=scenario.max_step**2,
         pin_start=tuple(scenario.start_xy), pin_end=tuple(scenario.end_xy),
-        p_scaled=p_scaled, g_u=g_u, obj_const=obj_const, t_fea=t_fea,
-        eve_x=cx[:, 0], eve_y=cy[:, 0],
+        p_scaled=p_scaled, g_u=g_u, obj_const=obj_const,
+        x_fea=x, y_fea=y, t_fea=geo.theta, eve_c=c,
         eve_r=np.array([e.radius for e in eves]),
-        eve_kx=2.0 * (x - cx), eve_ky=2.0 * (y - cy), eve_k0=k0,
-        x_start=x.copy(), y_start=y.copy(),
-        # below the tight t, so the disk margins leave the interior start room
-        t_start=t_fea - 0.1 * (t_fea - T_FLOOR * h2),
+        eve_k=2.0 * (np.stack((x, y))[:, None] - c[:, :, None]), eve_k0=k0,
     )
-
-
-def solver_facts(res) -> dict:
-    """The solve's iterations, gap, KKT residual and margin, by field name."""
-    return dict(newton_iters=res.newton_iters, duality_gap=res.duality_gap,
-                kkt_residual=res.kkt_residual, min_margin=res.min_margin)
 
 
 def _fallback(traj_fea: Trajectory, powers, scenario, res) -> SubproblemSolution:
     true_val = secrecy_sum(traj_fea, powers, scenario)
     return SubproblemSolution(trajectory=traj_fea, t=initialize_slacks(traj_fea, scenario),
                               surrogate_objective=true_val, true_objective=true_val,
-                              status=TROUBLE, **solver_facts(res))
+                              status=TROUBLE, solve=res)
 
 
 def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
@@ -161,21 +143,16 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     if np.any(traj.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
         return _fallback(traj_fea, powers, scenario, res)
 
-    t = res.t
-    if np.any(initialize_slacks(traj, scenario) < t - ROBUST_FEAS_TOL):
+    if np.any(initialize_slacks(traj, scenario) < res.t - ROBUST_FEAS_TOL):
         return _fallback(traj_fea, powers, scenario, res)
 
     # improvement chain, checked numerically every step: the surrogate under-
     # estimates the truth at the new point and cannot fall below its value at
     # the expansion point, so the true objective never decreases
-    surrogate = res.objective
     true_val = secrecy_sum(traj, powers, scenario)
-    sur_fea = convex_backend.surrogate(prog, prog.x_start, prog.y_start, prog.t_fea)
-    if surrogate > true_val + 1e-9 * max(1.0, abs(true_val)):
+    sur_fea = convex_backend.surrogate(prog, prog.x_fea, prog.y_fea, prog.t_fea)
+    if (res.objective > true_val + 1e-9 * max(1.0, abs(true_val))
+            or res.objective < sur_fea - 1e-6 * max(1.0, abs(sur_fea))):
         return _fallback(traj_fea, powers, scenario, res)
-    if surrogate < sur_fea - 1e-6 * max(1.0, abs(sur_fea)):
-        return _fallback(traj_fea, powers, scenario, res)
-    return SubproblemSolution(trajectory=traj, t=t,
-                              surrogate_objective=surrogate,
-                              true_objective=true_val, status=res.status,
-                              **solver_facts(res))
+    return SubproblemSolution(trajectory=traj, t=res.t, surrogate_objective=res.objective,
+                              true_objective=true_val, status=res.status, solve=res)

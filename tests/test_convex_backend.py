@@ -20,20 +20,17 @@ LN2 = math.log(2.0)
 
 
 def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
-                pins=(0.0, 0.0), step_sq=1.0, t_start=None):
+                pins=(0.0, 0.0), step_sq=1.0):
     """Synthetic single-purpose programs exercising one mechanism at a time."""
-    t0 = 0.5 * (h2 + theta_max) if t_start is None else t_start
     return ConvexProgram(
         n_slots=n, h2=h2, step_sq_max=step_sq,
         pin_start=pins, pin_end=pins,
         p_scaled=np.full(n, p_scaled), g_u=np.full(n, g_u), obj_const=0.0,
-        t_fea=np.full(n, t0),
+        x_fea=np.full(n, pins[0]), y_fea=np.full(n, pins[1]),
+        t_fea=np.full(n, theta_max),
         # one radius-zero eavesdropper with a flat row: t <= theta_max
-        eve_x=np.zeros(1), eve_y=np.zeros(1), eve_r=np.zeros(1),
-        eve_kx=np.zeros((1, n)), eve_ky=np.zeros((1, n)),
-        eve_k0=np.full((1, n), theta_max),
-        x_start=np.full(n, pins[0]), y_start=np.full(n, pins[1]),
-        t_start=np.full(n, t0),
+        eve_c=np.zeros((2, 1)), eve_r=np.zeros(1),
+        eve_k=np.zeros((2, 1, n)), eve_k0=np.full((1, n), theta_max),
     )
 
 
@@ -91,16 +88,17 @@ class _AugLag:
 
     def lin(self, k, x, y):
         p = self.p
-        return p.eve_kx[k] * x + p.eve_ky[k] * y + p.eve_k0[k]
+        return p.eve_k[0, k] * x + p.eve_k[1, k] * y + p.eve_k0[k]
 
     def start(self):
         """The program's start with the best multipliers of its blocks."""
         p = self.p
         z0 = np.zeros((self.n, self.width))
-        z0[:, 0], z0[:, 1], z0[:, 2] = p.x_start, p.y_start, p.t_start
+        z0[:, :3] = _Workspace(p).z0.reshape(self.n, 3)
+        x, y, t = z0[:, :3].T
         for i, k in enumerate(self.robust):
             q2 = p.eve_r[k] ** 2
-            slack = self.lin(k, p.x_start, p.y_start) - p.t_start
+            slack = self.lin(k, x, y) - t
             z0[:, 3 + i] = np.maximum((slack - q2) / (2.0 * q2), 1e-6)
         return z0.ravel()
 
@@ -147,20 +145,20 @@ class _AugLag:
         for i, k in enumerate(self.robust):
             q2 = p.eve_r[k] ** 2
             a = xi[i] + 1.0
-            b = p.eve_x[k] - x
-            c = p.eve_y[k] - y
+            b = p.eve_c[0, k] - x
+            c = p.eve_c[1, k] - y
             d = self.lin(k, x, y) - t - q2 * xi[i]
             for s in range(self.n):
                 add(b[s] ** 2 + c[s] ** 2 - a[s] * d[s],
-                    {(s, 0): -2.0 * b[s] - a[s] * p.eve_kx[k, s],
-                     (s, 1): -2.0 * c[s] - a[s] * p.eve_ky[k, s],
+                    {(s, 0): -2.0 * b[s] - a[s] * p.eve_k[0, k, s],
+                     (s, 1): -2.0 * c[s] - a[s] * p.eve_k[1, k, s],
                      (s, 2): a[s],
                      (s, 3 + i): -(d[s] - q2 * a[s])})
                 add(-xi[i, s], {(s, 3 + i): -1.0})
         for k in self.point:
             d = self.lin(k, x, y) - t
             for s in range(self.n):
-                add(-d[s], {(s, 0): -p.eve_kx[k, s], (s, 1): -p.eve_ky[k, s],
+                add(-d[s], {(s, 0): -p.eve_k[0, k, s], (s, 1): -p.eve_k[1, k, s],
                             (s, 2): 1.0})
         return np.array(rows), np.array(jacs)
 
@@ -290,13 +288,13 @@ def kernel_program():
     prog = assemble(traj, PowerSchedule([1e-3, 1e-3, 0.0, 1e-3]), scen)
     assert list(prog.eve_r) == [2.0, 3.0, 0.0]
     assert list(prog.g_u > 0) == [True, True, False, True]
-    assert list(inside_disks(prog, prog.x_start, prog.y_start)[0]) == [False, True, False, False]
+    assert list(inside_disks(prog, prog.x_fea, prog.y_fea)[0]) == [False, True, False, False]
     return prog
 
 
 def inside_disks(prog, x, y):
     """(K, N) mask of the slots strictly inside each disk."""
-    return np.hypot(x - prog.eve_x[:, None], y - prog.eve_y[:, None]) < prog.eve_r[:, None]
+    return np.hypot(x - prog.eve_c[0, :, None], y - prog.eve_c[1, :, None]) < prog.eve_r[:, None]
 
 
 def direct_margins(prog, z):
@@ -310,9 +308,9 @@ def direct_margins(prog, z):
     parts = [prog.step_sq_max - np.diff(xpad) ** 2 - np.diff(ypad) ** 2,
              t - 0.5 * prog.h2]
     for k, r in enumerate(prog.eve_r):
-        rho = np.hypot(x - prog.eve_x[k], y - prog.eve_y[k])
+        rho = np.hypot(x - prog.eve_c[0, k], y - prog.eve_c[1, k])
         huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
-        lin = prog.eve_kx[k] * x + prog.eve_ky[k] * y + prog.eve_k0[k]
+        lin = prog.eve_k[0, k] * x + prog.eve_k[1, k] * y + prog.eve_k0[k]
         parts.append(lin - t - huber)
     return np.concatenate(parts)
 
@@ -368,11 +366,11 @@ def kernel_points(radii="kernel"):
     program; they stay interior, since every margin only grows."""
     prog = kernel_program()
     ws = _Workspace(prog)
-    z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
+    z0 = ws.z0
     inside = z0 + 0.25 * (straight_track(prog, z0) - z0)
     assert inside_disks(prog, *inside.reshape(4, 3)[:, :2].T)[0, 1]
     assert direct_margins(prog, inside).min() > 0.0
-    points = {"start": _interior_start(ws, z0)[0], "inside": inside}
+    points = {"start": _interior_start(ws)[0], "inside": inside}
     if radii == "zero":
         prog = dataclasses.replace(prog, eve_r=np.zeros(3))
         ws = _Workspace(prog)
@@ -545,8 +543,8 @@ class TestInteriorStart:
     def test_least_barrier_power_of_two_step_on_the_segment(self, make):
         prog = make()
         ws = _Workspace(prog)
-        z0 = ws.pack(prog.x_start, prog.y_start, prog.t_start)
-        z, tab = _interior_start(ws, z0)
+        z0 = ws.z0
+        z, tab = _interior_start(ws)
         assert direct_margins(prog, z).min() > 0.0
         # the table of the point it picks, which the solve starts from
         want = ws.table(z)
@@ -566,9 +564,9 @@ class TestInteriorStart:
         scenario)."""
         prog = dataclasses.replace(
             toy_program(n=3), pin_start=(-2.0, 0.0), pin_end=(2.0, 0.0),
-            x_start=np.array([-1.0, 0.0, 1.0]), y_start=np.zeros(3))
+            x_fea=np.array([-1.0, 0.0, 1.0]), y_fea=np.zeros(3))
         ws = _Workspace(prog)
-        assert _interior_start(ws, ws.pack(prog.x_start, prog.y_start, prog.t_start)) is None
+        assert _interior_start(ws) is None
         res = solve(prog)
         assert res.status == "numerical_trouble"
         assert res.newton_iters == 0
@@ -583,8 +581,8 @@ def test_paper_fig2_first_steps_meet_kkt_tol():
     for step in range(4):
         sol = solve_step(traj, powers, scen)
         assert sol.status == "optimal", step
-        assert sol.kkt_residual <= 1e-7, step
-        assert sol.min_margin > 0.0, step
+        assert sol.solve.kkt_residual <= 1e-7, step
+        assert sol.solve.min_margin > 0.0, step
         traj = sol.trajectory
         powers = optimize_power(traj, scen).schedule
 

@@ -81,7 +81,7 @@ def slot_rates(xy, power, eves=(EVE1, EVE2)):
     geo = worst_case_geometry(traj, scen)
     snr = scen.gamma0 * power
     bob = float(log2_1p(snr / geo.d2[0]))
-    leak = float(log2_1p(snr / geo.theta.min(axis=0)[0]))
+    leak = float(log2_1p(snr / geo.theta[0]))
     term = float(per_slot_secrecy_terms(traj, PowerSchedule([power]), scen)[0])
     assert term == bob - leak
     return bob, leak
@@ -178,15 +178,15 @@ class TestRateCoefficients:
         scen = make_scenario(**fields)
         geo = worst_case_geometry(hover_trajectory(scen), scen)
         assert scen.gamma0 / geo.d2 == pytest.approx([1e4, 1e4])
-        assert scen.gamma0 / geo.theta.min(axis=0) == pytest.approx([1e8 / 24400.0] * 2)
-        assert geo.theta.min(axis=0) == pytest.approx([24400.0, 24400.0])
+        assert scen.gamma0 / geo.theta == pytest.approx([1e8 / 24400.0] * 2)
+        assert geo.theta == pytest.approx([24400.0, 24400.0])
 
     def test_above_eve_center_beta_dominates(self):
         fields = benchmark_fields(flight_duration=1.0)
         fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         scen = make_scenario(**fields)
         geo = worst_case_geometry(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
-        alpha, beta = scen.gamma0 / geo.d2, scen.gamma0 / geo.theta.min(axis=0)
+        alpha, beta = scen.gamma0 / geo.d2, scen.gamma0 / geo.theta
         assert beta == pytest.approx([1e4, 1e4])
         assert alpha == pytest.approx([2000.0, 2000.0])
         assert np.all(alpha < beta)
@@ -194,9 +194,11 @@ class TestRateCoefficients:
     def test_theta_floor_invariant(self):
         scen = make_scenario()
         traj = hover_trajectory(scen, xy=(-10.0, 4.0))  # at eve 1 center
-        geo = worst_case_geometry(traj, scen)
+        theta = np.stack([worst_case_dist_sq(traj.slot_positions(), e, scen.altitude)
+                          for e in scen.eves])
+        assert np.array_equal(worst_case_geometry(traj, scen).theta, theta.min(axis=0))
         h2 = scen.altitude**2
-        assert np.all(geo.theta >= h2 - 1e-12)
+        assert np.all(theta >= h2 - 1e-12)
         inside = np.array([np.hypot(-10.0 - e.center_x, 4.0 - e.center_y) <= e.radius
                            for e in scen.eves])[:, None]
-        assert np.all((geo.theta == h2) == inside)
+        assert np.all((theta == h2) == inside)

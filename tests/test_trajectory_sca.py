@@ -62,7 +62,7 @@ class TestInitializeSlacks:
         prog = assemble(traj, equal_power(scen), scen)
         for k, eve in enumerate(scen.eves):
             r = eve.radius
-            slack = prog.eve_kx[k] * x + prog.eve_ky[k] * y + prog.eve_k0[k] - t
+            slack = prog.eve_k[0, k] * x + prog.eve_k[1, k] * y + prog.eve_k0[k] - t
             rho = np.hypot(x - eve.center_x, y - eve.center_y)
             huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
             assert np.all(slack - huber >= -1e-9 * slack.max())
@@ -119,12 +119,11 @@ class TestAssemble:
         scen = make_scenario(**benchmark_fields(160.0))
         traj = best_effort_trajectory(scen)
         prog = assemble(traj, equal_power(scen), scen)
-        assert prog.eve_kx.shape == prog.eve_ky.shape == prog.eve_k0.shape == (2, 320)
+        assert prog.eve_k.shape == (2, 2, 320) and prog.eve_k0.shape == (2, 320)
         assert list(prog.eve_r) == [20.0, 80.0]
         ws = _Workspace(prog)
         assert ws.B == 3 and ws.nz == 3 * 320
-        z = ws.pack(prog.x_start, prog.y_start, prog.t_start)
-        assert ws.table(z).m.size == ws.m_bar == 321 + 320 + 2 * 320
+        assert ws.table(ws.z0).m.size == ws.m_bar == 321 + 320 + 2 * 320
 
     def test_zero_power_program_still_solvable(self):
         scen = make_scenario()
