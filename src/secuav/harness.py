@@ -62,10 +62,14 @@ def dbm_to_watts(dbm: float) -> float:
 def load_scenario(path) -> Scenario:
     """Parse and validate a scenario file; unknown or missing keys are errors."""
     path = Path(path)
-    if not path.exists():
-        raise HarnessError(f"scenario file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, NotADirectoryError) as e:
+        raise HarnessError(f"scenario file not found: {path}") from e
+    except OSError as e:
+        raise HarnessError(f"cannot read scenario file: {e.strerror}", file=str(path)) from e
+    except UnicodeDecodeError as e:
+        raise HarnessError("scenario file is not UTF-8 text", file=str(path)) from e
     except json.JSONDecodeError as e:
         raise HarnessError(f"scenario parse error: {e.msg}", file=str(path),
                            line=e.lineno, column=e.colno) from e
@@ -182,8 +186,7 @@ def _run_algorithm(tag: str, scenario: Scenario) -> PlanResult:
 
 def run_sweep(spec: SweepSpec, out_dir) -> Path:
     """Run every (value, algorithm) point in turn and write sweep.csv."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     rows = []
     for value in sorted(spec.values):
         scenario = derive_scenario(spec.base, spec.param, value)
@@ -206,6 +209,15 @@ def _fmt(x) -> str:
     return format(float(x), ".12g")
 
 
+def _make_out_dir(out_dir) -> Path:
+    try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # an existing file, or a path under one
+        raise HarnessError(f"cannot create output directory: {e.strerror}",
+                           out=str(out_dir)) from e
+    return Path(out_dir)
+
+
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
@@ -213,8 +225,7 @@ def _atomic_write(path: Path, text: str):
 
 
 def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _make_out_dir(out_dir)
     traj = result.trajectory
     lines = ["slot,x_m,y_m"]
     lines += [f"{i},{_fmt(x)},{_fmt(y)}" for i, (x, y) in
@@ -375,25 +386,21 @@ def _check_sca_monotone(n_steps: int):
     return True, f"objective non-decreasing over {n_steps} steps (final {prev:.6f})"
 
 
+# name, check, quick arguments, full arguments
+_VERIFY_SUITES = (
+    ("theta-oracle", _check_theta_oracle, (100, 2000, 20260809), (1000, 10_000, 20260809)),
+    ("huber-margin", _check_huber_margin, (2_000, 7), (50_000, 7)),
+    ("power-grid", _check_power_alloc, (10, 10_000, 11), (100, 100_000, 11)),
+    ("sca-monotone", _check_sca_monotone, (3,), (10,)),
+)
+
+
 def verify_suites(level: str):
     """Oracle suites; returns a list of (name, passed, detail)."""
-    if level == "quick":
-        jobs = [
-            ("theta-oracle", lambda: _check_theta_oracle(100, 2000, 20260809)),
-            ("huber-margin", lambda: _check_huber_margin(2_000, 7)),
-            ("power-grid", lambda: _check_power_alloc(10, 10_000, 11)),
-            ("sca-monotone", lambda: _check_sca_monotone(3)),
-        ]
-    elif level == "full":
-        jobs = [
-            ("theta-oracle", lambda: _check_theta_oracle(1000, 10_000, 20260809)),
-            ("huber-margin", lambda: _check_huber_margin(50_000, 7)),
-            ("power-grid", lambda: _check_power_alloc(100, 100_000, 11)),
-            ("sca-monotone", lambda: _check_sca_monotone(10)),
-        ]
-    else:
+    if level not in ("quick", "full"):
         raise HarnessError(f"unknown verify level '{level}'")
-    return [(name, *fn()) for name, fn in jobs]
+    return [(name, *check(*(quick if level == "quick" else full)))
+            for name, check, quick, full in _VERIFY_SUITES]
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ class PowerDual:
 
     lam: float
     schedule: PowerSchedule
-    avg_used: float
     iterations: int           # power-law evaluations at lam > 0
 
 
@@ -44,17 +43,15 @@ def power_for_dual(alpha, beta, lam: float, peak: float):
     link (alpha <= beta) transmit nothing.  For the rest, the stationary point
     of the per-slot Lagrangian is clamped to [0, peak]; lam == 0 is the
     unconstrained limit where the stationary point runs off to +inf, so the
-    peak applies.  Accepts scalars or arrays.
+    peak applies.
     """
     alpha = np.asarray(alpha, dtype=float)
     beta = np.asarray(beta, dtype=float)
     active = alpha > beta
     if lam <= 0.0:
-        p = np.where(active, peak, 0.0)
-        return float(p) if p.ndim == 0 else p
+        return np.where(active, peak, 0.0)
     p_hat, _ = _stationary(0.5 / beta - 0.5 / alpha, 0.5 / beta + 0.5 / alpha, lam)
-    p = np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak), 0.0)
-    return float(p) if p.ndim == 0 else p
+    return np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak), 0.0)
 
 
 def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> PowerDual:
@@ -78,8 +75,7 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
     beta = np.asarray(beta, dtype=float)
     p0 = power_for_dual(alpha, beta, 0.0, peak_power)
     if p0.mean() <= avg_power:
-        return PowerDual(lam=0.0, schedule=PowerSchedule(p0),
-                         avg_used=float(p0.mean()), iterations=0)
+        return PowerDual(lam=0.0, schedule=PowerSchedule(p0), iterations=0)
 
     active = alpha > beta
     half_diff = 0.5 / beta - 0.5 / alpha
@@ -92,8 +88,7 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
         p = np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak_power), 0.0)
         mean = p.mean()
         if abs(mean - avg_power) <= tol:
-            return PowerDual(lam=lam, schedule=PowerSchedule(p),
-                             avg_used=float(mean), iterations=iters)
+            return PowerDual(lam=lam, schedule=PowerSchedule(p), iterations=iters)
         if mean > avg_power:
             lo = lam
         else:
@@ -110,8 +105,7 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
     if p_hi is None:
         raise RuntimeError(f"power dual found no schedule within the average budget "
                            f"in {MAX_DUAL_ITERS} evaluations")
-    return PowerDual(lam=hi, schedule=PowerSchedule(p_hi),
-                     avg_used=float(p_hi.mean()), iterations=iters)
+    return PowerDual(lam=hi, schedule=PowerSchedule(p_hi), iterations=iters)
 
 
 def optimize_power(traj: Trajectory, scenario: Scenario) -> PowerDual:

@@ -558,6 +558,14 @@ class TestInteriorStart:
         k = int(np.argmin(barriers))
         assert np.allclose(z, z0 + 0.5**k * (track - z0), rtol=0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("make", [kernel_program, fine_slot_program, small_program])
+    def test_warm_start_is_the_expansion_point_below_the_tight_t(self, make):
+        prog = make()
+        ws = _Workspace(prog)
+        x, y, t = ws.rows(ws.z0)
+        assert np.array_equal(x, prog.x_fea) and np.array_equal(y, prog.y_fea)
+        assert np.all((convex_backend.T_FLOOR * prog.h2 < t) & (t < prog.t_fea))
+
     def test_pins_a_full_budget_apart_leave_no_interior(self):
         """Pins (N+1)*L apart force the straight track at full speed, so no
         point has positive mobility margins (``validate`` rejects such a

@@ -169,7 +169,7 @@ class TestSecrecyMetrics:
 
 
 class TestRateCoefficients:
-    """The SNR coefficients gamma0/d2 and gamma0/theta_min that the power
+    """The SNR coefficients gamma0/d2 and gamma0/theta that the power
     subproblem reads off ``worst_case_geometry``."""
 
     def test_hover_at_origin(self):

@@ -210,6 +210,45 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert "not found" in err["error"]
 
+    @pytest.mark.parametrize("kind, message", [
+        ("directory", "cannot read scenario file"),
+        ("not utf-8", "not UTF-8"),
+        ("under a file", "not found"),
+    ])
+    def test_unreadable_scenario_error_json(self, tmp_path, capsys, kind, message):
+        path = tmp_path / "s.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not utf-8":
+            path.write_bytes(json.dumps(TINY_DOC).encode().replace(b"20.0", b"\xe920.0", 1))
+        else:
+            path.write_text("x")
+            path = path / "s.json"
+        code = main(["optimize", "--scenario", str(path),
+                     "--algorithm", "robust", "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert message in err["error"] and str(path) in json.dumps(err)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("args", [
+        ["optimize", "--algorithm", "best-effort"],
+        ["sweep", "--param", "T", "--values", "4", "--algorithms", "best-effort"],
+    ])
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_on_a_file_error_json(self, tmp_path, capsys, args, under):
+        """--out names an existing file, or a path under one."""
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        out = taken / "o" if under else taken
+        code = main([args[0], "--scenario", str(write_tiny(tmp_path)), *args[1:],
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].startswith("cannot create output directory")
+        assert err["context"] == {"out": str(out)}
+        assert taken.read_text() == "x"
+
     @pytest.mark.parametrize("field, change", [
         ("altitude", dict(altitude="high")),
         ("eves[1].radius", dict(eves=[TINY_DOC["eves"][0],

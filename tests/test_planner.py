@@ -176,8 +176,7 @@ class TestOptimize:
         # returned as if it were valid
         def overspend(traj, scenario):
             p = np.full(scenario.n_slots, 2.0 * scenario.peak_power)
-            return PowerDual(lam=0.0, schedule=PowerSchedule(p), avg_used=float(p.mean()),
-                             iterations=0)
+            return PowerDual(lam=0.0, schedule=PowerSchedule(p), iterations=0)
 
         monkeypatch.setattr(planner, "optimize_power", overspend)
         with pytest.raises(RuntimeError, match="peak power exceeded.*average power"):

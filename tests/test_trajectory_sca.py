@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from secuav import convex_backend
+from secuav import convex_backend, trajectory_sca
 from secuav.convex_backend import _Workspace
 from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
 from secuav.planner import best_effort_trajectory, equal_power
@@ -223,3 +223,37 @@ class TestSolveStep:
         sol, powers = _iterate_sca(scen)
         again = solve_step(sol.trajectory, powers, scen)
         assert again.true_objective - sol.true_objective <= 1e-8
+
+
+class TestSolveFacts:
+    """solve_step keeps the solver's own result, on success and on fallback."""
+
+    @staticmethod
+    def capture(monkeypatch):
+        results = []
+        solve = convex_backend.solve
+
+        def capturing(prog):
+            results.append(solve(prog))
+            return results[-1]
+
+        monkeypatch.setattr(convex_backend, "solve", capturing)
+        return results
+
+    def test_success_keeps_the_solver_result(self, monkeypatch):
+        results = self.capture(monkeypatch)
+        scen = make_scenario()
+        sol = solve_step(best_effort_trajectory(scen), equal_power(scen), scen)
+        assert sol.status == "optimal"
+        assert len(results) == 1 and sol.solve is results[0]
+
+    def test_fallback_keeps_the_solver_result(self, monkeypatch):
+        results = self.capture(monkeypatch)
+        # no returned t passes the robust re-check
+        monkeypatch.setattr(trajectory_sca, "ROBUST_FEAS_TOL", -math.inf)
+        scen = make_scenario()
+        traj = best_effort_trajectory(scen)
+        sol = solve_step(traj, equal_power(scen), scen)
+        assert sol.status == "numerical_trouble" and sol.trajectory is traj
+        assert len(results) == 1 and sol.solve is results[0]
+        assert results[0].status == "optimal"
