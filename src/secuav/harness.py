@@ -210,12 +210,13 @@ def _fmt(x) -> str:
 
 
 def _make_out_dir(out_dir) -> Path:
+    out_dir = Path(out_dir)
     try:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # an existing file, or a path under one
         raise HarnessError(f"cannot create output directory: {e.strerror}",
                            out=str(out_dir)) from e
-    return Path(out_dir)
+    return out_dir
 
 
 def _atomic_write(path: Path, text: str):
