@@ -10,6 +10,7 @@ CSV wall_ms columns are fixed at 0 to keep outputs deterministic).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -221,8 +222,14 @@ def _make_out_dir(out_dir) -> Path:
 
 def _atomic_write(path: Path, text: str):
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as e:  # e.g. an output name that is a directory
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise HarnessError(f"cannot write output file: {e.strerror}",
+                           file=str(path)) from e
 
 
 def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> list[Path]:
@@ -242,14 +249,14 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
               for r in result.iterations]
     _atomic_write(out_dir / "iterations.csv", "\n".join(lines) + "\n")
 
-    max_kkt = max((r.kkt_residual for r in result.iterations), default=0.0)
+    max_kkt = max((r.solve.kkt_residual for r in result.iterations if r.solve), default=0.0)
     summary = {
         "algorithm": result.algorithm,
         "secrecy_rate_bps_hz": result.secrecy_rate,
         "converged": result.converged,
         "iterations": max(len(result.iterations) - 1, 0),
-        "newton_steps": sum(r.newton_iters for r in result.iterations),
-        "power_iters": sum(r.power_iters for r in result.iterations),
+        "newton_steps": sum(r.solve.newton_iters for r in result.iterations if r.solve),
+        "power_iters": sum(r.dual.iterations for r in result.iterations if r.dual),
         # null when a solve had no interior start (an infinite residual)
         "max_kkt_residual": max_kkt if math.isfinite(max_kkt) else None,
         "wall_s": wall_s,
@@ -380,7 +387,7 @@ def _check_sca_monotone(n_steps: int):
             return False, "trajectory step reported numerical trouble"
         if sol.true_objective < prev - 1e-6:
             return False, f"objective decreased {prev} -> {sol.true_objective}"
-        if np.any(trajectory_sca.initialize_slacks(sol.trajectory, scen) < sol.t - 1e-6):
+        if np.any(trajectory_sca.initialize_slacks(sol.trajectory, scen) < sol.solve.t - 1e-6):
             return False, "robust distance requirement violated after a step"
         prev = sol.true_objective
         traj = sol.trajectory
@@ -411,6 +418,7 @@ def verify_suites(level: str):
 def _cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
     tag = _CLI_ALGORITHMS[args.algorithm]
+    _make_out_dir(args.out)
     t0 = time.perf_counter()
     result = _run_algorithm(tag, scenario)
     export_plan(result, args.out, wall_s=time.perf_counter() - t0)

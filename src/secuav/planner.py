@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convex_backend import TROUBLE
+from .convex_backend import TROUBLE, SolverResult
 from .geometry import avg_worst_case_secrecy_rate, secrecy_sum
-from .power_alloc import optimize_power
+from .power_alloc import PowerDual, optimize_power
 from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
                        trajectory_violations)
 # initialize_slacks is unused here, but planbench's tracer and its tests wrap
@@ -37,16 +37,11 @@ class IterationRecord:
     trajectory: Trajectory
     powers: PowerSchedule
     status: str
-    wall_s: float
-    # the power dual and its power-law evaluations, 0 on the start record and
-    # on a step that ends in numerical trouble (no power update)
-    power_lam: float = 0.0
-    power_iters: int = 0
-    # the facts of the iteration's convex solve, 0 on the start record
-    newton_iters: int = 0
-    duality_gap: float = 0.0
-    kkt_residual: float = 0.0
-    min_margin: float = 0.0
+    wall_s: float             # since the plan started
+    # the step's own solve and power update, both None on the start record;
+    # dual is None on a trouble step too, whose iterate is the previous one
+    solve: SolverResult | None = None
+    dual: PowerDual | None = None
 
 
 @dataclass(frozen=True)
@@ -101,12 +96,6 @@ def equal_power(scenario: Scenario) -> PowerSchedule:
     return PowerSchedule(np.full(scenario.n_slots, scenario.avg_power))
 
 
-def solver_facts(res) -> dict:
-    """The solve's iterations, gap, KKT residual and margin, by field name."""
-    return dict(newton_iters=res.newton_iters, duality_gap=res.duality_gap,
-                kkt_residual=res.kkt_residual, min_margin=res.min_margin)
-
-
 def _fractional_increase(new: float, old: float) -> float:
     return abs(new - old) / max(abs(old), 1e-12)
 
@@ -133,18 +122,16 @@ def optimize(scenario: Scenario) -> PlanResult:
     converged = False
     for m in range(1, scenario.max_iters + 1):
         sol = solve_step(traj, powers, scenario)
-        facts = solver_facts(sol.solve)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
-                                           time.perf_counter() - t0, **facts))
+                                           time.perf_counter() - t0, sol.solve))
             break
         traj = sol.trajectory
         dual = optimize_power(traj, scenario)
         powers = dual.schedule
         new_objective = secrecy_sum(traj, powers, scenario)
         records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
-                                       time.perf_counter() - t0, power_lam=dual.lam,
-                                       power_iters=dual.iterations, **facts))
+                                       time.perf_counter() - t0, sol.solve, dual))
         gain = _fractional_increase(new_objective, objective)
         objective = new_objective
         if gain < scenario.epsilon:
@@ -166,11 +153,8 @@ def optimize_non_robust(scenario: Scenario) -> PlanResult:
         eves=tuple(dataclasses.replace(e, radius=0.0) for e in scenario.eves),
     )
     inner = optimize(zeroed)
-    return PlanResult(trajectory=inner.trajectory, powers=inner.powers,
-                      iterations=inner.iterations,
-                      secrecy_rate=avg_worst_case_secrecy_rate(
-                          inner.trajectory, inner.powers, scenario),
-                      converged=inner.converged, algorithm=NON_ROBUST)
+    rate = avg_worst_case_secrecy_rate(inner.trajectory, inner.powers, scenario)
+    return dataclasses.replace(inner, secrecy_rate=rate, algorithm=NON_ROBUST)
 
 
 def run_best_effort(scenario: Scenario) -> PlanResult:

@@ -9,6 +9,10 @@ as one concave disk margin.  Both under-estimate the true objective and shrink
 the feasible set, so a solved step never decreases the true objective and is
 always robustly feasible.
 
+Silent slots.  Where the power law gives P = 0, g_u = 0 and the slot adds
+nothing to the objective wherever it flies; its position enters only the
+constraints, so the step's optimum need not be unique there.
+
 The disk margin.  The paper's S-procedure asks for nu >= 0 that makes the
 arrowhead [[a, 0, b], [0, a, c], [b, c, d]] PSD, with a = nu + 1,
 (b, c) = c_eve - q, d = L - r^2*nu, L = lin(q) - t, and lin the tangent
@@ -36,7 +40,7 @@ import numpy as np
 from . import convex_backend
 from .convex_backend import TROUBLE
 from .geometry import LN2, log2_1p, secrecy_sum, worst_case_geometry
-from .scenario import PowerSchedule, Scenario, Trajectory
+from .scenario import PowerSchedule, Scenario, Trajectory, trajectory_violations
 
 ROBUST_FEAS_TOL = 1e-6   # meters^2, allowed slack when re-checking t against disks
 
@@ -72,12 +76,10 @@ class ConvexProgram:
 
 @dataclass(frozen=True)
 class SubproblemSolution:
-    trajectory: Trajectory
-    t: np.ndarray
-    surrogate_objective: float
+    trajectory: Trajectory    # the expansion point on fallback
     true_objective: float
     status: str
-    solve: convex_backend.SolverResult  # the solve's own facts, kept on fallback
+    solve: convex_backend.SolverResult  # the solve's own result, kept on fallback
 
 
 def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
@@ -88,7 +90,7 @@ def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
 def assemble(traj_fea: Trajectory, powers: PowerSchedule,
              scenario: Scenario) -> ConvexProgram:
     """Build the convex step program around a feasible expansion point."""
-    if np.any(traj_fea.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
+    if trajectory_violations(traj_fea, scenario):
         raise ValueError("expansion trajectory violates the mobility constraint")
     h2 = scenario.altitude**2
     x, y = traj_fea.slot_positions()
@@ -96,8 +98,7 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
 
     p_scaled = scenario.gamma0 * powers.p
     d2_fea = geo.d2
-    g_u = np.where(p_scaled > 0,
-                   p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea)), 0.0)
+    g_u = p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea))  # 0 at P = 0, d2 >= H^2
     obj_const = float(log2_1p(p_scaled / d2_fea).sum() + (g_u * d2_fea).sum())
 
     # lin = |q - c|^2 + H^2 with x^2, y^2 tangent at the expansion point; the
@@ -117,10 +118,8 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
 
 
 def _fallback(traj_fea: Trajectory, powers, scenario, res) -> SubproblemSolution:
-    true_val = secrecy_sum(traj_fea, powers, scenario)
-    return SubproblemSolution(trajectory=traj_fea, t=initialize_slacks(traj_fea, scenario),
-                              surrogate_objective=true_val, true_objective=true_val,
-                              status=TROUBLE, solve=res)
+    return SubproblemSolution(traj_fea, secrecy_sum(traj_fea, powers, scenario),
+                              TROUBLE, res)
 
 
 def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
@@ -140,7 +139,7 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     xs = np.concatenate(([scenario.start_xy[0]], res.x, [scenario.end_xy[0]]))
     ys = np.concatenate(([scenario.start_xy[1]], res.y, [scenario.end_xy[1]]))
     traj = Trajectory(xs=xs, ys=ys)
-    if np.any(traj.step_sq() > scenario.max_step**2 + scenario.mobility_tol):
+    if trajectory_violations(traj, scenario):
         return _fallback(traj_fea, powers, scenario, res)
 
     if np.any(initialize_slacks(traj, scenario) < res.t - ROBUST_FEAS_TOL):
@@ -154,5 +153,4 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
     if (res.objective > true_val + 1e-9 * max(1.0, abs(true_val))
             or res.objective < sur_fea - 1e-6 * max(1.0, abs(sur_fea))):
         return _fallback(traj_fea, powers, scenario, res)
-    return SubproblemSolution(trajectory=traj, t=res.t, surrogate_objective=res.objective,
-                              true_objective=true_val, status=res.status, solve=res)
+    return SubproblemSolution(traj, true_val, res.status, res)

@@ -146,7 +146,7 @@ def test_c04_sca_step_soundness():
             for n in range(scen.n_slots):
                 sampled = worst_case_dist_sq_oracle((x[n], y[n]), eve,
                                                     scen.altitude, 2000, k * 100 + n)
-                worst_violation = max(worst_violation, sol.t[n] - sampled)
+                worst_violation = max(worst_violation, sol.solve.t[n] - sampled)
         prev = sol.true_objective
         traj = sol.trajectory
     elapsed = time.perf_counter() - t0

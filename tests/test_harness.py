@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from secuav import trajectory_sca
-from secuav.harness import (HarnessError, SweepSpec, _check_huber_margin,
-                            _huber_margin_draw, dbm_to_watts, derive_scenario,
-                            export_plan, load_scenario, main, run_sweep,
-                            verify_suites)
+from secuav import geometry, harness, power_alloc, trajectory_sca
+from secuav.harness import (_VERIFY_SUITES, HarnessError, SweepSpec,
+                            _check_huber_margin, _huber_margin_draw, dbm_to_watts,
+                            derive_scenario, export_plan, load_scenario, main,
+                            run_sweep, verify_suites)
 from secuav.planner import run_best_effort, optimize
 from secuav.scenario import (PowerSchedule, Trajectory, power_violations,
                              trajectory_violations, validate)
@@ -189,7 +189,7 @@ class TestCli:
         assert summary["newton_steps"] > 0
         assert 0.0 < summary["max_kkt_residual"] <= 1e-7
         plan = optimize(load_scenario(scen_file))
-        assert summary["power_iters"] == sum(r.power_iters for r in plan.iterations) > 0
+        assert summary["power_iters"] == sum(r.dual.iterations for r in plan.iterations[1:]) > 0
         assert (outs[0] / "iterations.csv").read_text().splitlines()[0] == \
             "iter,objective,status,wall_ms"
 
@@ -249,6 +249,36 @@ class TestCli:
         assert err["context"] == {"out": str(out)}
         assert taken.read_text() == "x"
 
+    def test_out_checked_before_planning(self, tmp_path, capsys, monkeypatch):
+        def no_plan(scenario):
+            raise AssertionError("planned before --out was checked")
+
+        monkeypatch.setattr(harness, "optimize", no_plan)
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        code = main(["optimize", "--scenario", str(write_tiny(tmp_path)),
+                     "--algorithm", "robust", "--out", str(taken)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].startswith("cannot create output directory")
+        assert err["context"] == {"out": str(taken)}
+
+    @pytest.mark.parametrize("args, name", [
+        (["optimize", "--algorithm", "best-effort"], "trajectory.csv"),
+        (["sweep", "--param", "T", "--values", "4", "--algorithms", "best-effort"],
+         "sweep.csv"),
+    ])
+    def test_output_name_is_a_directory_error_json(self, tmp_path, capsys, args, name):
+        out = tmp_path / "o"
+        (out / name).mkdir(parents=True)
+        code = main([args[0], "--scenario", str(write_tiny(tmp_path)), *args[1:],
+                     "--out", str(out)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"].startswith("cannot write output file")
+        assert err["context"] == {"file": str(out / name)}
+        assert not list(out.glob("*.tmp"))
+
     @pytest.mark.parametrize("field, change", [
         ("altitude", dict(altitude="high")),
         ("eves[1].radius", dict(eves=[TINY_DOC["eves"][0],
@@ -307,6 +337,34 @@ class TestVerifySuites:
         monkeypatch.setattr(trajectory_sca, "assemble", shifted)
         ok, detail = _check_huber_margin(2_000, 7)
         assert not ok, detail
+
+    @pytest.mark.parametrize("suite, module, name, spoil, reason", [
+        # the closed form doubled: the disk samples fall below it
+        ("theta-oracle", geometry, "worst_case_dist_sq",
+         lambda out, args: 2.0 * out, "below closed form"),
+        # half of every slot's power: the budget is no longer spent
+        ("power-grid", power_alloc, "solve_power_subproblem",
+         lambda dual, args: dataclasses.replace(
+             dual, schedule=PowerSchedule(0.5 * dual.schedule.p)),
+         "complementary slackness"),
+        # a t above what the new track certifies
+        ("sca-monotone", trajectory_sca, "solve_step",
+         lambda sol, args: dataclasses.replace(
+             sol, solve=dataclasses.replace(sol.solve, t=sol.solve.t + 1.0)),
+         "robust distance"),
+        # a true objective below the expansion point's
+        ("sca-monotone", trajectory_sca, "solve_step",
+         lambda sol, args: dataclasses.replace(
+             sol, true_objective=geometry.secrecy_sum(*args) - 1.0),
+         "objective decreased"),
+    ])
+    def test_suite_fails_on_a_spoiled_result(self, monkeypatch, suite, module, name,
+                                             spoil, reason):
+        inner = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: spoil(inner(*args), args))
+        check, quick = next((c, q) for n, c, q, _ in _VERIFY_SUITES if n == suite)
+        ok, detail = check(*quick)
+        assert not ok and reason in detail, detail
 
     def test_huber_margin_draw_covers_both_branches(self):
         # r = 0 rows, and slots inside and outside a disk, before and after

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import hypothesis.strategies as st
@@ -6,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from secuav import planner
+from secuav import convex_backend, planner, trajectory_sca
 from secuav.convex_backend import TROUBLE
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
-from secuav.harness import derive_scenario, load_scenario
+from secuav.harness import derive_scenario, export_plan, load_scenario
 from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
                             optimize, optimize_non_robust, run_best_effort)
 from secuav.power_alloc import PowerDual, optimize_power
@@ -155,21 +156,66 @@ class TestOptimize:
     def test_iterations_carry_solver_facts(self, tiny_scenario):
         res = optimize(tiny_scenario)
         names = [f.name for f in dataclasses.fields(IterationRecord)]
-        assert names[-4:] == ["newton_iters", "duality_gap", "kkt_residual", "min_margin"]
+        assert names == ["iteration", "objective", "trajectory", "powers", "status",
+                         "wall_s", "solve", "dual"]
         start, *steps = res.iterations
-        assert (start.newton_iters, start.duality_gap, start.kkt_residual,
-                start.min_margin) == (0, 0.0, 0.0, 0.0)
-        assert (start.power_lam, start.power_iters) == (0.0, 0)
+        assert (start.solve, start.dual) == (None, None)
         for r in steps:
             assert r.status == "optimal"
-            assert r.newton_iters > 0 and r.min_margin > 0.0
-            assert 0.0 < r.duality_gap < 1e-6
-            assert r.kkt_residual <= 1e-7
+            assert r.solve.newton_iters > 0 and r.solve.min_margin > 0.0
+            assert 0.0 < r.solve.duality_gap < 1e-6
+            assert r.solve.kkt_residual <= 1e-7
             # the record's power dual is the one its schedule came from
             dual = optimize_power(r.trajectory, tiny_scenario)
-            assert (r.power_lam, r.power_iters) == (dual.lam, dual.iterations)
+            assert (r.dual.lam, r.dual.iterations) == (dual.lam, dual.iterations)
             assert np.array_equal(r.powers.p, dual.schedule.p)
-            assert r.power_lam > 0.0 and r.power_iters > 0
+            assert r.dual.lam > 0.0 and r.dual.iterations > 0
+
+    @staticmethod
+    def capture(monkeypatch, module, name):
+        """Record every result of ``module.name`` while the test runs."""
+        results, inner = [], getattr(module, name)
+
+        def capturing(*args):
+            results.append(inner(*args))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, capturing)
+        return results
+
+    def test_step_records_hold_the_steps_own_results(self, tiny_scenario, monkeypatch):
+        solves = self.capture(monkeypatch, convex_backend, "solve")
+        duals = self.capture(monkeypatch, planner, "optimize_power")
+        steps = optimize(tiny_scenario).iterations[1:]
+        assert len(steps) == len(solves) == len(duals) > 1
+        for r, res, dual in zip(steps, solves, duals):
+            assert r.solve is res and r.dual is dual
+            assert r.powers is dual.schedule
+
+    def test_trouble_step_keeps_its_solve(self, tiny_scenario, monkeypatch, tmp_path):
+        solves = self.capture(monkeypatch, convex_backend, "solve")
+        calls = []
+
+        def second_falls_back(*args):
+            # no t passes the robust re-check from the second step on
+            calls.append(args)
+            if len(calls) == 2:
+                monkeypatch.setattr(trajectory_sca, "ROBUST_FEAS_TOL", -math.inf)
+            return trajectory_sca.solve_step(*args)
+
+        monkeypatch.setattr(planner, "solve_step", second_falls_back)
+        res = optimize(tiny_scenario)
+        start, first, trouble = res.iterations
+        assert [r.status for r in res.iterations] == ["init", "optimal", TROUBLE]
+        assert trouble.solve is solves[1] and solves[1].status == "optimal"
+        assert trouble.dual is None and first.dual is not None
+        assert (trouble.trajectory, trouble.powers) == (first.trajectory, first.powers)
+        export_plan(res, tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert (summary["iterations"], summary["converged"]) == (2, False)
+        assert summary["newton_steps"] == solves[0].newton_iters + solves[1].newton_iters
+        assert summary["power_iters"] == first.dual.iterations
+        assert summary["max_kkt_residual"] == max(s.kkt_residual for s in solves)
 
     def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
         # a power block that overspends both budgets: the plan must not be

@@ -132,7 +132,7 @@ class TestAssemble:
         sol = solve_step(traj, powers, scen)
         assert sol.status == "optimal"
         assert sol.true_objective == 0.0
-        assert sol.surrogate_objective == pytest.approx(0.0, abs=1e-12)
+        assert sol.solve.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_infeasible_expansion_rejected(self):
         scen = make_scenario(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
@@ -170,8 +170,8 @@ class TestSolveStep:
         sol = solve_step(traj, powers, scen)
         assert sol.status == "optimal"
         # surrogate below truth at the new point, above truth at the old point
-        assert sol.surrogate_objective <= sol.true_objective + 1e-9
-        assert sol.surrogate_objective >= base - 1e-9
+        assert sol.solve.objective <= sol.true_objective + 1e-9
+        assert sol.solve.objective >= base - 1e-9
         assert sol.true_objective >= base - 1e-6
 
     def test_robust_feasibility_after_extraction(self):
@@ -180,7 +180,7 @@ class TestSolveStep:
         x, y = sol.trajectory.slot_positions()
         for eve in scen.eves:
             theta = worst_case_dist_sq((x, y), eve, scen.altitude)
-            assert np.all(theta >= sol.t - 1e-6)
+            assert np.all(theta >= sol.solve.t - 1e-6)
 
     def test_tiny_reachable_ball_degenerate(self):
         scen = make_scenario(flight_duration=0.5, n_slots=1,
