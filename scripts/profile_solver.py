@@ -4,9 +4,10 @@
 The script runs ``planner.optimize`` on one scenario with ``max_iters`` set to
 ``--steps``, so the plan stops at convergence, as any plan does, or after
 ``--steps`` outer iterations, whichever comes first.  It reads the plan's
-iteration records: the primal-dual iterations, duality gap, KKT residual,
-smallest constraint margin and surrogate objective printed are those of the
-step's own solve (``IterationRecord.solve``).  The ms column is the whole
+iteration records: the slots the convex step kept (the powered ones, out of
+N), the primal-dual iterations, duality gap, KKT residual, smallest
+constraint margin and surrogate objective printed are those of the step's own
+solve (``IterationRecord.solve``).  The ms column is the whole
 outer iteration's time, the convex step plus the power update, taken from the
 records' ``wall_s``.  A last line totals the primal-dual iterations and the
 time of the outer iterations.
@@ -48,7 +49,8 @@ def main() -> int:
     records = optimize(scen).iterations
     for prev, rec in zip(records, records[1:]):
         res, ms = rec.solve, 1e3 * (rec.wall_s - prev.wall_s)
-        print(f"step {rec.iteration}: {res.status:9s} {res.newton_iters:4d} primal-dual iters "
+        print(f"step {rec.iteration}: {res.x.size:4d}/{scen.n_slots} slots kept "
+              f"{res.status:9s} {res.newton_iters:4d} primal-dual iters "
               f"{ms:7.1f} ms ({per_iter(ms, res.newton_iters)} ms/iter)  "
               f"gap {res.duality_gap:.2e} kkt {res.kkt_residual:.2e} "
               f"margin {res.min_margin:.2e} objective {res.objective:+.6f}")

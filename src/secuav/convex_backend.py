@@ -4,13 +4,14 @@ The program class is fixed: maximize a concave objective
 
     sum_n [ -g_u[n]*(x[n]^2 + y[n]^2 + H^2) - log2(1 + P[n]/t[n]) ]   (+ constant)
 
-over per-slot variables (x, y, t), packed slot-major in blocks ``[x, y, t]``,
-subject to
+over per-slot variables (x, y, t) of the program's n slots, packed slot-major
+in blocks ``[x, y, t]``, subject to
 
-  * mobility balls   (x[n+1]-x[n])^2 + (y[n+1]-y[n])^2 <= L^2   (pinned ends),
+  * mobility balls   |q[b] - q[a]|^2 <= (g*L)^2, q = (x, y), for consecutive
+                     slots a, b g flight steps apart (pins at -1 and N),
   * a t floor        t >= H^2/2,
   * disk margins     t <= lin(q) - huber_r(|q - c|)  per (eavesdropper, slot),
-                     with q = (x, y), lin = k . q + k0 and
+                     with lin = k . q + k0 and
                      huber_r(rho) = rho^2 for rho <= r, 2*r*rho - r^2 beyond.
 
 lin is the tangent lower bound of |q - c|^2 + H^2 at the expansion point, so
@@ -34,13 +35,13 @@ ch. 19) minimizes f0, the negated objective, subject to every margin
 m_i(z) >= 0.  The point z stays strictly interior and each margin carries a
 multiplier lambda_i > 0; the iterations drive the residual
 r = grad f0 - sum_i lambda_i grad m_i and the complementarity
-mu = lambda^T m / m_bar to zero, with m_bar = (N+1) + N + K*N margins.  Each
-iteration factors
+mu = lambda^T m / sum(w) to zero (w the row weights below), over
+m_bar = (n+1) + n + K*n margins.  Each iteration factors
 
     H = hess f0 + sum_i (lambda_i/m_i) grad m_i grad m_i^T - sum_i lambda_i hess m_i
 
-once, a banded matrix since slots couple only through the mobility chain,
-and solves with it twice:
+once, a banded matrix since slots couple only through the mobility chain
+(t eliminated, see "Eliminating t"), and solves with it twice:
 
   * predictor: H dz = -grad f0 and dlambda = -lambda*(1 + m1/m), Newton's
     step towards lambda*m = 0 (m1, m2 are the margins' model along dz, see
@@ -49,15 +50,24 @@ and solves with it twice:
     complementarity mu_aff they reach sets sigma = (mu_aff/mu)^3;
   * corrector: with c = dlambda*m1 + lambda*m2 of the predictor, the
     second-order terms of (lambda + dlambda)(m + m1 + m2),
-    H dz = -grad f0 + sum_i ((sigma*mu - c_i)/m_i) grad m_i and
-    dlambda = (sigma*mu - c - lambda*m - lambda*m1)/m.
+    H dz = -grad f0 + sum_i ((sigma*mu*w_i - c_i)/m_i) grad m_i and
+    dlambda = (sigma*mu*w - c - lambda*m - lambda*m1)/m.
+
+Row weights.  A chain row spanning g flight steps stands for g of them, so
+it weighs w_i = g and every other row 1: the iterations follow the central
+path of the barrier -sum_i w_i log m_i, lambda_i*m_i = mu*w_i.
+
+Eliminating t.  t couples to nothing outside its slot, whose tt entry of H is
+positive (the floor adds lambda/m > 0), so the band holds the Schur complement
+over x, y: with u = (xt, yt)/tt, the slot blocks less u (xt, yt)^T, the
+right-hand side r_q - u*r_t, and then dt = r_t/tt - u . (dx, dy).
 
 Step rules.  The corrector's primal step is 0.99 times its models' first
 positive root, capped at 1, and halved until the table at the trial point is
 strictly positive (the model of a disk row outside its disk is inexact); its
 dual step is 0.99 times the distance to lambda = 0, capped at 1.  No merit
 function judges a step.  The solve starts at the interior start below with
-lambda_i = TAU0_GAP/(m_bar*m_i), so lambda^T m = TAU0_GAP.
+lambda_i = (TAU0_GAP/sum(w))*w_i/m_i, so lambda^T m = TAU0_GAP.
 
 Stop and certificate.  The status is "optimal" once
 lambda^T m <= OPT_TOL*max(1, |objective|) and |r|_inf <= KKT_TOL, at a point
@@ -79,34 +89,34 @@ least the tight t, so the floor and disk margins are positive; the mobility
 margins are often zero, as a track that flies at maximum speed sits on their
 boundary.  Every margin is concave, so on the segment from z0 to the straight
 track between the pins (same t) each margin is at least the interpolation of
-its two ends; on that track the mobility margins are positive whenever the
-pins are closer than the (N+1)-step budget, which ``scenario.validate``
-demands.  So every point of the segment close enough to z0, but off it, is
-interior.  The solver starts at the step 2^-k along the segment of least
-barrier; the barrier is convex there, so the search stops at its first
-increase.
+its two ends; the track puts flight slot s at the fraction (s + 1)/(N + 1)
+of the way, so its mobility margins are positive whenever the pins are closer
+than the (N+1)-step budget, which ``scenario.validate`` demands.  So every
+point of the segment close enough to z0, but off it, is interior.  The solver
+starts at the step 2^-k along the segment of least barrier; the barrier is
+convex there, so the search stops at its first increase.
 
 Constraint families.  Every margin is concave, and the table at a point holds
 three row blocks, in the flat order chain, floor, disks (``_Workspace`` names
-the three slices).  The mobility chain has one row per step, N+1 in all,
-written in the step differences (dx, dy) = (x[j]-x[j-1], y[j]-y[j-1]); it
-reaches the two slots of each step through the chain rule.  The floor has
-one bound row t - H^2/2 per slot, with gradient +1 in t and no Hessian.  The
-disks form a (K, N) stack, eavesdropper by eavesdropper: a row's gradient is
-(gx, gy) in x, y and -1 in t, and its Hessian entries xx, xy, yy form one
-(3, K, N) array, or None when every radius is zero, since every row is then
-affine.  The solver reads the table everywhere:
+the three slices).  The mobility chain has n+1 rows, written in the
+differences (dx, dy) = (x[j]-x[j-1], y[j]-y[j-1]); it reaches the two slots
+of each row through the chain rule.  The floor has one bound row t - H^2/2
+per slot, with gradient +1 in t and no Hessian.  The disks form a (K, n)
+stack, eavesdropper by eavesdropper: a row's gradient is (gx, gy) in x, y and
+-1 in t, and its Hessian entries xx, xy, yy form one (3, K, n) array, or None
+when every radius is zero (every row is then affine).  The solver reads the
+table everywhere:
 
   * the margins serve the interior start, the domain check of every trial
     point and the margin of the result;
   * the Newton matrix H adds (lambda/m) grad m grad m^T - lambda hess m: the
     disks' terms are summed over the K rows in one reduction into the 3x3
     slot blocks, the floor adds lambda/m to each slot's tt entry, and the
-    chain adds its diagonal and off-diagonal bands, all written straight
-    into the Fortran-ordered lower band array that ``cholesky_banded`` hands
-    to LAPACK's dpbtrf, which factors it in place (``cho_solve_banded``
-    solves with dpbtrs; both are thin calls that skip scipy's wrappers);
-    ``jt`` sums w_i grad m_i for the residual and the corrector;
+    chain adds its diagonal and off-diagonal bands; with t eliminated, all go
+    straight into the Fortran-ordered lower band array (bandwidth 3) that
+    ``cholesky_banded`` hands to LAPACK's dpbtrf, which factors it in place
+    (``cho_solve_banded`` solves with dpbtrs; both skip scipy's wrappers);
+    ``jt`` sums v_i grad m_i (any v) for the residual and the corrector;
   * along a step dz each margin is modelled by m0 + a*m1 + a^2*m2 in the
     step length a, with m1 = grad m . dz and m2 = dz^T (hess m) dz / 2.  The
     model is exact for every quadratic row: the mobility and floor rows,
@@ -184,9 +194,9 @@ class _Table(NamedTuple):
     """The three row blocks at one point (see "Constraint families")."""
 
     m: np.ndarray                  # (m_bar,) every margin: chain, floor, disks
-    d: np.ndarray                  # (2, N+1) chain steps dx, dy
-    g: np.ndarray                  # (2, K, N) disk gradient in x, y
-    h: np.ndarray | None           # (3, K, N) disk Hessian xx, xy, yy, or None
+    d: np.ndarray                  # (2, n+1) chain steps dx, dy
+    g: np.ndarray                  # (2, K, n) disk gradient in x, y
+    h: np.ndarray | None           # (3, K, n) disk Hessian xx, xy, yy, or None
 
 
 def surrogate(prog, x, y, t) -> float:
@@ -217,26 +227,30 @@ def dual_root(lam, dlam) -> float:
 class _Workspace:
     """Layout, constraint table and Newton system of one program."""
 
-    B = 3      # block columns per slot: x, y, t
-    kd = B + 1  # bandwidth: x, y couple to the next slot's x, y
+    B = 3      # z's columns per slot: x, y, t
+    kd = 3     # bandwidth of the reduced matrix: x couples to the next slot's y
     # positions in a slot's row of the band, c*(kd+1) + d for the entry
-    # (n*B + c + d, n*B + c): the slot block's xx, xy, yy, xt, yt, tt, and the
-    # chain's couplings to the next slot, x'x, y'x, x'y, y'y
-    _DIAG = [0, 1, 5, 2, 6, 10]
-    _OFF = [3, 4, 7, 8]
+    # (2n + c + d, 2n + c) of the reduced matrix over x, y: the slot block's
+    # xx, xy, yy, and the chain's couplings to the next slot, x'x, y'x, x'y, y'y
+    _DIAG = [0, 1, 4]
+    _OFF = [2, 3, 5, 6]
 
     def __init__(self, prog):
         self.prog = prog
-        self.N = N = prog.n_slots
+        self.n = n = prog.slots.size
         K = prog.eve_r.size
-        self.nz = N * self.B
-        self.L2 = prog.step_sq_max
+        self.nz = n * self.B
+        steps = np.diff(prog.slots, prepend=-1, append=prog.n_slots)  # per chain row
+        self.L2 = steps * steps * prog.step_sq_max
         self.t_min = T_FLOOR * prog.h2
-        self.m_bar = (N + 1) + N + K * N
+        self.m_bar = (n + 1) + n + K * n
         # the flat margin order: the chain, the floor, the disks
-        self.chain = slice(0, N + 1)
-        self.floor = slice(N + 1, 2 * N + 1)
-        self.disks = slice(2 * N + 1, self.m_bar)
+        self.chain = slice(0, n + 1)
+        self.floor = slice(n + 1, 2 * n + 1)
+        self.disks = slice(2 * n + 1, self.m_bar)
+        self.weight = np.ones(self.m_bar)  # see "Row weights"
+        self.weight[self.chain] = steps
+        self.weight_sum = float(self.weight.sum())
         self.robust = bool(prog.eve_r.any())
         self.k = prog.eve_k
         self.c = prog.eve_c[:, :, None]
@@ -246,10 +260,10 @@ class _Workspace:
                             prog.t_fea - 0.1 * (prog.t_fea - self.t_min))
         # the disks' entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T
         # - lam hess m, before assemble sums them over the rows
-        self.buf = np.empty((6, K, N))
+        self.buf = np.empty((6, K, n))
         # x, y between the pins, and a ray's dx, dy between pins that stay put
-        self.qpad = np.column_stack((prog.pin_start, np.zeros((2, N)), prog.pin_end))
-        self.dpad = np.zeros((2, N + 2))
+        self.qpad = np.column_stack((prog.pin_start, np.zeros((2, n)), prog.pin_end))
+        self.dpad = np.zeros((2, n + 2))
 
     # -- packing ---------------------------------------------------------
     @staticmethod
@@ -257,14 +271,14 @@ class _Workspace:
         return np.column_stack((x, y, t)).ravel()
 
     def rows(self, z) -> np.ndarray:
-        """z as contiguous (B, N) rows x, y, t."""
-        return z.reshape(self.N, self.B).T.copy()
+        """z as contiguous (B, n) rows x, y, t."""
+        return z.reshape(self.n, self.B).T.copy()
 
     # -- constraint table --------------------------------------------------
     def table(self, z) -> _Table:
         """The three row blocks at z."""
-        N = self.N
-        Z = z.reshape(N, self.B)
+        n = self.n
+        Z = z.reshape(n, self.B)
         qpad = self.qpad
         qpad[:, 1:-1] = Z[:, :2].T
         q, t = qpad[:, 1:-1], Z[:, T]
@@ -272,7 +286,7 @@ class _Workspace:
         m = np.empty(self.m_bar)
         np.subtract(self.L2, np.add.reduce(d * d), out=m[self.chain])
         np.subtract(t, self.t_min, out=m[self.floor])
-        disk = m[self.disks].reshape(-1, N)
+        disk = m[self.disks].reshape(-1, n)
         np.einsum('ikn,in->kn', self.k, q, out=disk)
         disk += self.prog.eve_k0
         disk -= t
@@ -298,12 +312,12 @@ class _Workspace:
     def assemble(self, tab: _Table, z, lam):
         """Objective gradient and Newton matrix H at z with multipliers lam.
 
-        Returns (grad f0, ab), H in the lower band form that
-        ``cholesky_banded`` reads.
+        Returns (grad f0, ab, (u, tt)): ab is H with t eliminated, in the
+        lower band form that ``cholesky_banded`` reads (see "Eliminating t").
         """
-        N, B, kd = self.N, self.B, self.kd
+        n, B, kd = self.n, self.B, self.kd
         p = self.prog
-        Z = z.reshape(N, B)
+        Z = z.reshape(n, B)
         t = Z[:, T]
         i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
         gt = (i2 - i1) / LN2   # d f0/dt
@@ -323,7 +337,7 @@ class _Workspace:
         S[5] += lam[self.floor] / tab.m[self.floor]  # the floor: grad m = (0, 0, 1)
         # the chain per step: grad m * sqrt(lam/m) in x, y, then xx, xy, yy
         lam_c = lam[self.chain]
-        C = np.empty((5, N + 1))
+        C = np.empty((5, n + 1))
         np.multiply(tab.d, -2.0 * np.sqrt(lam_c / tab.m[self.chain]), out=C[:2])
         np.multiply(C[0], C[0], out=C[2])
         np.multiply(C[0], C[1], out=C[3])
@@ -334,21 +348,34 @@ class _Workspace:
         # the objective's curvature in x, y and t
         S[0:3:2] += curv
         S[5] -= gt * (i1 + i2)
-        # column-major, as LAPACK stores it: band[n, c*(kd+1) + d] = ab[d, n*B + c]
-        band = np.zeros((N, B * (kd + 1)))
-        band[:, self._DIAG] = S.T
+        # eliminate t: xx, xy, yy less u (xt, yt)^T, u = (xt, yt)/tt
+        u = S[3:5] / S[5]
+        S[:2] -= u * S[3]
+        S[2] -= u[1] * S[4]
+        # column-major, as LAPACK stores it: band[n, c*(kd+1) + d] = ab[d, 2n + c]
+        band = np.zeros((n, 2 * (kd + 1)))
+        band[:, self._DIAG] = S[:3].T
         for pos, row in zip(self._OFF, (2, 3, 3, 4)):  # the chain's xx, xy, xy, yy
             np.negative(C[row, 1:-1], out=band[:-1, pos])
-        g0 = np.empty((N, B))
+        g0 = np.empty((n, B))
         np.multiply(curv[:, None], Z[:, :2], out=g0[:, :2])
         g0[:, T] = gt
-        return g0.ravel(), band.reshape(self.nz, kd + 1).T
+        return g0.ravel(), band.reshape(2 * n, kd + 1).T, (u, S[5])
+
+    def newton_step(self, c, elim, rhs) -> np.ndarray:
+        """dz solving H dz = rhs, packed like z, from the factor ``c`` of
+        ``assemble``'s band and its (u, tt)."""
+        u, tt = elim
+        R, dz = rhs.reshape(self.n, self.B), np.empty((self.n, self.B))
+        dz[:, :2] = cho_solve_banded(c, (R[:, :2] - u.T * R[:, T:]).ravel()).reshape(-1, 2)
+        dz[:, T] = R[:, T] / tt - (u[X] * dz[:, X] + u[Y] * dz[:, Y])
+        return dz.ravel()
 
     def jt(self, tab: _Table, w) -> np.ndarray:
         """sum_i w_i grad m_i over every margin, packed like z."""
-        N = self.N
-        wd = w[self.disks].reshape(-1, N)
-        out = np.empty((self.B, N))
+        n = self.n
+        wd = w[self.disks].reshape(-1, n)
+        out = np.empty((self.B, n))
         np.add.reduce(tab.g * wd, axis=1, out=out[:2])
         np.subtract(w[self.floor], np.add.reduce(wd), out=out[T])
         # a step's rows touch its head slot with +1 and its tail with -1
@@ -360,8 +387,8 @@ class _Workspace:
     def ray(self, tab: _Table, dz):
         """Second-order model m0 + a*m1 + a^2*m2 of the margins along
         z + a*dz, flat; exact on the quadratic rows."""
-        N = self.N
-        D = dz.reshape(N, self.B).T
+        n = self.n
+        D = dz.reshape(n, self.B).T
         dpad = self.dpad
         dpad[:, 1:-1] = D[:2]
         dd = dpad[:, 1:] - dpad[:, :-1]
@@ -370,14 +397,14 @@ class _Workspace:
         np.negative(np.add.reduce(dd * dd), out=m2[self.chain])
         m1[self.floor] = D[T]
         np.subtract(np.add.reduce(tab.g * D[:2, None]), D[T],
-                    out=m1[self.disks].reshape(-1, N))
+                    out=m1[self.disks].reshape(-1, n))
         if tab.h is not None:
             # d^T (hess m) d / 2 from the entries xx, xy, yy
-            dq = np.empty((3, N))
+            dq = np.empty((3, n))
             np.multiply(D[X], D[:2], out=dq[:2])
             np.multiply(D[Y], D[Y], out=dq[2])
             dq[::2] *= 0.5
-            np.add.reduce(tab.h * dq[:, None], out=m2[self.disks].reshape(-1, N))
+            np.add.reduce(tab.h * dq[:, None], out=m2[self.disks].reshape(-1, n))
         return tab.m, m1, m2
 
 
@@ -389,7 +416,7 @@ def _interior_start(ws: _Workspace):
     none of those points is interior (see "Interior start").
     """
     p, z0 = ws.prog, ws.z0
-    frac = np.arange(1, ws.N + 1) / (ws.N + 1)
+    frac = (p.slots + 1) / (p.n_slots + 1)
     (x0, y0), (x1, y1) = p.pin_start, p.pin_end
     track = ws.pack(x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), ws.rows(z0)[T])
     best, best_barrier = None, math.inf
@@ -428,11 +455,11 @@ def solve(program) -> SolverResult:
         return result(ws.z0, ws.table(ws.z0), TROUBLE, 0, math.inf, math.inf)
 
     z, tab = start
-    lam = (TAU0_GAP / ws.m_bar) / tab.m
+    lam = (TAU0_GAP / ws.weight_sum) * ws.weight / tab.m
     iters = 0
     while True:
         m = tab.m
-        g0, ab = ws.assemble(tab, z, lam)
+        g0, ab, elim = ws.assemble(tab, z, lam)
         gap = float(lam @ m)
         kkt = float(np.abs(g0 - ws.jt(tab, lam)).max())
         if (kkt <= KKT_TOL
@@ -445,17 +472,17 @@ def solve(program) -> SolverResult:
         except np.linalg.LinAlgError:
             return result(z, tab, TROUBLE, iters, gap, kkt)
         iters += 1
-        mu = gap / ws.m_bar
+        mu = gap / ws.weight_sum
         # predictor: the affine-scaling step towards lam*m = 0
-        _, m1, m2 = ws.ray(tab, cho_solve_banded(c, -g0))
+        _, m1, m2 = ws.ray(tab, ws.newton_step(c, elim, -g0))
         dlam = -lam * (1.0 + m1 / m)
         a_p = min(1.0, first_root(m, m1, m2))
         a_d = min(1.0, dual_root(lam, dlam))
-        mu_aff = float((lam + a_d * dlam) @ (m + a_p * (m1 + a_p * m2))) / ws.m_bar
+        mu_aff = float((lam + a_d * dlam) @ (m + a_p * (m1 + a_p * m2))) / ws.weight_sum
         sigma = (mu_aff / mu) ** 3
-        # corrector: centring at sigma*mu plus the predictor's second-order terms
-        w = (sigma * mu - dlam * m1 - lam * m2) / m
-        dz = cho_solve_banded(c, ws.jt(tab, w) - g0)
+        # corrector: centring at sigma*mu*w plus the predictor's second-order terms
+        w = (sigma * mu * ws.weight - dlam * m1 - lam * m2) / m
+        dz = ws.newton_step(c, elim, ws.jt(tab, w) - g0)
         _, m1, m2 = ws.ray(tab, dz)
         dlam = w - lam * (1.0 + m1 / m)
         a_p = min(1.0, 0.99 * first_root(m, m1, m2))

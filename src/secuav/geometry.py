@@ -33,16 +33,20 @@ class WorstCaseGeometry:
     theta: np.ndarray      # (N,) meters^2
 
 
+def _dist_sq(x, y, center_x, center_y, radius, h2):
+    """The closed form of ``worst_case_dist_sq``, broadcast over every argument."""
+    d = np.hypot(x - center_x, y - center_y)
+    return np.where(d <= radius, h2, (d - radius) ** 2 + h2)
+
+
 def worst_case_dist_sq(uav_xy, eve: EveRegion, altitude: float):
     """Minimum squared 3-D distance from the transmitter to any point of the disk.
 
     Accepts scalar coordinates or arrays (broadcast over slots).
     """
     x, y = uav_xy
-    d = np.hypot(np.asarray(x, dtype=float) - eve.center_x,
-                 np.asarray(y, dtype=float) - eve.center_y)
-    h2 = altitude**2
-    out = np.where(d <= eve.radius, h2, (d - eve.radius) ** 2 + h2)
+    out = _dist_sq(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                   eve.center_x, eve.center_y, eve.radius, altitude**2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -108,6 +112,6 @@ def worst_case_geometry(traj: Trajectory, scenario: Scenario) -> WorstCaseGeomet
     """Distances to the receiver and to the nearest disk; every rate, tight
     slack and robust re-check is derived from them."""
     x, y = traj.slot_positions()
-    theta = np.stack([worst_case_dist_sq((x, y), eve, scenario.altitude)
-                      for eve in scenario.eves]).min(axis=0)
+    cx, cy, r = np.array([(e.center_x, e.center_y, e.radius) for e in scenario.eves]).T[:, :, None]
+    theta = _dist_sq(x, y, cx, cy, r, scenario.altitude**2).min(axis=0)
     return WorstCaseGeometry(d2=x**2 + y**2 + scenario.altitude**2, theta=theta)

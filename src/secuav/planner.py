@@ -120,6 +120,7 @@ def optimize(scenario: Scenario) -> PlanResult:
     records = [IterationRecord(0, objective, traj, powers, "init",
                                time.perf_counter() - t0)]
     converged = False
+    lam = 1.0  # the power dual's start, then the previous update's dual
     for m in range(1, scenario.max_iters + 1):
         sol = solve_step(traj, powers, scenario)
         if sol.status == TROUBLE:
@@ -127,8 +128,8 @@ def optimize(scenario: Scenario) -> PlanResult:
                                            time.perf_counter() - t0, sol.solve))
             break
         traj = sol.trajectory
-        dual = optimize_power(traj, scenario)
-        powers = dual.schedule
+        dual = optimize_power(traj, scenario, lam)
+        powers, lam = dual.schedule, dual.lam
         new_objective = secrecy_sum(traj, powers, scenario)
         records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
                                        time.perf_counter() - t0, sol.solve, dual))

@@ -54,13 +54,15 @@ def power_for_dual(alpha, beta, lam: float, peak: float):
     return np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak), 0.0)
 
 
-def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> PowerDual:
+def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float,
+                           lam0: float = 1.0) -> PowerDual:
     """Safeguarded Newton method on the average-power dual for given per-slot
     coefficients.
 
     The mean power is continuous and non-increasing in the dual, so either the
     unconstrained (lam = 0) schedule already fits the budget, or the search
-    pins the mean to it.  It starts at lam = 1 and keeps a bracket: lo, where
+    pins the mean to it.  It starts at lam0 (the previous outer iteration's
+    dual in the planner; 1 unless lam0 > 0) and keeps a bracket: lo, where
     the mean exceeds the budget, and hi, where it does not (open until found).
     With hd = 1/(2 beta) - 1/(2 alpha), a free slot (0 < p < peak) has
     dp/dlam = -hd / (LN2 * lam^2 * sqrt(hd^2 + 2*hd/(lam*LN2))), and the
@@ -82,7 +84,7 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
     half_sum = 0.5 / beta + 0.5 / alpha
     tol = POWER_RESIDUAL_REL * avg_power
     lo, hi, p_hi = 0.0, math.inf, None
-    lam = 1.0
+    lam = lam0 if lam0 > 0.0 else 1.0
     for iters in range(1, MAX_DUAL_ITERS + 1):
         p_hat, root = _stationary(half_diff, half_sum, lam)
         p = np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak_power), 0.0)
@@ -108,9 +110,9 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float) -> 
     return PowerDual(lam=hi, schedule=PowerSchedule(p_hi), iterations=iters)
 
 
-def optimize_power(traj: Trajectory, scenario: Scenario) -> PowerDual:
-    """Solve the power subproblem exactly for a fixed trajectory."""
+def optimize_power(traj: Trajectory, scenario: Scenario, lam0: float = 1.0) -> PowerDual:
+    """Solve the power subproblem exactly for a fixed trajectory, from lam0."""
     geo = worst_case_geometry(traj, scenario)
     return solve_power_subproblem(scenario.gamma0 / geo.d2,
                                   scenario.gamma0 / geo.theta,
-                                  scenario.avg_power, scenario.peak_power)
+                                  scenario.avg_power, scenario.peak_power, lam0)

@@ -9,9 +9,14 @@ as one concave disk margin.  Both under-estimate the true objective and shrink
 the feasible set, so a solved step never decreases the true objective and is
 always robustly feasible.
 
-Silent slots.  Where the power law gives P = 0, g_u = 0 and the slot adds
-nothing to the objective wherever it flies; its position enters only the
-constraints, so the step's optimum need not be unique there.
+Silent slots.  Where the power law gives P = 0, the slot's rate and leak are
+0 wherever it flies, so leaving it out of the program is exact: kept slots
+(or pins) g steps apart are joined by one mobility row |q_b - q_a|^2 <=
+(g*L)^2, and ``solve_step`` puts the silent slots between them on the
+straight segment, linear in the slot index, every step at most L.  It also
+makes the step's optimum unique, as g_u > 0 and P > 0 make the objective
+strictly concave on every kept slot.  With no powered slot, every slot is
+kept.
 
 The disk margin.  The paper's S-procedure asks for nu >= 0 that makes the
 arrowhead [[a, 0, b], [0, a, c], [b, c, d]] PSD, with a = nu + 1,
@@ -49,7 +54,8 @@ ROBUST_FEAS_TOL = 1e-6   # meters^2, allowed slack when re-checking t against di
 class ConvexProgram:
     """Assembled subproblem in the form the interior-point backend consumes.
 
-    Objective (to maximize):
+    Every per-slot array runs over the kept slots ``slots`` (see "Silent
+    slots").  Objective (to maximize):
     obj_const - sum_n [g_u[n]*(x[n]^2 + y[n]^2 + h2) + log2(1+P[n]/t[n])],
     with obj_const chosen so the value at the expansion point (x_fea, y_fea,
     t_fea) equals the true objective there.  Eavesdropper k's disk margin at
@@ -57,7 +63,8 @@ class ConvexProgram:
     q = (x[n], y[n]), c = eve_c[:, k] and r = eve_r[k].
     """
 
-    n_slots: int
+    n_slots: int             # the flight's slot count N
+    slots: np.ndarray        # (n,) the program's slots among the N, increasing
     h2: float
     step_sq_max: float
     pin_start: tuple[float, float]
@@ -65,13 +72,13 @@ class ConvexProgram:
     p_scaled: np.ndarray
     g_u: np.ndarray
     obj_const: float
-    x_fea: np.ndarray        # (N,) the expansion point
+    x_fea: np.ndarray        # (n,) the expansion point
     y_fea: np.ndarray
     t_fea: np.ndarray        # tight t (worst-case distance^2) at the expansion point
     eve_c: np.ndarray        # (2, K) disk centres
     eve_r: np.ndarray        # (K,)
-    eve_k: np.ndarray        # (2, K, N) the tangents' x, y coefficients
-    eve_k0: np.ndarray       # (K, N)
+    eve_k: np.ndarray        # (2, K, n) the tangents' x, y coefficients
+    eve_k0: np.ndarray       # (K, n)
 
 
 @dataclass(frozen=True)
@@ -93,11 +100,13 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     if trajectory_violations(traj_fea, scenario):
         raise ValueError("expansion trajectory violates the mobility constraint")
     h2 = scenario.altitude**2
-    x, y = traj_fea.slot_positions()
+    powered = powers.p > 0.0  # see "Silent slots"
+    slots = np.flatnonzero(powered) if powered.any() else np.arange(scenario.n_slots)
+    x, y = (v[slots] for v in traj_fea.slot_positions())
     geo = worst_case_geometry(traj_fea, scenario)
 
-    p_scaled = scenario.gamma0 * powers.p
-    d2_fea = geo.d2
+    p_scaled = scenario.gamma0 * powers.p[slots]
+    d2_fea = geo.d2[slots]
     g_u = p_scaled / (LN2 * (d2_fea**2 + p_scaled * d2_fea))  # 0 at P = 0, d2 >= H^2
     obj_const = float(log2_1p(p_scaled / d2_fea).sum() + (g_u * d2_fea).sum())
 
@@ -108,10 +117,10 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     k0 = (np.array([[e.center_x**2] for e in eves]) - x**2
           + np.array([[e.center_y**2] for e in eves]) - y**2 + h2)
     return ConvexProgram(
-        n_slots=scenario.n_slots, h2=h2, step_sq_max=scenario.max_step**2,
+        n_slots=scenario.n_slots, slots=slots, h2=h2, step_sq_max=scenario.max_step**2,
         pin_start=tuple(scenario.start_xy), pin_end=tuple(scenario.end_xy),
         p_scaled=p_scaled, g_u=g_u, obj_const=obj_const,
-        x_fea=x, y_fea=y, t_fea=geo.theta, eve_c=c,
+        x_fea=x, y_fea=y, t_fea=geo.theta[slots], eve_c=c,
         eve_r=np.array([e.radius for e in eves]),
         eve_k=2.0 * (np.stack((x, y))[:, None] - c[:, :, None]), eve_k0=k0,
     )
@@ -128,21 +137,23 @@ def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
 
     On solver failure the expansion point is returned unchanged, so a caller
     can always treat the result as the current iterate.  Extraction re-checks
-    the mobility bound and the robust distance requirement directly against
-    the closed-form worst case.
+    the mobility bound and, on the kept slots, the robust distance requirement
+    directly against the closed-form worst case.
     """
     prog = assemble(traj_fea, powers, scenario)
     res = convex_backend.solve(prog)
     if res.status == TROUBLE:
         return _fallback(traj_fea, powers, scenario, res)
 
-    xs = np.concatenate(([scenario.start_xy[0]], res.x, [scenario.end_xy[0]]))
-    ys = np.concatenate(([scenario.start_xy[1]], res.y, [scenario.end_xy[1]]))
-    traj = Trajectory(xs=xs, ys=ys)
+    # silent slots on the segments between the kept ones (track index s + 1)
+    track = np.arange(scenario.n_slots + 2)
+    knots = np.concatenate(([0], prog.slots + 1, [track[-1]]))
+    traj = Trajectory(*(np.interp(track, knots, np.concatenate(([a], v, [b])))
+                        for a, v, b in zip(scenario.start_xy, (res.x, res.y), scenario.end_xy)))
     if trajectory_violations(traj, scenario):
         return _fallback(traj_fea, powers, scenario, res)
 
-    if np.any(initialize_slacks(traj, scenario) < res.t - ROBUST_FEAS_TOL):
+    if np.any(initialize_slacks(traj, scenario)[prog.slots] < res.t - ROBUST_FEAS_TOL):
         return _fallback(traj_fea, powers, scenario, res)
 
     # improvement chain, checked numerically every step: the surrogate under-

@@ -23,7 +23,7 @@ def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
                 pins=(0.0, 0.0), step_sq=1.0):
     """Synthetic single-purpose programs exercising one mechanism at a time."""
     return ConvexProgram(
-        n_slots=n, h2=h2, step_sq_max=step_sq,
+        n_slots=n, slots=np.arange(n), h2=h2, step_sq_max=step_sq,
         pin_start=pins, pin_end=pins,
         p_scaled=np.full(n, p_scaled), g_u=np.full(n, g_u), obj_const=0.0,
         x_fea=np.full(n, pins[0]), y_fea=np.full(n, pins[1]),
@@ -277,9 +277,10 @@ class TestScaleRobustness:
 
 def kernel_program():
     """N = 4 with two disks, one point eavesdropper (an affine row) and a
-    silent slot (g_u = 0, so no objective curvature in its x and y).  Slot 2
-    of the start lies inside the first disk, so both branches of the disk
-    margin are in play."""
+    silent slot, which leaves the program: its neighbours, flight slots 1 and
+    3, are joined by one chain row of two steps.  Flight slot 1 of the start
+    lies inside the first disk, so both branches of the disk margin are in
+    play."""
     scen = make_scenario(flight_duration=2.0, n_slots=4,
                          start_xy=(-10.0, -10.0), end_xy=(10.0, -10.0),
                          eves=(EveRegion(-3.0, -4.0, 2.0), EveRegion(10.0, 4.0, 3.0),
@@ -287,8 +288,8 @@ def kernel_program():
     traj = best_effort_trajectory(scen)
     prog = assemble(traj, PowerSchedule([1e-3, 1e-3, 0.0, 1e-3]), scen)
     assert list(prog.eve_r) == [2.0, 3.0, 0.0]
-    assert list(prog.g_u > 0) == [True, True, False, True]
-    assert list(inside_disks(prog, prog.x_fea, prog.y_fea)[0]) == [False, True, False, False]
+    assert list(prog.slots) == [0, 1, 3] and np.all(prog.g_u > 0)
+    assert list(inside_disks(prog, prog.x_fea, prog.y_fea)[0]) == [False, True, False]
     return prog
 
 
@@ -297,15 +298,20 @@ def inside_disks(prog, x, y):
     return np.hypot(x - prog.eve_c[0, :, None], y - prog.eve_c[1, :, None]) < prog.eve_r[:, None]
 
 
+def chain_steps(prog):
+    """The flight steps each chain row spans, from the pins at -1 and N."""
+    return np.diff(np.concatenate(([-1], prog.slots, [prog.n_slots])))
+
+
 def direct_margins(prog, z):
     """Every margin, written out from the program data, in the order
     of the solver's flat margins: the mobility chain, the t floor, the disks."""
-    n = prog.n_slots
-    zz = z.reshape(n, 3)
+    zz = z.reshape(-1, 3)
     x, y, t = zz[:, 0], zz[:, 1], zz[:, 2]
     xpad = np.concatenate(([prog.pin_start[0]], x, [prog.pin_end[0]]))
     ypad = np.concatenate(([prog.pin_start[1]], y, [prog.pin_end[1]]))
-    parts = [prog.step_sq_max - np.diff(xpad) ** 2 - np.diff(ypad) ** 2,
+    budget = chain_steps(prog) ** 2 * prog.step_sq_max
+    parts = [budget - np.diff(xpad) ** 2 - np.diff(ypad) ** 2,
              t - 0.5 * prog.h2]
     for k, r in enumerate(prog.eve_r):
         rho = np.hypot(x - prog.eve_c[0, k], y - prog.eve_c[1, k])
@@ -319,7 +325,7 @@ def quadratic_rows(prog, z, z_end):
     """Mask of the rows whose margin is a quadratic on the segment z -> z_end:
     all but the disk rows with r > 0 that are not inside their disk at both
     ends (a disk is convex, so then the whole segment is inside)."""
-    n = prog.n_slots
+    n = prog.slots.size
     inside = (inside_disks(prog, *z.reshape(n, 3)[:, :2].T)
               & inside_disks(prog, *z_end.reshape(n, 3)[:, :2].T))
     disk = inside | (prog.eve_r == 0.0)[:, None]
@@ -329,27 +335,35 @@ def quadratic_rows(prog, z, z_end):
 def merit(prog, z, tau):
     m = direct_margins(prog, z)
     assert m.min() > 0.0
-    zz = z.reshape(prog.n_slots, -1)
+    zz = z.reshape(-1, 3)
     obj = ((prog.g_u * (zz[:, 0] ** 2 + zz[:, 1] ** 2 + prog.h2)).sum()
            + (np.log1p(prog.p_scaled / zz[:, 2]) / LN2).sum())
     return tau * obj - np.log(m).sum()
 
 
-def full_hessian(ws, ab):
+def full_hessian(ab):
     """The symmetric matrix stored in lower band form."""
-    kd = ab.shape[0] - 1
-    hess = np.zeros((ws.nz, ws.nz))
-    for j in range(ws.nz):
-        for i in range(j, min(ws.nz, j + kd + 1)):
+    kd, nz = ab.shape[0] - 1, ab.shape[1]
+    hess = np.zeros((nz, nz))
+    for j in range(nz):
+        for i in range(j, min(nz, j + kd + 1)):
             hess[i, j] = hess[j, i] = ab[i - j, j]
     return hess
 
 
+def schur_of_t(hess):
+    """The Schur complement of the t block of a matrix over [x, y, t] slots:
+    the matrix over x, y that the solver's reduced band stores."""
+    t = np.arange(hess.shape[0]) % 3 == 2
+    q = ~t
+    return hess[q][:, q] - hess[q][:, t] @ np.linalg.solve(hess[t][:, t], hess[t][:, q])
+
+
 def straight_track(prog, z0):
-    """The straight track between the pins at z0's t, packed like z0."""
-    n = prog.n_slots
-    frac = np.linspace(0.0, 1.0, n + 2)[1:-1]
-    track = z0.reshape(n, 3).copy()
+    """The straight track between the pins at z0's t, packed like z0, each
+    slot at its flight fraction (index + 1)/(N + 1)."""
+    frac = (prog.slots + 1) / (prog.n_slots + 1)
+    track = z0.reshape(-1, 3).copy()
     track[:, 0] = prog.pin_start[0] + frac * (prog.pin_end[0] - prog.pin_start[0])
     track[:, 1] = prog.pin_start[1] + frac * (prog.pin_end[1] - prog.pin_start[1])
     return track.ravel()
@@ -368,7 +382,7 @@ def kernel_points(radii="kernel"):
     ws = _Workspace(prog)
     z0 = ws.z0
     inside = z0 + 0.25 * (straight_track(prog, z0) - z0)
-    assert inside_disks(prog, *inside.reshape(4, 3)[:, :2].T)[0, 1]
+    assert inside_disks(prog, *inside.reshape(-1, 3)[:, :2].T)[0, 1]
     assert direct_margins(prog, inside).min() > 0.0
     points = {"start": _interior_start(ws)[0], "inside": inside}
     if radii == "zero":
@@ -382,7 +396,68 @@ def random_direction(rng, prog, ws):
     # random scales per block column (x, y, t) so that every family, curved
     # or flat, gets to bind
     scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
-    return (rng.normal(size=(prog.n_slots, ws.B)) * scale).ravel()
+    return (rng.normal(size=(ws.n, ws.B)) * scale).ravel()
+
+
+def dense_newton_matrix(prog, z, lam):
+    """The full Newton matrix over [x, y, t] slots, dense, written out from
+    the program data: hess f0 + J^T diag(lam/m) J - sum_i lam_i hess m_i,
+    with the rows in the order of ``direct_margins``."""
+    zz = z.reshape(-1, 3)
+    n = zz.shape[0]
+    m = direct_margins(prog, z)
+    jac = np.zeros((m.size, 3 * n))
+    lag = np.zeros((3 * n, 3 * n))  # sum_i lam_i hess m_i
+    pad = np.vstack((prog.pin_start, zz[:, :2], prog.pin_end))
+    for j in range(n + 1):  # chain row j: tail slot j-1, head slot j
+        ends = [(s, sign) for s, sign in ((j - 1, -1.0), (j, 1.0)) if 0 <= s < n]
+        for s, sign in ends:
+            jac[j, 3 * s:3 * s + 2] = -2.0 * sign * (pad[j + 1] - pad[j])
+            for s2, sign2 in ends:
+                for c in (0, 1):
+                    lag[3 * s + c, 3 * s2 + c] -= 2.0 * sign * sign2 * lam[j]
+    for s in range(n):
+        jac[n + 1 + s, 3 * s + 2] = 1.0
+    i = 2 * n + 1
+    for k, r in enumerate(prog.eve_r):
+        for s in range(n):
+            w = zz[s, :2] - prog.eve_c[:, k]
+            rho = math.hypot(*w)
+            if rho <= r:  # huber_r = rho^2
+                grad, hess = 2.0 * w, 2.0 * np.eye(2)
+            else:         # huber_r = 2 r rho - r^2
+                grad = 2.0 * r * w / rho
+                hess = 2.0 * r / rho * (np.eye(2) - np.outer(w, w) / rho**2)
+            jac[i, 3 * s:3 * s + 2] = prog.eve_k[:, k, s] - grad
+            jac[i, 3 * s + 2] = -1.0
+            lag[3 * s:3 * s + 2, 3 * s:3 * s + 2] -= lam[i] * hess
+            i += 1
+    t = zz[:, 2]
+    f0 = np.zeros(3 * n)
+    f0[0::3] = f0[1::3] = 2.0 * prog.g_u
+    f0[2::3] = (1.0 / t**2 - 1.0 / (t + prog.p_scaled) ** 2) / LN2
+    return np.diag(f0) + jac.T @ ((lam / m)[:, None] * jac) - lag
+
+
+def newton_cases():
+    """(program, workspace, interior point) triples: the kernel program at
+    its two points, with and without radii, and random small instances at a
+    random point near their interior start."""
+    for radii in ("kernel", "zero"):
+        prog, ws, points = kernel_points(radii)
+        for z in points.values():
+            yield prog, ws, z
+    rng = np.random.default_rng(20261021)
+    for seed in range(8):
+        scen, traj, powers = random_small_instance(seed)
+        prog = assemble(traj, powers, scen)
+        ws = _Workspace(prog)
+        z, _ = _interior_start(ws)
+        while True:
+            trial = z + 1e-2 * rng.normal(size=z.size)
+            if direct_margins(prog, trial).min() > 0.0:
+                break
+        yield prog, ws, trial
 
 
 class TestNewtonKernel:
@@ -391,8 +466,8 @@ class TestNewtonKernel:
         ids=["start", "inside", "start-zero", "inside-zero"])
     def test_gradient_and_band_hessian_match_finite_differences(self, point, radii):
         """At the central multipliers lam = 1/(tau*m) the residual
-        grad f0 - J^T lam and the Newton matrix are the barrier merit's
-        gradient and Hessian divided by tau."""
+        grad f0 - J^T lam is the barrier merit's gradient divided by tau, and
+        the reduced band the Schur complement of t in its Hessian."""
         prog, ws, points = kernel_points(radii)
         z = points[point]
         tau = 7.0
@@ -400,11 +475,11 @@ class TestNewtonKernel:
         def system(z_):
             tab = ws.table(z_)
             lam = 1.0 / (tau * tab.m)
-            g0, ab = ws.assemble(tab, z_, lam)
+            g0, ab, _ = ws.assemble(tab, z_, lam)
             return g0 - ws.jt(tab, lam), ab
 
         gz, ab = system(z)
-        hess = full_hessian(ws, ab)
+        hess = full_hessian(ab)
         fd_grad = np.empty(ws.nz)
         fd_hess = np.empty((ws.nz, ws.nz))
         for i in range(ws.nz):
@@ -414,14 +489,15 @@ class TestNewtonKernel:
             fd_hess[:, i] = (system(z + e)[0] - system(z - e)[0]) / (2 * e[i])
         scale = np.abs(gz).max()
         assert np.abs(gz - fd_grad).max() <= 1e-6 * scale
-        assert np.abs(hess - fd_hess).max() <= 1e-6 * np.abs(hess).max()
+        assert np.abs(hess - schur_of_t(fd_hess)).max() <= 1e-6 * np.abs(hess).max()
 
     @pytest.mark.parametrize("point, radii", [
         ("start", "kernel"), ("inside", "kernel"), ("start", "zero")],
         ids=["start", "inside", "start-zero"])
     def test_newton_matrix_and_jt_at_arbitrary_multipliers(self, point, radii):
-        """H = hess f0 + J^T diag(lam/m) J - sum lam_i hess m_i and
-        jt(w) = J^T w for multipliers off the central path, with the
+        """The reduced band is the Schur complement of t in
+        H = hess f0 + J^T diag(lam/m) J - sum lam_i hess m_i, and
+        jt(w) = J^T w, for multipliers off the central path, with the
         Jacobian J of the margins by finite differences."""
         prog, ws, points = kernel_points(radii)
         z = points[point]
@@ -429,7 +505,7 @@ class TestNewtonKernel:
         lam = rng.uniform(0.1, 2.0, ws.m_bar)
         w = rng.normal(size=ws.m_bar)
         tab = ws.table(z)
-        g0, ab = ws.assemble(tab, z, lam)
+        g0, ab, _ = ws.assemble(tab, z, lam)
 
         def residual(z_):  # grad of the Lagrangian f0 - lam^T m at fixed lam
             tab_ = ws.table(z_)
@@ -442,8 +518,8 @@ class TestNewtonKernel:
             e[i] = 1e-6 * max(1.0, abs(z[i]))
             jac[:, i] = (direct_margins(prog, z + e) - direct_margins(prog, z - e)) / (2 * e[i])
             lag_hess[:, i] = (residual(z + e) - residual(z - e)) / (2 * e[i])
-        expected = lag_hess + jac.T @ ((lam / tab.m)[:, None] * jac)
-        assert np.abs(full_hessian(ws, ab) - expected).max() <= 1e-6 * np.abs(expected).max()
+        expected = schur_of_t(lag_hess + jac.T @ ((lam / tab.m)[:, None] * jac))
+        assert np.abs(full_hessian(ab) - expected).max() <= 1e-6 * np.abs(expected).max()
         jtw = jac.T @ w
         assert np.abs(ws.jt(tab, w) - jtw).max() <= 1e-6 * np.abs(jtw).max()
 
@@ -486,7 +562,7 @@ class TestNewtonKernel:
         z = points["start"]
         tab = ws.table(z)
         rng = np.random.default_rng(20261020)
-        n = prog.n_slots
+        n = prog.slots.size
         outer = np.concatenate((np.zeros(2 * n + 1, bool),
                                 ((prog.eve_r > 0.0)[:, None]
                                  & ~inside_disks(prog, *z.reshape(n, 3)[:, :2].T)).ravel()))
@@ -520,6 +596,28 @@ class TestNewtonKernel:
         assert dual_root(np.array([1.0, 2.0]), np.array([-1.0, 1.0])) == 1.0
         assert dual_root(np.array([2.0, 1.0]), np.array([-1.0, -4.0])) == 0.25
         assert dual_root(np.array([1.0]), np.array([0.0])) == math.inf
+
+    def test_reduced_step_matches_dense_solve(self):
+        """The band solve over x, y plus the back-substitution for t is the
+        solve with the full Newton matrix over [x, y, t], at random
+        multipliers and right-hand sides."""
+        rng = np.random.default_rng(20261022)
+        cases = 0
+        for prog, ws, z in newton_cases():
+            tab = ws.table(z)
+            assert np.allclose(tab.m, direct_margins(prog, z), rtol=1e-12, atol=0.0)
+            lam = rng.uniform(0.1, 2.0, ws.m_bar)
+            _, ab, elim = ws.assemble(tab, z, lam)
+            assert ab.shape == (ws.kd + 1, 2 * ws.n)
+            fac = convex_backend.cholesky_banded(ab)
+            dense = dense_newton_matrix(prog, z, lam)
+            for _ in range(3):
+                rhs = rng.normal(size=ws.nz)
+                want = np.linalg.solve(dense, rhs)
+                got = ws.newton_step(fac, elim, rhs)
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            cases += 1
+        assert cases == 12
 
 
 def fine_slot_program():
@@ -634,9 +732,9 @@ class TestFailureExits:
         assert res.duality_gap > 0.0 and math.isfinite(res.kkt_residual)
 
 
-def random_spd_band(rng, nz=960, kd=4):
+def random_spd_band(rng, nz=640, kd=3):
     """A random diagonally dominant (so SPD) band, Fortran-ordered, in LAPACK's
-    lower band storage; nz = 960 is N = 320 slots of [x, y, t]."""
+    lower band storage; nz = 640 is n = 320 slots of [x, y], t eliminated."""
     lo = np.zeros((kd + 1, nz), order="F")
     lo[0] = 2.0 * kd + 1.0 + rng.uniform(0.0, 1.0, nz)
     for d in range(1, kd + 1):
@@ -688,8 +786,8 @@ class TestBandCalls:
         assemble_band = _Workspace.assemble
 
         def spoiled(self, tab, z, lam):
-            g0, ab = assemble_band(self, tab, z, lam)
-            return g0, spoil(ab)
+            g0, ab, elim = assemble_band(self, tab, z, lam)
+            return g0, spoil(ab), elim
 
         monkeypatch.setattr(_Workspace, "assemble", spoiled)
         res = solve(kernel_program())

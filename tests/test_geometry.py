@@ -9,7 +9,7 @@ from secuav.geometry import (avg_worst_case_secrecy_rate, disk_samples, log2_1p,
                              per_slot_secrecy_terms, secrecy_sum,
                              worst_case_dist_sq, worst_case_dist_sq_oracle,
                              worst_case_geometry)
-from secuav.scenario import EveRegion, PowerSchedule
+from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 
 from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
 
@@ -202,3 +202,15 @@ class TestRateCoefficients:
         inside = np.array([np.hypot(-10.0 - e.center_x, 4.0 - e.center_y) <= e.radius
                            for e in scen.eves])[:, None]
         assert np.all((theta == h2) == inside)
+
+    def test_one_broadcast_matches_the_per_disk_closed_form(self):
+        # theta, bit for bit, as the minimum of worst_case_dist_sq over the
+        # disks, on random tracks through disks of every kind
+        scen = make_scenario(eves=(EveRegion(-10.0, 4.0, 2.0), EveRegion(10.0, 4.0, 0.0),
+                                   EveRegion(0.0, -5.0, 6.0)))
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            traj = Trajectory(*rng.uniform(-20.0, 20.0, (2, scen.n_slots + 2)))
+            theta = np.stack([worst_case_dist_sq(traj.slot_positions(), e, scen.altitude)
+                              for e in scen.eves]).min(axis=0)
+            assert np.array_equal(worst_case_geometry(traj, scen).theta, theta)

@@ -160,16 +160,19 @@ class TestOptimize:
                          "wall_s", "solve", "dual"]
         start, *steps = res.iterations
         assert (start.solve, start.dual) == (None, None)
+        lam0 = 1.0
         for r in steps:
             assert r.status == "optimal"
             assert r.solve.newton_iters > 0 and r.solve.min_margin > 0.0
             assert 0.0 < r.solve.duality_gap < 1e-6
             assert r.solve.kkt_residual <= 1e-7
-            # the record's power dual is the one its schedule came from
-            dual = optimize_power(r.trajectory, tiny_scenario)
+            # the record's power dual is the one its schedule came from, its
+            # search started at the previous record's dual
+            dual = optimize_power(r.trajectory, tiny_scenario, lam0)
             assert (r.dual.lam, r.dual.iterations) == (dual.lam, dual.iterations)
             assert np.array_equal(r.powers.p, dual.schedule.p)
             assert r.dual.lam > 0.0 and r.dual.iterations > 0
+            lam0 = r.dual.lam
 
     @staticmethod
     def capture(monkeypatch, module, name):
@@ -191,6 +194,19 @@ class TestOptimize:
         for r, res, dual in zip(steps, solves, duals):
             assert r.solve is res and r.dual is dual
             assert r.powers is dual.schedule
+
+    def test_power_dual_starts_at_the_previous_dual(self, tiny_scenario, monkeypatch):
+        starts = []
+        inner = planner.optimize_power
+
+        def recording(traj, scenario, lam0):
+            starts.append(lam0)
+            return inner(traj, scenario, lam0)
+
+        monkeypatch.setattr(planner, "optimize_power", recording)
+        steps = optimize(tiny_scenario).iterations[1:]
+        assert len(steps) > 1
+        assert starts == [1.0] + [r.dual.lam for r in steps[:-1]]
 
     def test_trouble_step_keeps_its_solve(self, tiny_scenario, monkeypatch, tmp_path):
         solves = self.capture(monkeypatch, convex_backend, "solve")
@@ -220,7 +236,7 @@ class TestOptimize:
     def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
         # a power block that overspends both budgets: the plan must not be
         # returned as if it were valid
-        def overspend(traj, scenario):
+        def overspend(traj, scenario, lam0):
             p = np.full(scenario.n_slots, 2.0 * scenario.peak_power)
             return PowerDual(lam=0.0, schedule=PowerSchedule(p), iterations=0)
 

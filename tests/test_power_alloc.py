@@ -228,6 +228,32 @@ class TestNewtonDual:
         assert np.array_equal(capped.schedule.p,
                               power_for_dual(alpha, beta, capped.lam, peak))
 
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_warm_start_near_the_root(self, seed):
+        # a start within 2x of the root, as the previous outer iteration's
+        # dual gives it, pins the same budget in fewer evaluations
+        rng = np.random.default_rng(seed)
+        cold_total = warm_total = 0
+        for alpha, beta, p_bar, peak in c03_draws(seed):
+            cold = solve_power_subproblem(alpha, beta, p_bar, peak)
+            if cold.lam == 0.0:
+                continue
+            warm = solve_power_subproblem(alpha, beta, p_bar, peak,
+                                          cold.lam * rng.uniform(0.5, 2.0))
+            assert_pinned(warm, p_bar)
+            assert np.allclose(warm.schedule.p, cold.schedule.p, rtol=0.0, atol=1e-6 * peak)
+            cold_total += cold.iterations
+            warm_total += warm.iterations
+        assert warm_total < 0.7 * cold_total
+
+    def test_start_at_zero_or_below_is_the_cold_start(self):
+        for alpha, beta, p_bar, peak in c03_draws(13, count=20):
+            cold = solve_power_subproblem(alpha, beta, p_bar, peak)
+            for lam0 in (0.0, -1.0):
+                again = solve_power_subproblem(alpha, beta, p_bar, peak, lam0)
+                assert (again.lam, again.iterations) == (cold.lam, cold.iterations)
+                assert np.array_equal(again.schedule.p, cold.schedule.p)
+
     def test_iteration_cap_without_a_point_within_budget_raises(self, monkeypatch):
         # lam doubles from 1 while every slot stays at peak, so no evaluated
         # point fits the budget before the cap

@@ -1,4 +1,5 @@
 """The scripts under scripts/ run end to end."""
+import json
 import subprocess
 import sys
 
@@ -13,10 +14,26 @@ def run_script(name, *args):
 
 
 def test_profile_solver_runs():
-    # the script prints each step record's solve, timed by the records' wall_s
+    # the script prints each step record's solve, timed by the records' wall_s,
+    # with the slots its program kept: all of them at the first step's equal power
     out = run_script("profile_solver.py", "--steps", "2")
     assert out.returncode == 0, out.stderr
     assert out.stdout.count("primal-dual iters") == 3
+    assert out.stdout.count("slots kept") == 2
+    assert " 160/160 slots kept" in out.stdout.splitlines()[1]
+
+
+def test_plan_digest_runs():
+    out = run_script("plan_digest.py", "--workload", "fine_slots", "--seed", "0")
+    assert out.returncode == 0, out.stderr
+    *plans, total = map(json.loads, out.stdout.splitlines())
+    assert [p["key"] for p in plans] == ["fine_slots/s0/0/T=160/robust"]
+    plan = plans[0]
+    assert float(plan["secrecy_rate"]) > 0.0
+    assert plan["outer_iters"] == len(plan["statuses"]) > 0 and plan["primal_dual_iters"] > 0
+    assert total == {"total": {"plans": 1, "outer_iters": plan["outer_iters"],
+                               "primal_dual_iters": plan["primal_dual_iters"],
+                               "optimal": plan["outer_iters"]}}
 
 
 def test_reproduce_benchmarks_runs(tmp_path):

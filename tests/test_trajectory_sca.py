@@ -7,7 +7,7 @@ from secuav import convex_backend, trajectory_sca
 from secuav.convex_backend import _Workspace
 from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
 from secuav.planner import best_effort_trajectory, equal_power
-from secuav.scenario import EveRegion, PowerSchedule, Trajectory
+from secuav.scenario import EveRegion, PowerSchedule, Trajectory, trajectory_violations
 from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 
 from arrowhead import psd_check
@@ -95,19 +95,20 @@ class TestTaylorSurrogate:
 
     def test_assembled_objective_is_the_tangent(self):
         # g_u is the tangent's slope and obj_const - sum(g_u*d2) its value,
-        # slot by slot, with one slot at zero power
+        # slot by slot, with one slot at zero power, which leaves the program
         scen = make_scenario()
         traj = best_effort_trajectory(scen)
         p = np.linspace(0.0, 2e-3, scen.n_slots)
         prog = assemble(traj, PowerSchedule(p), scen)
-        x, y = traj.slot_positions()
+        assert list(prog.slots) == list(range(1, scen.n_slots))
+        x, y = (v[prog.slots] for v in traj.slot_positions())
         d2_fea = x**2 + y**2 + prog.h2
         slope = (taylor_rate_surrogate(d2_fea, d2_fea, prog.p_scaled)
                  - taylor_rate_surrogate(d2_fea + 1.0, d2_fea, prog.p_scaled))
         assert prog.g_u == pytest.approx(slope, rel=1e-9, abs=1e-15)
         rng = np.random.default_rng(3)
         for _ in range(5):
-            d2 = d2_fea * rng.uniform(0.5, 2.0, scen.n_slots)
+            d2 = d2_fea * rng.uniform(0.5, 2.0, d2_fea.size)
             value = taylor_rate_surrogate(d2, d2_fea, prog.p_scaled).sum()
             assert prog.obj_const - (prog.g_u * d2).sum() == pytest.approx(value, rel=1e-12)
 
@@ -223,6 +224,74 @@ class TestSolveStep:
         sol, powers = _iterate_sca(scen)
         again = solve_step(sol.trajectory, powers, scen)
         assert again.true_objective - sol.true_objective <= 1e-8
+
+
+def silent_runs(scen):
+    """Power in slots 2, 3 and 6 of eight: silent runs next to both pins
+    (slots 0-1 and 7) and in the middle (slots 4-5)."""
+    p = np.zeros(scen.n_slots)
+    p[[2, 3, 6]] = [1e-3, 2e-3, 3e-3]
+    return PowerSchedule(p)
+
+
+class TestPoweredSlotsOnly:
+    """Silent slots leave the program and come back on straight segments."""
+
+    def test_one_chain_row_per_run(self):
+        scen = make_scenario()
+        prog = assemble(best_effort_trajectory(scen), silent_runs(scen), scen)
+        assert list(prog.slots) == [2, 3, 6]
+        assert prog.x_fea.size == prog.g_u.size == prog.eve_k0.shape[1] == 3
+        ws = _Workspace(prog)
+        steps = np.array([3, 1, 3, 2])  # pin -> 2 -> 3 -> 6 -> pin
+        assert ws.m_bar == 4 + 3 + 2 * 3
+        assert ws.L2 == pytest.approx((steps * scen.max_step) ** 2, rel=1e-15)
+        assert list(ws.weight[ws.chain]) == list(steps)
+        assert np.all(ws.weight[ws.floor.start:] == 1.0)
+        assert ws.weight_sum == (scen.n_slots + 1) + 3 + 2 * 3
+
+    def test_silent_slots_lie_on_segments_between_their_neighbours(self):
+        scen = make_scenario()
+        traj = best_effort_trajectory(scen)
+        sol = solve_step(traj, silent_runs(scen), scen)
+        assert sol.status == "optimal"
+        xs, ys = sol.trajectory.xs, sol.trajectory.ys
+        # track index of slot s is s + 1; the pins sit at 0 and N + 1
+        kept = [3, 4, 7]
+        assert np.array_equal(xs[kept], sol.solve.x) and np.array_equal(ys[kept], sol.solve.y)
+        assert (xs[0], ys[0]) == scen.start_xy and (xs[-1], ys[-1]) == scen.end_xy
+        knots = [0] + kept + [scen.n_slots + 1]
+        for a, b in zip(knots, knots[1:]):
+            for i in range(a + 1, b):
+                f = (i - a) / (b - a)
+                assert xs[i] == pytest.approx(xs[a] + f * (xs[b] - xs[a]), abs=1e-12)
+                assert ys[i] == pytest.approx(ys[a] + f * (ys[b] - ys[a]), abs=1e-12)
+        assert trajectory_violations(sol.trajectory, scen) == []
+        assert sol.true_objective >= secrecy_sum(traj, silent_runs(scen), scen) - 1e-9
+
+    def test_no_silent_slot_keeps_every_slot_unweighted(self):
+        # every plan's first step: the program and its solve are those of the
+        # full flight, every row of weight 1 and budget L^2
+        scen = make_scenario()
+        traj = best_effort_trajectory(scen)
+        prog = assemble(traj, equal_power(scen), scen)
+        assert np.array_equal(prog.slots, np.arange(scen.n_slots))
+        x, y = traj.slot_positions()
+        assert np.array_equal(prog.x_fea, x) and np.array_equal(prog.y_fea, y)
+        assert np.array_equal(prog.t_fea, initialize_slacks(traj, scen))
+        ws = _Workspace(prog)
+        assert np.all(ws.weight == 1.0) and ws.weight_sum == ws.m_bar
+        assert np.all(ws.L2 == prog.step_sq_max)
+        sol = solve_step(traj, equal_power(scen), scen)
+        assert np.array_equal(sol.trajectory.xs[1:-1], sol.solve.x)
+        assert np.array_equal(sol.trajectory.ys[1:-1], sol.solve.y)
+
+    def test_all_silent_schedule_keeps_every_slot(self):
+        scen = make_scenario()
+        prog = assemble(best_effort_trajectory(scen), PowerSchedule(np.zeros(scen.n_slots)),
+                        scen)
+        assert np.array_equal(prog.slots, np.arange(scen.n_slots))
+        assert np.all(prog.g_u == 0.0) and np.all(_Workspace(prog).weight == 1.0)
 
 
 class TestSolveFacts:
