@@ -6,12 +6,14 @@
 The script imports ``planbench/workloads.py`` (it changes nothing there),
 builds the workload's sweeps for the seed and plans every (value, algorithm)
 point of each sweep in the order ``harness.run_sweep`` does.  Each line holds
-the plan's key, ``repr`` of its secrecy rate, its outer iterations, its
+the plan's key, ``repr`` of its secrecy rate, a short sha256 of the returned
+track's ``xs`` and ``ys`` bytes and the power bytes, its outer iterations, its
 primal-dual iterations and the status of each outer iteration's step; a last
 line totals them.  No timing is printed, so two checkouts that plan alike
 print the same lines, and ``diff`` shows every plan that moved.
 """
 import argparse
+import hashlib
 import json
 import sys
 from collections import Counter
@@ -23,6 +25,14 @@ sys.path.insert(0, str(ROOT / "planbench"))
 
 import workloads
 from secuav.harness import _run_algorithm, derive_scenario
+
+
+def plan_sha256(result) -> str:
+    """The first 16 hex digits of a sha256 over the track and the powers."""
+    digest = hashlib.sha256()
+    for array in (result.trajectory.xs, result.trajectory.ys, result.powers.p):
+        digest.update(array.tobytes())
+    return digest.hexdigest()[:16]
 
 
 def main() -> int:
@@ -40,6 +50,7 @@ def main() -> int:
                 steps = result.iterations[1:]
                 plan = {"key": f"{args.workload}/s{args.seed}/{i}/{spec.param}={value:g}/{tag}",
                         "secrecy_rate": repr(result.secrecy_rate),
+                        "plan_sha256": plan_sha256(result),
                         "outer_iters": len(steps),
                         "primal_dual_iters": sum(r.solve.newton_iters for r in steps),
                         "statuses": [r.status for r in steps]}

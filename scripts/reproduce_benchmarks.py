@@ -13,15 +13,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secuav.harness import (SweepSpec, derive_scenario, export_plan,
+from secuav.harness import (SweepSpec, _run_algorithm, derive_scenario, export_plan,
                             load_scenario, run_sweep)
-from secuav.planner import optimize, optimize_non_robust, run_best_effort
+from secuav.planner import BEST_EFFORT, NON_ROBUST, ROBUST
 
-ALGORITHMS = {
-    "robust": optimize,
-    "non_robust": optimize_non_robust,
-    "best_effort": run_best_effort,
-}
+ALGORITHMS = (ROBUST, NON_ROBUST, BEST_EFFORT)  # also the trajectories/ directory names
 
 
 def main() -> int:
@@ -35,9 +31,9 @@ def main() -> int:
     out = Path(args.out)
 
     print("== trajectories at T = 160 s ==")
-    for name, runner in ALGORITHMS.items():
+    for name in ALGORITHMS:
         t0 = time.perf_counter()
-        result = runner(base)
+        result = _run_algorithm(name, base)
         export_plan(result, out / "trajectories" / name,
                     wall_s=time.perf_counter() - t0)
         print(f"  {name:12s} rate {result.secrecy_rate:.4f} bps/Hz "
@@ -46,14 +42,14 @@ def main() -> int:
 
     print("== secrecy rate vs flight duration ==")
     spec = SweepSpec(base=base, param="T", values=(80.0, 100.0, 120.0, 140.0, 160.0),
-                     algorithms=tuple(ALGORITHMS))
+                     algorithms=ALGORITHMS)
     target = run_sweep(spec, out / "duration_sweep")
     print(f"  -> {target}")
 
     print("== secrecy rate vs average power at T = 120 s ==")
     spec = SweepSpec(base=derive_scenario(base, "T", 120.0), param="avg-power-dbm",
                      values=(-5.0, 5.0, 15.0, 25.0, 35.0),
-                     algorithms=tuple(ALGORITHMS))
+                     algorithms=ALGORITHMS)
     target = run_sweep(spec, out / "power_sweep")
     print(f"  -> {target}")
     return 0

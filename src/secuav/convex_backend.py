@@ -4,8 +4,7 @@ The program class is fixed: maximize a concave objective
 
     sum_n [ -g_u[n]*(x[n]^2 + y[n]^2 + H^2) - log2(1 + P[n]/t[n]) ]   (+ constant)
 
-over per-slot variables (x, y, t) of the program's n slots, packed slot-major
-in blocks ``[x, y, t]``, subject to
+over per-slot variables (x, y, t) of the program's n slots, subject to
 
   * mobility balls   |q[b] - q[a]|^2 <= (g*L)^2, q = (x, y), for consecutive
                      slots a, b g flight steps apart (pins at -1 and N),
@@ -96,6 +95,10 @@ point of the segment close enough to z0, but off it, is interior.  The solver
 starts at the step 2^-k along the segment of least barrier; the barrier is
 convex there, so the search stops at its first increase.
 
+Layout.  The point z, every step dz, the objective gradient and every Newton
+right-hand side are one (3, n) array of rows x, y, t.  Only the band
+interleaves x and y slot by slot; ``newton_step`` transposes into it and out.
+
 Constraint families.  Every margin is concave, and the table at a point holds
 three row blocks, in the flat order chain, floor, disks (``_Workspace`` names
 the three slices).  The mobility chain has n+1 rows, written in the
@@ -162,7 +165,7 @@ TROUBLE = "numerical_trouble"
 # the floor t >= T_FLOOR * H^2 (see "Why the floor H^2/2 is safe")
 T_FLOOR = 0.5
 
-X, Y, T = range(3)  # block columns
+X, Y, T = range(3)  # rows of z
 
 
 def cholesky_banded(ab):
@@ -225,9 +228,8 @@ def dual_root(lam, dlam) -> float:
 
 
 class _Workspace:
-    """Layout, constraint table and Newton system of one program."""
+    """Constraint table and Newton system of one program (see "Layout")."""
 
-    B = 3      # z's columns per slot: x, y, t
     kd = 3     # bandwidth of the reduced matrix: x couples to the next slot's y
     # positions in a slot's row of the band, c*(kd+1) + d for the entry
     # (2n + c + d, 2n + c) of the reduced matrix over x, y: the slot block's
@@ -239,7 +241,6 @@ class _Workspace:
         self.prog = prog
         self.n = n = prog.slots.size
         K = prog.eve_r.size
-        self.nz = n * self.B
         steps = np.diff(prog.slots, prepend=-1, append=prog.n_slots)  # per chain row
         self.L2 = steps * steps * prog.step_sq_max
         self.t_min = T_FLOOR * prog.h2
@@ -256,8 +257,8 @@ class _Workspace:
         self.c = prog.eve_c[:, :, None]
         self.r = prog.eve_r[:, None]
         # the warm start (see "Interior start")
-        self.z0 = self.pack(prog.x_fea, prog.y_fea,
-                            prog.t_fea - 0.1 * (prog.t_fea - self.t_min))
+        self.z0 = np.stack((prog.x_fea, prog.y_fea,
+                            prog.t_fea - 0.1 * (prog.t_fea - self.t_min)))
         # the disks' entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T
         # - lam hess m, before assemble sums them over the rows
         self.buf = np.empty((6, K, n))
@@ -265,23 +266,13 @@ class _Workspace:
         self.qpad = np.column_stack((prog.pin_start, np.zeros((2, n)), prog.pin_end))
         self.dpad = np.zeros((2, n + 2))
 
-    # -- packing ---------------------------------------------------------
-    @staticmethod
-    def pack(x, y, t) -> np.ndarray:
-        return np.column_stack((x, y, t)).ravel()
-
-    def rows(self, z) -> np.ndarray:
-        """z as contiguous (B, n) rows x, y, t."""
-        return z.reshape(self.n, self.B).T.copy()
-
     # -- constraint table --------------------------------------------------
     def table(self, z) -> _Table:
         """The three row blocks at z."""
         n = self.n
-        Z = z.reshape(n, self.B)
         qpad = self.qpad
-        qpad[:, 1:-1] = Z[:, :2].T
-        q, t = qpad[:, 1:-1], Z[:, T]
+        qpad[:, 1:-1] = z[:2]
+        q, t = qpad[:, 1:-1], z[T]
         d = qpad[:, 1:] - qpad[:, :-1]
         m = np.empty(self.m_bar)
         np.subtract(self.L2, np.add.reduce(d * d), out=m[self.chain])
@@ -315,10 +306,9 @@ class _Workspace:
         Returns (grad f0, ab, (u, tt)): ab is H with t eliminated, in the
         lower band form that ``cholesky_banded`` reads (see "Eliminating t").
         """
-        n, B, kd = self.n, self.B, self.kd
+        n, kd = self.n, self.kd
         p = self.prog
-        Z = z.reshape(n, B)
-        t = Z[:, T]
+        t = z[T]
         i1, i2 = 1.0 / t, 1.0 / (t + p.p_scaled)
         gt = (i2 - i1) / LN2   # d f0/dt
         curv = 2.0 * p.g_u
@@ -357,55 +347,54 @@ class _Workspace:
         band[:, self._DIAG] = S[:3].T
         for pos, row in zip(self._OFF, (2, 3, 3, 4)):  # the chain's xx, xy, xy, yy
             np.negative(C[row, 1:-1], out=band[:-1, pos])
-        g0 = np.empty((n, B))
-        np.multiply(curv[:, None], Z[:, :2], out=g0[:, :2])
-        g0[:, T] = gt
-        return g0.ravel(), band.reshape(2 * n, kd + 1).T, (u, S[5])
+        g0 = np.empty((3, n))
+        np.multiply(curv, z[:2], out=g0[:2])
+        g0[T] = gt
+        return g0, band.reshape(2 * n, kd + 1).T, (u, S[5])
 
     def newton_step(self, c, elim, rhs) -> np.ndarray:
-        """dz solving H dz = rhs, packed like z, from the factor ``c`` of
-        ``assemble``'s band and its (u, tt)."""
+        """dz solving H dz = rhs, both (3, n), from the factor ``c`` of
+        ``assemble``'s band and its (u, tt); only the band interleaves x, y."""
         u, tt = elim
-        R, dz = rhs.reshape(self.n, self.B), np.empty((self.n, self.B))
-        dz[:, :2] = cho_solve_banded(c, (R[:, :2] - u.T * R[:, T:]).ravel()).reshape(-1, 2)
-        dz[:, T] = R[:, T] / tt - (u[X] * dz[:, X] + u[Y] * dz[:, Y])
-        return dz.ravel()
+        dz = np.empty_like(rhs)
+        dz[:2] = cho_solve_banded(c, (rhs[:2] - u * rhs[T]).T.ravel()).reshape(-1, 2).T
+        dz[T] = rhs[T] / tt - (u[X] * dz[X] + u[Y] * dz[Y])
+        return dz
 
     def jt(self, tab: _Table, w) -> np.ndarray:
-        """sum_i w_i grad m_i over every margin, packed like z."""
+        """sum_i w_i grad m_i over every margin, (3, n) like z."""
         n = self.n
         wd = w[self.disks].reshape(-1, n)
-        out = np.empty((self.B, n))
+        out = np.empty((3, n))
         np.add.reduce(tab.g * wd, axis=1, out=out[:2])
         np.subtract(w[self.floor], np.add.reduce(wd), out=out[T])
         # a step's rows touch its head slot with +1 and its tail with -1
         C = tab.d * (-2.0 * w[self.chain])
         out[:2] += C[:, :-1] - C[:, 1:]
-        return out.T.ravel()
+        return out
 
     # -- step model --------------------------------------------------------
     def ray(self, tab: _Table, dz):
-        """Second-order model m0 + a*m1 + a^2*m2 of the margins along
-        z + a*dz, flat; exact on the quadratic rows."""
+        """(m1, m2) of the second-order model tab.m + a*m1 + a^2*m2 of the
+        margins along z + a*dz, flat; exact on the quadratic rows."""
         n = self.n
-        D = dz.reshape(n, self.B).T
         dpad = self.dpad
-        dpad[:, 1:-1] = D[:2]
+        dpad[:, 1:-1] = dz[:2]
         dd = dpad[:, 1:] - dpad[:, :-1]
         m1, m2 = np.empty(self.m_bar), np.zeros(self.m_bar)
         np.multiply(-2.0, np.add.reduce(tab.d * dd), out=m1[self.chain])
         np.negative(np.add.reduce(dd * dd), out=m2[self.chain])
-        m1[self.floor] = D[T]
-        np.subtract(np.add.reduce(tab.g * D[:2, None]), D[T],
+        m1[self.floor] = dz[T]
+        np.subtract(np.add.reduce(tab.g * dz[:2, None]), dz[T],
                     out=m1[self.disks].reshape(-1, n))
         if tab.h is not None:
             # d^T (hess m) d / 2 from the entries xx, xy, yy
             dq = np.empty((3, n))
-            np.multiply(D[X], D[:2], out=dq[:2])
-            np.multiply(D[Y], D[Y], out=dq[2])
+            np.multiply(dz[X], dz[:2], out=dq[:2])
+            np.multiply(dz[Y], dz[Y], out=dq[2])
             dq[::2] *= 0.5
             np.add.reduce(tab.h * dq[:, None], out=m2[self.disks].reshape(-1, n))
-        return tab.m, m1, m2
+        return m1, m2
 
 
 def _interior_start(ws: _Workspace):
@@ -418,7 +407,7 @@ def _interior_start(ws: _Workspace):
     p, z0 = ws.prog, ws.z0
     frac = (p.slots + 1) / (p.n_slots + 1)
     (x0, y0), (x1, y1) = p.pin_start, p.pin_end
-    track = ws.pack(x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), ws.rows(z0)[T])
+    track = np.stack((x0 + frac * (x1 - x0), y0 + frac * (y1 - y0), z0[T]))
     best, best_barrier = None, math.inf
     for k in range(60):
         z = z0 + 0.5**k * (track - z0)
@@ -442,7 +431,7 @@ def solve(program) -> SolverResult:
     ws = _Workspace(program)
 
     def result(z, tab, status, iters, gap, kkt):
-        x, y, t = ws.rows(z)
+        x, y, t = z
         min_margin = float(tab.m.min())
         objective = surrogate(program, x, y, t) if min_margin > 0.0 else -math.inf
         return SolverResult(x=x, y=y, t=t, objective=objective,
@@ -463,7 +452,7 @@ def solve(program) -> SolverResult:
         gap = float(lam @ m)
         kkt = float(np.abs(g0 - ws.jt(tab, lam)).max())
         if (kkt <= KKT_TOL
-                and gap <= OPT_TOL * max(1.0, abs(surrogate(program, *ws.rows(z))))):
+                and gap <= OPT_TOL * max(1.0, abs(surrogate(program, *z)))):
             return result(z, tab, OPTIMAL, iters, gap, kkt)
         if iters >= MAX_NEWTON:
             return result(z, tab, MAX_ITER, iters, gap, kkt)
@@ -474,7 +463,7 @@ def solve(program) -> SolverResult:
         iters += 1
         mu = gap / ws.weight_sum
         # predictor: the affine-scaling step towards lam*m = 0
-        _, m1, m2 = ws.ray(tab, ws.newton_step(c, elim, -g0))
+        m1, m2 = ws.ray(tab, ws.newton_step(c, elim, -g0))
         dlam = -lam * (1.0 + m1 / m)
         a_p = min(1.0, first_root(m, m1, m2))
         a_d = min(1.0, dual_root(lam, dlam))
@@ -483,7 +472,7 @@ def solve(program) -> SolverResult:
         # corrector: centring at sigma*mu*w plus the predictor's second-order terms
         w = (sigma * mu * ws.weight - dlam * m1 - lam * m2) / m
         dz = ws.newton_step(c, elim, ws.jt(tab, w) - g0)
-        _, m1, m2 = ws.ray(tab, dz)
+        m1, m2 = ws.ray(tab, dz)
         dlam = w - lam * (1.0 + m1 / m)
         a_p = min(1.0, 0.99 * first_root(m, m1, m2))
         for _ in range(60):

@@ -3,8 +3,9 @@
 The channel is line-of-sight: power gain proportional to inverse squared 3-D
 distance.  For an eavesdropper known only up to a disk, the worst case is the
 disk point closest to the transmitter, which has the closed form implemented
-in :func:`worst_case_dist_sq`.  A seeded disk-sampling oracle is provided for
-tests; production code always uses the closed form.
+in :func:`worst_case_dist_sq`.  A seeded disk-sampling oracle checks it: the
+tests and the theta-oracle suite of ``secuav verify`` run it, and the planner
+always uses the closed form.
 """
 from __future__ import annotations
 

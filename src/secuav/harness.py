@@ -323,7 +323,7 @@ def _check_huber_margin(n_slots: int, seed: int):
     x, y = traj.slot_positions()
     errs = []
     for qx, qy in ((x, y), (x + shift[0], y + shift[1])):
-        rows = ws.table(ws.pack(qx, qy, np.zeros(n_slots))).m[ws.disks]
+        rows = ws.table(np.stack((qx, qy, np.zeros(n_slots)))).m[ws.disks]
         theta = np.stack([geometry.worst_case_dist_sq((qx, qy), e, scen.altitude)
                           for e in scen.eves])
         errs.append((rows.reshape(-1, n_slots) - theta) / theta)

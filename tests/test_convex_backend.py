@@ -94,7 +94,7 @@ class _AugLag:
         """The program's start with the best multipliers of its blocks."""
         p = self.p
         z0 = np.zeros((self.n, self.width))
-        z0[:, :3] = _Workspace(p).z0.reshape(self.n, 3)
+        z0[:, :3] = _Workspace(p).z0.T
         x, y, t = z0[:, :3].T
         for i, k in enumerate(self.robust):
             q2 = p.eve_r[k] ** 2
@@ -304,10 +304,10 @@ def chain_steps(prog):
 
 
 def direct_margins(prog, z):
-    """Every margin, written out from the program data, in the order
-    of the solver's flat margins: the mobility chain, the t floor, the disks."""
-    zz = z.reshape(-1, 3)
-    x, y, t = zz[:, 0], zz[:, 1], zz[:, 2]
+    """Every margin at the (3, n) point z, written out from the program data,
+    in the order of the solver's flat margins: the mobility chain, the t
+    floor, the disks."""
+    x, y, t = z
     xpad = np.concatenate(([prog.pin_start[0]], x, [prog.pin_end[0]]))
     ypad = np.concatenate(([prog.pin_start[1]], y, [prog.pin_end[1]]))
     budget = chain_steps(prog) ** 2 * prog.step_sq_max
@@ -326,8 +326,7 @@ def quadratic_rows(prog, z, z_end):
     all but the disk rows with r > 0 that are not inside their disk at both
     ends (a disk is convex, so then the whole segment is inside)."""
     n = prog.slots.size
-    inside = (inside_disks(prog, *z.reshape(n, 3)[:, :2].T)
-              & inside_disks(prog, *z_end.reshape(n, 3)[:, :2].T))
+    inside = inside_disks(prog, *z[:2]) & inside_disks(prog, *z_end[:2])
     disk = inside | (prog.eve_r == 0.0)[:, None]
     return np.concatenate((np.ones(2 * n + 1, bool), disk.ravel()))
 
@@ -335,9 +334,9 @@ def quadratic_rows(prog, z, z_end):
 def merit(prog, z, tau):
     m = direct_margins(prog, z)
     assert m.min() > 0.0
-    zz = z.reshape(-1, 3)
-    obj = ((prog.g_u * (zz[:, 0] ** 2 + zz[:, 1] ** 2 + prog.h2)).sum()
-           + (np.log1p(prog.p_scaled / zz[:, 2]) / LN2).sum())
+    x, y, t = z
+    obj = ((prog.g_u * (x**2 + y**2 + prog.h2)).sum()
+           + (np.log1p(prog.p_scaled / t) / LN2).sum())
     return tau * obj - np.log(m).sum()
 
 
@@ -360,13 +359,33 @@ def schur_of_t(hess):
 
 
 def straight_track(prog, z0):
-    """The straight track between the pins at z0's t, packed like z0, each
+    """The straight track between the pins at z0's t, (3, n) like z0, each
     slot at its flight fraction (index + 1)/(N + 1)."""
     frac = (prog.slots + 1) / (prog.n_slots + 1)
-    track = z0.reshape(-1, 3).copy()
-    track[:, 0] = prog.pin_start[0] + frac * (prog.pin_end[0] - prog.pin_start[0])
-    track[:, 1] = prog.pin_start[1] + frac * (prog.pin_end[1] - prog.pin_start[1])
-    return track.ravel()
+    track = z0.copy()
+    track[0] = prog.pin_start[0] + frac * (prog.pin_end[0] - prog.pin_start[0])
+    track[1] = prog.pin_start[1] + frac * (prog.pin_end[1] - prog.pin_start[1])
+    return track
+
+
+def slot_major(v):
+    """A (3, n) point or step as one vector over [x, y, t] slots, the order
+    of ``dense_newton_matrix`` and ``schur_of_t`` (and of the band's x, y)."""
+    return v.T.ravel()
+
+
+def slot_major_normal(rng, n):
+    """A (3, n) array of standard normals drawn slot by slot, x, y, t."""
+    return rng.normal(size=(n, 3)).T
+
+
+def unit_steps(z):
+    """(i, e, h): the step e of length h = 1e-6 (relative, at least absolute)
+    along each coordinate of the (3, n) point z, i its slot-major index."""
+    for i, (s, c) in enumerate(np.ndindex(z.shape[1], 3)):
+        e = np.zeros_like(z)
+        e[c, s] = h = 1e-6 * max(1.0, abs(z[c, s]))
+        yield i, e, h
 
 
 def kernel_points(radii="kernel"):
@@ -382,7 +401,7 @@ def kernel_points(radii="kernel"):
     ws = _Workspace(prog)
     z0 = ws.z0
     inside = z0 + 0.25 * (straight_track(prog, z0) - z0)
-    assert inside_disks(prog, *inside.reshape(-1, 3)[:, :2].T)[0, 1]
+    assert inside_disks(prog, *inside[:2])[0, 1]
     assert direct_margins(prog, inside).min() > 0.0
     points = {"start": _interior_start(ws)[0], "inside": inside}
     if radii == "zero":
@@ -393,17 +412,17 @@ def kernel_points(radii="kernel"):
 
 
 def random_direction(rng, prog, ws):
-    # random scales per block column (x, y, t) so that every family, curved
-    # or flat, gets to bind
-    scale = 10.0 ** rng.uniform(-3.0, 2.0, ws.B) * (rng.random(ws.B) < 0.7)
-    return (rng.normal(size=(ws.n, ws.B)) * scale).ravel()
+    # random scales per row (x, y, t) so that every family, curved or flat,
+    # gets to bind
+    scale = 10.0 ** rng.uniform(-3.0, 2.0, 3) * (rng.random(3) < 0.7)
+    return slot_major_normal(rng, ws.n) * scale[:, None]
 
 
 def dense_newton_matrix(prog, z, lam):
     """The full Newton matrix over [x, y, t] slots, dense, written out from
     the program data: hess f0 + J^T diag(lam/m) J - sum_i lam_i hess m_i,
     with the rows in the order of ``direct_margins``."""
-    zz = z.reshape(-1, 3)
+    zz = z.T
     n = zz.shape[0]
     m = direct_margins(prog, z)
     jac = np.zeros((m.size, 3 * n))
@@ -454,7 +473,7 @@ def newton_cases():
         ws = _Workspace(prog)
         z, _ = _interior_start(ws)
         while True:
-            trial = z + 1e-2 * rng.normal(size=z.size)
+            trial = z + 1e-2 * slot_major_normal(rng, ws.n)
             if direct_margins(prog, trial).min() > 0.0:
                 break
         yield prog, ws, trial
@@ -476,17 +495,15 @@ class TestNewtonKernel:
             tab = ws.table(z_)
             lam = 1.0 / (tau * tab.m)
             g0, ab, _ = ws.assemble(tab, z_, lam)
-            return g0 - ws.jt(tab, lam), ab
+            return slot_major(g0 - ws.jt(tab, lam)), ab
 
         gz, ab = system(z)
         hess = full_hessian(ab)
-        fd_grad = np.empty(ws.nz)
-        fd_hess = np.empty((ws.nz, ws.nz))
-        for i in range(ws.nz):
-            e = np.zeros(ws.nz)
-            e[i] = 1e-6 * max(1.0, abs(z[i]))
-            fd_grad[i] = (merit(prog, z + e, tau) - merit(prog, z - e, tau)) / (2 * e[i] * tau)
-            fd_hess[:, i] = (system(z + e)[0] - system(z - e)[0]) / (2 * e[i])
+        fd_grad = np.empty(z.size)
+        fd_hess = np.empty((z.size, z.size))
+        for i, e, h in unit_steps(z):
+            fd_grad[i] = (merit(prog, z + e, tau) - merit(prog, z - e, tau)) / (2 * h * tau)
+            fd_hess[:, i] = (system(z + e)[0] - system(z - e)[0]) / (2 * h)
         scale = np.abs(gz).max()
         assert np.abs(gz - fd_grad).max() <= 1e-6 * scale
         assert np.abs(hess - schur_of_t(fd_hess)).max() <= 1e-6 * np.abs(hess).max()
@@ -509,19 +526,17 @@ class TestNewtonKernel:
 
         def residual(z_):  # grad of the Lagrangian f0 - lam^T m at fixed lam
             tab_ = ws.table(z_)
-            return ws.assemble(tab_, z_, lam)[0] - ws.jt(tab_, lam)
+            return slot_major(ws.assemble(tab_, z_, lam)[0] - ws.jt(tab_, lam))
 
-        jac = np.empty((ws.m_bar, ws.nz))
-        lag_hess = np.empty((ws.nz, ws.nz))
-        for i in range(ws.nz):
-            e = np.zeros(ws.nz)
-            e[i] = 1e-6 * max(1.0, abs(z[i]))
-            jac[:, i] = (direct_margins(prog, z + e) - direct_margins(prog, z - e)) / (2 * e[i])
-            lag_hess[:, i] = (residual(z + e) - residual(z - e)) / (2 * e[i])
+        jac = np.empty((ws.m_bar, z.size))
+        lag_hess = np.empty((z.size, z.size))
+        for i, e, h in unit_steps(z):
+            jac[:, i] = (direct_margins(prog, z + e) - direct_margins(prog, z - e)) / (2 * h)
+            lag_hess[:, i] = (residual(z + e) - residual(z - e)) / (2 * h)
         expected = schur_of_t(lag_hess + jac.T @ ((lam / tab.m)[:, None] * jac))
         assert np.abs(full_hessian(ab) - expected).max() <= 1e-6 * np.abs(expected).max()
         jtw = jac.T @ w
-        assert np.abs(ws.jt(tab, w) - jtw).max() <= 1e-6 * np.abs(jtw).max()
+        assert np.abs(slot_major(ws.jt(tab, w)) - jtw).max() <= 1e-6 * np.abs(jtw).max()
 
     @pytest.mark.parametrize("radii", ["kernel", "zero"])
     def test_fraction_to_boundary_start_matches_brute_force_halving(self, radii):
@@ -532,7 +547,7 @@ class TestNewtonKernel:
         starts = set()
         for _ in range(200):
             dz = random_direction(rng, prog, ws)
-            m0, m1, m2 = ws.ray(tab, dz)
+            m0, (m1, m2) = tab.m, ws.ray(tab, dz)
             # the model is the margins along the ray on every quadratic row
             a = float(rng.uniform(0.0, 2.0))
             terms = np.abs(m0) + np.abs(a * m1) + np.abs(a * a * m2)
@@ -565,11 +580,11 @@ class TestNewtonKernel:
         n = prog.slots.size
         outer = np.concatenate((np.zeros(2 * n + 1, bool),
                                 ((prog.eve_r > 0.0)[:, None]
-                                 & ~inside_disks(prog, *z.reshape(n, 3)[:, :2].T)).ravel()))
+                                 & ~inside_disks(prog, *z[:2])).ravel()))
         checked = 0
         for _ in range(20):
-            dz = rng.normal(size=ws.nz)
-            m0, m1, m2 = ws.ray(tab, dz)
+            dz = slot_major_normal(rng, n)
+            m0, (m1, m2) = tab.m, ws.ray(tab, dz)
             steps = 0.5 ** np.arange(3, 9)
             err = np.array([np.abs(m0 + a * (m1 + a * m2) - direct_margins(prog, z + a * dz))
                             for a in steps])[:, outer]
@@ -612,9 +627,9 @@ class TestNewtonKernel:
             fac = convex_backend.cholesky_banded(ab)
             dense = dense_newton_matrix(prog, z, lam)
             for _ in range(3):
-                rhs = rng.normal(size=ws.nz)
-                want = np.linalg.solve(dense, rhs)
-                got = ws.newton_step(fac, elim, rhs)
+                rhs = slot_major_normal(rng, ws.n)
+                want = np.linalg.solve(dense, slot_major(rhs))
+                got = slot_major(ws.newton_step(fac, elim, rhs))
                 assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
             cases += 1
         assert cases == 12
@@ -627,6 +642,14 @@ def fine_slot_program():
     scen = derive_scenario(dataclasses.replace(base, slot_len=0.1), "T", 160.0)
     assert scen.n_slots == 1600
     return assemble(best_effort_trajectory(scen), equal_power(scen), scen)
+
+
+def no_interior_program():
+    """Pins (N+1)*L apart force the straight track at full speed, so no point
+    has positive mobility margins (``validate`` rejects such a scenario)."""
+    return dataclasses.replace(
+        toy_program(n=3), pin_start=(-2.0, 0.0), pin_end=(2.0, 0.0),
+        x_fea=np.array([-1.0, 0.0, 1.0]), y_fea=np.zeros(3))
 
 
 def small_program():
@@ -660,22 +683,43 @@ class TestInteriorStart:
     def test_warm_start_is_the_expansion_point_below_the_tight_t(self, make):
         prog = make()
         ws = _Workspace(prog)
-        x, y, t = ws.rows(ws.z0)
+        x, y, t = ws.z0
         assert np.array_equal(x, prog.x_fea) and np.array_equal(y, prog.y_fea)
         assert np.all((convex_backend.T_FLOOR * prog.h2 < t) & (t < prog.t_fea))
 
     def test_pins_a_full_budget_apart_leave_no_interior(self):
-        """Pins (N+1)*L apart force the straight track at full speed, so no
-        point has positive mobility margins (``validate`` rejects such a
-        scenario)."""
-        prog = dataclasses.replace(
-            toy_program(n=3), pin_start=(-2.0, 0.0), pin_end=(2.0, 0.0),
-            x_fea=np.array([-1.0, 0.0, 1.0]), y_fea=np.zeros(3))
+        prog = no_interior_program()
         ws = _Workspace(prog)
         assert _interior_start(ws) is None
         res = solve(prog)
         assert res.status == "numerical_trouble"
         assert res.newton_iters == 0
+
+
+class TestResultRows:
+    @pytest.mark.parametrize("make, status", [(kernel_program, "optimal"),
+                                              (no_interior_program, "numerical_trouble")])
+    def test_rows_survive_a_second_solve_and_a_table_pass(self, make, status, monkeypatch):
+        """A result's x, y, t are rows of the solve's last point (of ws.z0
+        when there is no interior start); neither another solve of the same
+        program nor a table pass of the solve's own workspace writes them."""
+        made = []
+
+        class Recording(_Workspace):
+            def __init__(self, prog):
+                super().__init__(prog)
+                made.append(self)
+
+        monkeypatch.setattr(convex_backend, "_Workspace", Recording)
+        prog = make()
+        res = solve(prog)
+        assert res.status == status
+        rows = [v.copy() for v in (res.x, res.y, res.t)]
+        again = solve(prog)
+        ws = made[0]
+        ws.table(ws.z0 + 1.0)
+        for got, want, other in zip((res.x, res.y, res.t), rows, (again.x, again.y, again.t)):
+            assert np.array_equal(got, want) and np.array_equal(other, want)
 
 
 def test_paper_fig2_first_steps_meet_kkt_tol():

@@ -1,9 +1,14 @@
 """The scripts under scripts/ run end to end."""
+import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
 
-from conftest import REPO_ROOT
+from secuav.harness import derive_scenario, load_scenario
+from secuav.planner import optimize
+
+from conftest import BENCHMARK_SCENARIO, REPO_ROOT
 
 SCRIPTS = REPO_ROOT / "scripts"
 
@@ -30,6 +35,15 @@ def test_plan_digest_runs():
     assert [p["key"] for p in plans] == ["fine_slots/s0/0/T=160/robust"]
     plan = plans[0]
     assert float(plan["secrecy_rate"]) > 0.0
+    # the digest covers the plan's track and powers: fine_slots s0 is
+    # paper_fig2 at 0.1 s slots and T = 160 s
+    scen = derive_scenario(dataclasses.replace(load_scenario(BENCHMARK_SCENARIO), slot_len=0.1),
+                           "T", 160.0)
+    result = optimize(scen)
+    plan_bytes = (result.trajectory.xs.tobytes() + result.trajectory.ys.tobytes()
+                  + result.powers.p.tobytes())
+    assert plan["plan_sha256"] == hashlib.sha256(plan_bytes).hexdigest()[:16]
+    assert plan["secrecy_rate"] == repr(result.secrecy_rate)
     assert plan["outer_iters"] == len(plan["statuses"]) > 0 and plan["primal_dual_iters"] > 0
     assert total == {"total": {"plans": 1, "outer_iters": plan["outer_iters"],
                                "primal_dual_iters": plan["primal_dual_iters"],

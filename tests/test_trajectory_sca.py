@@ -116,14 +116,14 @@ class TestTaylorSurrogate:
 class TestAssemble:
     def test_benchmark_constraint_counts(self):
         # 321 mobility steps, 320 t floors and 2 x 320 disk margins, over
-        # blocks [x, y, t]
+        # rows x, y, t
         scen = make_scenario(**benchmark_fields(160.0))
         traj = best_effort_trajectory(scen)
         prog = assemble(traj, equal_power(scen), scen)
         assert prog.eve_k.shape == (2, 2, 320) and prog.eve_k0.shape == (2, 320)
         assert list(prog.eve_r) == [20.0, 80.0]
         ws = _Workspace(prog)
-        assert ws.B == 3 and ws.nz == 3 * 320
+        assert ws.z0.shape == (3, 320)
         assert ws.table(ws.z0).m.size == ws.m_bar == 321 + 320 + 2 * 320
 
     def test_zero_power_program_still_solvable(self):
