@@ -10,8 +10,8 @@ from .planner import (IterationRecord, PlanResult, best_effort_trajectory,
                       run_best_effort)
 from .power_alloc import (PowerDual, optimize_power, power_for_dual,
                           solve_power_subproblem)
-from .scenario import (EveRegion, PowerSchedule, Scenario, Trajectory,
-                       slot_count, validate)
+from .scenario import (EveRegion, InvalidScenario, PowerSchedule, Scenario,
+                       Trajectory, slot_count, validate)
 from .trajectory_sca import (ConvexProgram, SubproblemSolution, assemble,
                              initialize_slacks, solve_step)
 

@@ -118,7 +118,8 @@ table everywhere:
     chain adds its diagonal and off-diagonal bands; with t eliminated, all go
     straight into the Fortran-ordered lower band array (bandwidth 3) that
     ``cholesky_banded`` hands to LAPACK's dpbtrf, which factors it in place
-    (``cho_solve_banded`` solves with dpbtrs; both skip scipy's wrappers);
+    (``cho_solve_banded`` solves with dpbtrs; both call the routines of
+    scipy's compiled LAPACK module directly, see ``_load_flapack``);
     ``jt`` sums v_i grad m_i (any v) for the residual and the corrector;
   * along a step dz each margin is modelled by m0 + a*m1 + a^2*m2 in the
     step length a, with m1 = grad m . dz and m2 = dz^T (hess m) dz / 2.  The
@@ -130,10 +131,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
+from importlib.util import find_spec, module_from_spec, spec_from_file_location
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .geometry import LN2, log2_1p
 
@@ -168,13 +171,47 @@ T_FLOOR = 0.5
 X, Y, T = range(3)  # rows of z
 
 
+def _load_flapack():
+    """scipy's compiled LAPACK module ``scipy.linalg._flapack``, loaded from
+    its file without running the ``scipy.linalg`` package (for why, see
+    ``cholesky_banded``).
+
+    The module keeps its canonical name, so a later ``import scipy.linalg``
+    in the same process gets the same compiled functions.  Raises ImportError
+    when scipy is missing, naming the paths tried when only the file is.
+    """
+    scipy = find_spec("scipy")
+    if scipy is None or scipy.origin is None:
+        raise ImportError("scipy is not installed: no scipy/linalg/_flapack to load",
+                          name="scipy.linalg._flapack")
+    linalg = Path(scipy.origin).parent / "linalg"
+    paths = [linalg / f"_flapack{suffix}" for suffix in EXTENSION_SUFFIXES]
+    for path in paths:
+        if path.is_file():
+            spec = spec_from_file_location("scipy.linalg._flapack", path)
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError("scipy's compiled LAPACK module is missing: none of "
+                      + ", ".join(map(str, paths)) + " exists",
+                      name="scipy.linalg._flapack")
+
+
+_flapack = _load_flapack()
+dpbtrf, dpbtrs = _flapack.dpbtrf, _flapack.dpbtrs
+
+
 def cholesky_banded(ab):
     """Lower banded Cholesky factor, as ``scipy.linalg.cholesky_banded`` with
     ``lower=True`` computes it.
 
     LAPACK's dpbtrf is called directly, without scipy's input checks and
     array wrapping; it factors ``ab`` in place when that is a Fortran-ordered
-    float64 array, as ``assemble`` builds it.
+    float64 array, as ``assemble`` builds it.  dpbtrf is the routine that
+    ``scipy.linalg.lapack`` re-exports, taken from the compiled module that
+    ``_load_flapack`` loads: importing the ``scipy.linalg`` package for two
+    routines more than doubled a cold ``import secuav`` (0.2 -> 0.5 s on
+    2 cores) and its resident memory (32 -> 58 MB).
     Raises LinAlgError when the matrix is not positive definite or the factor
     is not finite (a NaN in ``ab`` passes dpbtrf and reaches the diagonal).
     """
@@ -186,7 +223,8 @@ def cholesky_banded(ab):
 
 def cho_solve_banded(c, b):
     """Solve with a factor of ``cholesky_banded``, as
-    ``scipy.linalg.cho_solve_banded`` does, through LAPACK's dpbtrs."""
+    ``scipy.linalg.cho_solve_banded`` does, through LAPACK's dpbtrs from the
+    same compiled module as dpbtrf (see ``cholesky_banded``)."""
     x, info = dpbtrs(c, b, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"banded Cholesky solve failed (dpbtrs info {info})")

@@ -20,7 +20,7 @@ from .convex_backend import TROUBLE, SolverResult
 from .geometry import avg_worst_case_secrecy_rate, secrecy_sum
 from .power_alloc import PowerDual, optimize_power
 from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
-                       trajectory_violations)
+                       require_valid, trajectory_violations)
 # initialize_slacks is unused here, but planbench's tracer and its tests wrap
 # the name at this site
 from .trajectory_sca import initialize_slacks, solve_step  # noqa: F401
@@ -110,9 +110,11 @@ def _check_feasible(traj: Trajectory, powers: PowerSchedule, scenario: Scenario)
 def optimize(scenario: Scenario) -> PlanResult:
     """Joint trajectory and power design (the robust algorithm).
 
-    Raises RuntimeError when the plan it would return breaks a trajectory or
-    power constraint of the scenario.
+    Raises InvalidScenario when ``validate`` rejects the scenario, and
+    RuntimeError when the plan it would return breaks a trajectory or power
+    constraint of the scenario.
     """
+    require_valid(scenario)
     t0 = time.perf_counter()
     traj = best_effort_trajectory(scenario)
     powers = equal_power(scenario)
@@ -148,7 +150,12 @@ def optimize(scenario: Scenario) -> PlanResult:
 
 
 def optimize_non_robust(scenario: Scenario) -> PlanResult:
-    """Design as if the estimated eavesdropper positions were exact, judge under truth."""
+    """Design as if the estimated eavesdropper positions were exact, judge under truth.
+
+    Raises InvalidScenario, like ``optimize``, when ``validate`` rejects the
+    scenario.
+    """
+    require_valid(scenario)
     zeroed = dataclasses.replace(
         scenario,
         eves=tuple(dataclasses.replace(e, radius=0.0) for e in scenario.eves),
@@ -161,9 +168,9 @@ def optimize_non_robust(scenario: Scenario) -> PlanResult:
 def run_best_effort(scenario: Scenario) -> PlanResult:
     """The best-effort benchmark: the greedy track with equal power.
 
-    Raises RuntimeError, like ``optimize``, when the plan breaks a trajectory
-    or power constraint of the scenario.
+    Raises InvalidScenario and RuntimeError like ``optimize``.
     """
+    require_valid(scenario)
     traj = best_effort_trajectory(scenario)
     powers = equal_power(scenario)
     _check_feasible(traj, powers, scenario)

@@ -122,6 +122,21 @@ def slot_count(flight_duration: float, slot_len: float) -> int:
     return n
 
 
+class InvalidScenario(ValueError):
+    """A scenario that ``validate`` rejects; ``violations`` lists every problem."""
+
+    def __init__(self, violations: list[str]):
+        super().__init__("invalid scenario: " + "; ".join(violations))
+        self.violations = violations
+
+
+def require_valid(scenario: Scenario) -> None:
+    """Raise InvalidScenario, listing every violation, unless ``validate`` accepts."""
+    violations = validate(scenario)
+    if violations:
+        raise InvalidScenario(violations)
+
+
 def validate(scenario: Scenario) -> list[str]:
     """Return all violated invariants (empty list means the scenario is usable).
 

@@ -1,5 +1,11 @@
 import dataclasses
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 
 import numpy as np
 import pytest
@@ -14,7 +20,7 @@ from secuav.power_alloc import optimize_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, solve_step
 
-from conftest import BENCHMARK_SCENARIO, make_scenario
+from conftest import BENCHMARK_SCENARIO, REPO_ROOT, make_scenario
 
 LN2 = math.log(2.0)
 
@@ -837,3 +843,51 @@ class TestBandCalls:
         res = solve(kernel_program())
         assert (res.status, res.newton_iters) == ("numerical_trouble", 0)
         assert res.min_margin > 0.0
+
+
+# run in a fresh interpreter: import secuav, then scipy's own LAPACK wrappers
+_FOOTPRINT = """
+import json, sys
+from secuav import convex_backend as cb
+footprint = "scipy.linalg" in sys.modules
+import numpy as np
+import scipy.linalg.lapack as lapack
+from test_convex_backend import random_spd_band
+ab = random_spd_band(np.random.default_rng(7))
+ours, info_ours = cb.dpbtrf(ab, lower=1)
+theirs, info_theirs = lapack.dpbtrf(ab, lower=1)
+print(json.dumps({"scipy_linalg_after_import": footprint,
+                  "files": [cb._flapack.__file__, lapack._flapack.__file__],
+                  "infos": [info_ours, info_theirs],
+                  "bit_equal": ours.tobytes() == theirs.tobytes()}))
+"""
+
+
+class TestLapackLoad:
+    """``_load_flapack``: scipy's compiled LAPACK module, not its package."""
+
+    def test_import_leaves_scipy_linalg_out(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])}
+        out = subprocess.run([sys.executable, "-c", _FOOTPRINT], capture_output=True,
+                             text=True, timeout=120, env=env, cwd=REPO_ROOT)
+        assert out.returncode == 0, out.stderr
+        got = json.loads(out.stdout)
+        assert got["scipy_linalg_after_import"] is False
+        ours, theirs = got["files"]
+        assert ours == theirs
+        assert got["infos"] == [0, 0]
+        assert got["bit_equal"]
+
+    def test_missing_extension_names_the_path(self, tmp_path, monkeypatch):
+        origin = tmp_path / "scipy" / "__init__.py"
+        monkeypatch.setattr(convex_backend, "find_spec",
+                            lambda name: ModuleSpec(name, None, origin=str(origin)))
+        want = tmp_path / "scipy" / "linalg" / f"_flapack{EXTENSION_SUFFIXES[0]}"
+        with pytest.raises(ImportError, match=re.escape(str(want))):
+            convex_backend._load_flapack()
+
+    def test_missing_scipy_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(convex_backend, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="scipy is not installed"):
+            convex_backend._load_flapack()

@@ -14,8 +14,8 @@ from secuav.harness import derive_scenario, export_plan, load_scenario
 from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
                             optimize, optimize_non_robust, run_best_effort)
 from secuav.power_alloc import PowerDual, optimize_power
-from secuav.scenario import (EveRegion, PowerSchedule, Trajectory, trajectory_violations,
-                             power_violations, validate)
+from secuav.scenario import (EveRegion, InvalidScenario, PowerSchedule, Trajectory,
+                             trajectory_violations, power_violations, validate)
 
 from conftest import BENCHMARK_SCENARIO, make_scenario, benchmark_fields
 
@@ -290,25 +290,43 @@ class TestDegenerateScenarios:
         assert all(b >= a - 1e-6 for a, b in zip(objs, objs[1:]))
         assert trajectory_violations(res.trajectory, scen) == []
 
-    def test_hover_only_scenario_rejected_and_left_at_start(self):
+    def test_hover_only_scenario_rejected_before_planning(self):
         # zero speed leaves the mobility set without interior, so validate()
-        # rejects the scenario; optimize stops at the first trajectory step
-        # and returns the unoptimized start, equal power included
+        # rejects the scenario and optimize names that in place of planning
         scen = make_scenario(v_max=0.0, start_xy=(3.0, -2.0), end_xy=(3.0, -2.0))
+        violations = validate(scen)
         assert any("the track is forced and the trajectory step has no interior" in v
-                   for v in validate(scen))
-        res = optimize(scen)
-        assert [r.status for r in res.iterations] == ["init", TROUBLE]
-        assert not res.converged
-        assert np.array_equal(res.powers.p, equal_power(scen).p)
-        objs = [r.objective for r in res.iterations]
-        assert all(b >= a - 1e-6 for a, b in zip(objs, objs[1:]))
-        assert np.all(res.trajectory.xs == 3.0)
+                   for v in violations)
+        with pytest.raises(InvalidScenario) as err:
+            optimize(scen)
+        assert err.value.violations == violations
+        assert all(v in str(err.value) for v in violations)
 
     def test_iteration_cap_respected(self):
         scen = make_scenario(max_iters=1)
         res = optimize(scen)
         assert len(res.iterations) - 1 <= 1
+
+
+class TestInvalidScenario:
+    """The library entry points validate before they plan."""
+
+    @pytest.mark.parametrize("entry", [optimize, optimize_non_robust, run_best_effort])
+    def test_stale_slot_count_raises_named_error(self, entry):
+        # replace() keeps the stored n_slots = 320 of T = 160 s at 0.5 s slots
+        scen = dataclasses.replace(load_scenario(BENCHMARK_SCENARIO), slot_len=0.1)
+        with pytest.raises(InvalidScenario, match="n_slots=320 inconsistent") as err:
+            entry(scen)
+        assert isinstance(err.value, ValueError)
+        assert err.value.violations == validate(scen)
+
+    def test_message_lists_every_violation(self):
+        scen = make_scenario(altitude=-1.0, gamma0=0.0, max_iters=0)
+        violations = validate(scen)
+        assert len(violations) == 3
+        with pytest.raises(InvalidScenario) as err:
+            optimize(scen)
+        assert all(v in str(err.value) for v in violations)
 
 
 class TestRunBestEffort:
