@@ -8,7 +8,6 @@ over per-slot variables (x, y, t) of the program's n slots, subject to
 
   * mobility balls   |q[b] - q[a]|^2 <= (g*L)^2, q = (x, y), for consecutive
                      slots a, b g flight steps apart (pins at -1 and N),
-  * a t floor        t >= H^2/2,
   * disk margins     t <= lin(q) - huber_r(|q - c|)  per (eavesdropper, slot),
                      with lin = k . q + k0 and
                      huber_r(rho) = rho^2 for rho <= r, 2*r*rho - r^2 beyond.
@@ -19,14 +18,10 @@ distance to the disk of radius r around c (``trajectory_sca`` derives the
 margin from the S-procedure; the huber-margin suite of ``secuav verify``
 checks the rows against ``worst_case_dist_sq``).  Radius-zero eavesdroppers
 are the case r = 0, an affine row; when every radius is zero (the non-robust
-planner) the table carries no Hessian entries.
-
-Why the floor H^2/2 is safe.  The floor is no robustness constraint: the disk
-margins alone bound t by the worst-case squared distance, and ``solve_step``
-re-checks every returned t against ``worst_case_dist_sq``, which is at least
-H^2.  The floor only keeps log2(1 + P/t) finite.  It must lie below H^2: at a
-slot inside a disk lin - huber equals H^2 at the expansion point, so a floor
-of H^2 leaves no interior there.
+planner) the table carries no Hessian entries.  The disk margins bound t
+only from above; t > 0 is the objective's domain, which the iterations never
+leave (see "Step rules"), and for P > 0 log2(1 + P/t) grows without bound as
+t falls to 0, so no bound row is needed.
 
 The method.  A Mehrotra predictor-corrector primal-dual interior-point method
 (Mehrotra, SIAM J. Optim. 1992; Nocedal & Wright, Numerical Optimization,
@@ -35,7 +30,7 @@ m_i(z) >= 0.  The point z stays strictly interior and each margin carries a
 multiplier lambda_i > 0; the iterations drive the residual
 r = grad f0 - sum_i lambda_i grad m_i and the complementarity
 mu = lambda^T m / sum(w) to zero (w the row weights below), over
-m_bar = (n+1) + n + K*n margins.  Each iteration factors
+m_bar = (n+1) + K*n margins.  Each iteration factors
 
     H = hess f0 + sum_i (lambda_i/m_i) grad m_i grad m_i^T - sum_i lambda_i hess m_i
 
@@ -57,13 +52,16 @@ it weighs w_i = g and every other row 1: the iterations follow the central
 path of the barrier -sum_i w_i log m_i, lambda_i*m_i = mu*w_i.
 
 Eliminating t.  t couples to nothing outside its slot, whose tt entry of H is
-positive (the floor adds lambda/m > 0), so the band holds the Schur complement
+positive: each of the slot's K >= 1 disk rows (``scenario.validate`` demands
+an eavesdropper) adds lambda/m > 0, and the objective adds
+(1/t^2 - 1/(t+P)^2)/ln 2 >= 0.  So the band holds the Schur complement
 over x, y: with u = (xt, yt)/tt, the slot blocks less u (xt, yt)^T, the
 right-hand side r_q - u*r_t, and then dt = r_t/tt - u . (dx, dy).
 
 Step rules.  The corrector's primal step is 0.99 times its models' first
-positive root, capped at 1, and halved until the table at the trial point is
-strictly positive (the model of a disk row outside its disk is inexact); its
+positive root, capped at 1, and halved until the trial point lies in the
+domain: every t positive (no margin models t > 0) and every margin of its
+table positive (the model of a disk row outside its disk is inexact); its
 dual step is 0.99 times the distance to lambda = 0, capped at 1.  No merit
 function judges a step.  The solve starts at the interior start below with
 lambda_i = (TAU0_GAP/sum(w))*w_i/m_i, so lambda^T m = TAU0_GAP.
@@ -75,57 +73,58 @@ end it as "max_iter" and a failed factorization (not positive definite, or
 a factor that is not finite) as "numerical_trouble".
 ``duality_gap`` is lambda^T m and ``kkt_residual`` is |r|_inf.  The point z
 minimizes the Lagrangian f0 - r.z - lambda^T m exactly, as that is convex in
-z (f0 is convex, every margin concave) and stationary at z; so z is within
+z on f0's domain t > 0 (f0 is convex there, every margin concave) and
+stationary at z; so z is within
 lambda^T m of the optimum of the problem whose objective is tilted by r.z
 (Boyd & Vandenberghe, Convex Optimization, sect. 5.2), a tilt of at most
 KKT_TOL per coordinate.  The argument needs no quadratic or self-concordant
 margins, so the disk rows, whose Hessian jumps at the rim, leave it intact.
 
 Interior start.  The warm start ``_Workspace.z0`` is the expansion point
-with t a tenth of the way from the tight t (at least H^2) down to the floor.
-There each disk's lin - huber_r is the true worst-case squared distance, at
-least the tight t, so the floor and disk margins are positive; the mobility
-margins are often zero, as a track that flies at maximum speed sits on their
-boundary.  Every margin is concave, so on the segment from z0 to the straight
-track between the pins (same t) each margin is at least the interpolation of
-its two ends; the track puts flight slot s at the fraction (s + 1)/(N + 1)
-of the way, so its mobility margins are positive whenever the pins are closer
-than the (N+1)-step budget, which ``scenario.validate`` demands.  So every
-point of the segment close enough to z0, but off it, is interior.  The solver
-starts at the step 2^-k along the segment of least barrier; the barrier is
-convex there, so the search stops at its first increase.
+with t a tenth of the way from the tight t (at least H^2) down to H^2/2, so
+t >= 0.95*H^2 > 0.  There each disk's lin - huber_r is the true worst-case
+squared distance, at least the tight t, so the disk margins are positive; the
+mobility margins are often zero, as a track that flies at maximum speed sits
+on their boundary.  Every margin is concave, so on the segment from z0 to the
+straight track between the pins (same t) each margin is at least the
+interpolation of its two ends; the track puts flight slot s at the fraction
+(s + 1)/(N + 1) of the way, so its mobility margins are positive whenever the
+pins are closer than the (N+1)-step budget, which ``scenario.validate``
+demands.  So every point of the segment close enough to z0, but off it, is
+interior.  The solver starts at the step 2^-k along the segment of least
+barrier; the barrier is convex there, so the search stops at its first
+increase.
 
 Layout.  The point z, every step dz, the objective gradient and every Newton
 right-hand side are one (3, n) array of rows x, y, t.  Only the band
 interleaves x and y slot by slot; ``newton_step`` transposes into it and out.
 
 Constraint families.  Every margin is concave, and the table at a point holds
-three row blocks, in the flat order chain, floor, disks (``_Workspace`` names
-the three slices).  The mobility chain has n+1 rows, written in the
-differences (dx, dy) = (x[j]-x[j-1], y[j]-y[j-1]); it reaches the two slots
-of each row through the chain rule.  The floor has one bound row t - H^2/2
-per slot, with gradient +1 in t and no Hessian.  The disks form a (K, n)
-stack, eavesdropper by eavesdropper: a row's gradient is (gx, gy) in x, y and
--1 in t, and its Hessian entries xx, xy, yy form one (3, K, n) array, or None
-when every radius is zero (every row is then affine).  The solver reads the
+two row blocks, in the flat order chain, disks (``_Workspace`` names the two
+slices).  The mobility chain has n+1 rows, written in the differences
+(dx, dy) = (x[j]-x[j-1], y[j]-y[j-1]); it reaches the two slots of each row
+through the chain rule.  The disks form a (K, n) stack, eavesdropper by
+eavesdropper: a row's gradient is (gx, gy) in x, y and -1 in t, and its
+Hessian entries xx, xy, yy form one (3, K, n) array, or None when every
+radius is zero (every row is then affine).  The solver reads the
 table everywhere:
 
   * the margins serve the interior start, the domain check of every trial
     point and the margin of the result;
   * the Newton matrix H adds (lambda/m) grad m grad m^T - lambda hess m: the
     disks' terms are summed over the K rows in one reduction into the 3x3
-    slot blocks, the floor adds lambda/m to each slot's tt entry, and the
-    chain adds its diagonal and off-diagonal bands; with t eliminated, all go
-    straight into the Fortran-ordered lower band array (bandwidth 3) that
-    ``cholesky_banded`` hands to LAPACK's dpbtrf, which factors it in place
-    (``cho_solve_banded`` solves with dpbtrs; both call the routines of
-    scipy's compiled LAPACK module directly, see ``_load_flapack``);
+    slot blocks, and the chain adds its diagonal and off-diagonal bands;
+    with t eliminated, both go straight into the Fortran-ordered lower band
+    array (bandwidth 3) that ``cholesky_banded`` hands to LAPACK's dpbtrf,
+    which factors it in place (``cho_solve_banded`` solves with dpbtrs; both
+    call the routines of scipy's compiled LAPACK module directly, see
+    ``_load_flapack``);
     ``jt`` sums v_i grad m_i (any v) for the residual and the corrector;
   * along a step dz each margin is modelled by m0 + a*m1 + a^2*m2 in the
     step length a, with m1 = grad m . dz and m2 = dz^T (hess m) dz / 2.  The
-    model is exact for every quadratic row: the mobility and floor rows,
-    r = 0 rows and disk rows inside their disk.  A disk row outside its disk
-    is off by O(a^3).
+    model is exact for every quadratic row: the mobility rows, r = 0 rows
+    and disk rows inside their disk.  A disk row outside its disk is off by
+    O(a^3).
 """
 from __future__ import annotations
 
@@ -164,9 +163,6 @@ class SolverResult:
 OPTIMAL = "optimal"
 MAX_ITER = "max_iter"
 TROUBLE = "numerical_trouble"
-
-# the floor t >= T_FLOOR * H^2 (see "Why the floor H^2/2 is safe")
-T_FLOOR = 0.5
 
 X, Y, T = range(3)  # rows of z
 
@@ -232,9 +228,9 @@ def cho_solve_banded(c, b):
 
 
 class _Table(NamedTuple):
-    """The three row blocks at one point (see "Constraint families")."""
+    """The two row blocks at one point (see "Constraint families")."""
 
-    m: np.ndarray                  # (m_bar,) every margin: chain, floor, disks
+    m: np.ndarray                  # (m_bar,) every margin: chain, disks
     d: np.ndarray                  # (2, n+1) chain steps dx, dy
     g: np.ndarray                  # (2, K, n) disk gradient in x, y
     h: np.ndarray | None           # (3, K, n) disk Hessian xx, xy, yy, or None
@@ -281,12 +277,10 @@ class _Workspace:
         K = prog.eve_r.size
         steps = np.diff(prog.slots, prepend=-1, append=prog.n_slots)  # per chain row
         self.L2 = steps * steps * prog.step_sq_max
-        self.t_min = T_FLOOR * prog.h2
-        self.m_bar = (n + 1) + n + K * n
-        # the flat margin order: the chain, the floor, the disks
+        self.m_bar = (n + 1) + K * n
+        # the flat margin order: the chain, the disks
         self.chain = slice(0, n + 1)
-        self.floor = slice(n + 1, 2 * n + 1)
-        self.disks = slice(2 * n + 1, self.m_bar)
+        self.disks = slice(n + 1, self.m_bar)
         self.weight = np.ones(self.m_bar)  # see "Row weights"
         self.weight[self.chain] = steps
         self.weight_sum = float(self.weight.sum())
@@ -296,7 +290,7 @@ class _Workspace:
         self.r = prog.eve_r[:, None]
         # the warm start (see "Interior start")
         self.z0 = np.stack((prog.x_fea, prog.y_fea,
-                            prog.t_fea - 0.1 * (prog.t_fea - self.t_min)))
+                            prog.t_fea - 0.1 * (prog.t_fea - 0.5 * prog.h2)))
         # the disks' entries xx, xy, yy, xt, yt, tt of (lam/m) grad m grad m^T
         # - lam hess m, before assemble sums them over the rows
         self.buf = np.empty((6, K, n))
@@ -306,7 +300,7 @@ class _Workspace:
 
     # -- constraint table --------------------------------------------------
     def table(self, z) -> _Table:
-        """The three row blocks at z."""
+        """The two row blocks at z."""
         n = self.n
         qpad = self.qpad
         qpad[:, 1:-1] = z[:2]
@@ -314,7 +308,6 @@ class _Workspace:
         d = qpad[:, 1:] - qpad[:, :-1]
         m = np.empty(self.m_bar)
         np.subtract(self.L2, np.add.reduce(d * d), out=m[self.chain])
-        np.subtract(t, self.t_min, out=m[self.floor])
         disk = m[self.disks].reshape(-1, n)
         np.einsum('ikn,in->kn', self.k, q, out=disk)
         disk += self.prog.eve_k0
@@ -362,7 +355,6 @@ class _Workspace:
         if tab.h is not None:
             buf[:3] -= tab.h.reshape(3, -1) * lam_d
         S = np.add.reduce(self.buf, axis=1)
-        S[5] += lam[self.floor] / tab.m[self.floor]  # the floor: grad m = (0, 0, 1)
         # the chain per step: grad m * sqrt(lam/m) in x, y, then xx, xy, yy
         lam_c = lam[self.chain]
         C = np.empty((5, n + 1))
@@ -405,7 +397,7 @@ class _Workspace:
         wd = w[self.disks].reshape(-1, n)
         out = np.empty((3, n))
         np.add.reduce(tab.g * wd, axis=1, out=out[:2])
-        np.subtract(w[self.floor], np.add.reduce(wd), out=out[T])
+        np.negative(np.add.reduce(wd), out=out[T])
         # a step's rows touch its head slot with +1 and its tail with -1
         C = tab.d * (-2.0 * w[self.chain])
         out[:2] += C[:, :-1] - C[:, 1:]
@@ -422,7 +414,6 @@ class _Workspace:
         m1, m2 = np.empty(self.m_bar), np.zeros(self.m_bar)
         np.multiply(-2.0, np.add.reduce(tab.d * dd), out=m1[self.chain])
         np.negative(np.add.reduce(dd * dd), out=m2[self.chain])
-        m1[self.floor] = dz[T]
         np.subtract(np.add.reduce(tab.g * dz[:2, None]), dz[T],
                     out=m1[self.disks].reshape(-1, n))
         if tab.h is not None:
@@ -516,7 +507,7 @@ def solve(program) -> SolverResult:
         for _ in range(60):
             z_new = z + a_p * dz
             tab_new = ws.table(z_new)
-            if tab_new.m.min() > 0.0:
+            if z_new[T].min() > 0.0 and tab_new.m.min() > 0.0:
                 break
             a_p *= 0.5
         else:

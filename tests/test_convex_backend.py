@@ -42,7 +42,7 @@ def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
 
 class TestToyPrograms:
     def test_monotone_objective_rides_to_upper_bound(self):
-        # maximize -log2(1 + 1/t) under H^2/2 <= t <= theta_max
+        # maximize -log2(1 + 1/t) under t <= theta_max
         prog = toy_program(g_u=0.0, p_scaled=1.0, theta_max=30_000.0)
         res = solve(prog)
         assert res.status == "optimal"
@@ -66,6 +66,26 @@ class TestToyPrograms:
         b = solve(prog)
         assert np.array_equal(a.x, b.x) and np.array_equal(a.t, b.t)
         assert a.objective == b.objective and a.newton_iters == b.newton_iters
+
+    def test_optimal_t_below_half_the_altitude_squared(self):
+        # maximize -(x^2 + y^2 + 1) - log2(1 + 1/t) under t <= x - 2 (H = 1):
+        # at the optimum y = 0, t = x - 2 and x solves the scalar stationarity
+        # condition below, x ~ 2.2549, t ~ 0.2549 < H^2/2.  Steps towards it
+        # leave t > 0 unless the domain check halves them; without the check
+        # the solve ends at t < -1, where log2(1 + 1/t) is finite again
+        prog = dataclasses.replace(
+            toy_program(g_u=1.0, p_scaled=1.0, theta_max=3.0, h2=1.0,
+                        pins=(5.0, 0.0), step_sq=100.0),
+            eve_k=np.array([[[1.0]], [[0.0]]]), eve_k0=np.array([[-2.0]]))
+        res = solve(prog)
+        assert res.status == "optimal"
+        x, y, t = res.x[0], res.y[0], res.t[0]
+        assert abs(-2.0 * x + 1.0 / ((x - 2.0) * (x - 1.0) * LN2)) <= 1e-6
+        assert x == pytest.approx(2.2549, abs=1e-4)
+        assert y == pytest.approx(0.0, abs=1e-9)
+        assert 0.0 < t == pytest.approx(x - 2.0, abs=1e-9)
+        assert res.objective == pytest.approx(-(x**2 + 1.0) - math.log2(1.0 + 1.0 / t),
+                                              rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -146,8 +166,6 @@ class _AugLag:
                 grads[(j, 0)] = grads.get((j, 0), 0.0) + 2.0 * dx[j]
                 grads[(j, 1)] = grads.get((j, 1), 0.0) + 2.0 * dy[j]
             add(dx[j] ** 2 + dy[j] ** 2 - p.step_sq_max, grads)
-        for s in range(self.n):
-            add(0.5 * p.h2 - t[s], {(s, 2): -1.0})
         for i, k in enumerate(self.robust):
             q2 = p.eve_r[k] ** 2
             a = xi[i] + 1.0
@@ -311,14 +329,13 @@ def chain_steps(prog):
 
 def direct_margins(prog, z):
     """Every margin at the (3, n) point z, written out from the program data,
-    in the order of the solver's flat margins: the mobility chain, the t
-    floor, the disks."""
+    in the order of the solver's flat margins: the mobility chain, the
+    disks."""
     x, y, t = z
     xpad = np.concatenate(([prog.pin_start[0]], x, [prog.pin_end[0]]))
     ypad = np.concatenate(([prog.pin_start[1]], y, [prog.pin_end[1]]))
     budget = chain_steps(prog) ** 2 * prog.step_sq_max
-    parts = [budget - np.diff(xpad) ** 2 - np.diff(ypad) ** 2,
-             t - 0.5 * prog.h2]
+    parts = [budget - np.diff(xpad) ** 2 - np.diff(ypad) ** 2]
     for k, r in enumerate(prog.eve_r):
         rho = np.hypot(x - prog.eve_c[0, k], y - prog.eve_c[1, k])
         huber = np.where(rho <= r, rho**2, 2.0 * r * rho - r**2)
@@ -334,7 +351,7 @@ def quadratic_rows(prog, z, z_end):
     n = prog.slots.size
     inside = inside_disks(prog, *z[:2]) & inside_disks(prog, *z_end[:2])
     disk = inside | (prog.eve_r == 0.0)[:, None]
-    return np.concatenate((np.ones(2 * n + 1, bool), disk.ravel()))
+    return np.concatenate((np.ones(n + 1, bool), disk.ravel()))
 
 
 def merit(prog, z, tau):
@@ -441,9 +458,7 @@ def dense_newton_matrix(prog, z, lam):
             for s2, sign2 in ends:
                 for c in (0, 1):
                     lag[3 * s + c, 3 * s2 + c] -= 2.0 * sign * sign2 * lam[j]
-    for s in range(n):
-        jac[n + 1 + s, 3 * s + 2] = 1.0
-    i = 2 * n + 1
+    i = n + 1
     for k, r in enumerate(prog.eve_r):
         for s in range(n):
             w = zz[s, :2] - prog.eve_c[:, k]
@@ -584,7 +599,7 @@ class TestNewtonKernel:
         tab = ws.table(z)
         rng = np.random.default_rng(20261020)
         n = prog.slots.size
-        outer = np.concatenate((np.zeros(2 * n + 1, bool),
+        outer = np.concatenate((np.zeros(n + 1, bool),
                                 ((prog.eve_r > 0.0)[:, None]
                                  & ~inside_disks(prog, *z[:2])).ravel()))
         checked = 0
@@ -691,7 +706,7 @@ class TestInteriorStart:
         ws = _Workspace(prog)
         x, y, t = ws.z0
         assert np.array_equal(x, prog.x_fea) and np.array_equal(y, prog.y_fea)
-        assert np.all((convex_backend.T_FLOOR * prog.h2 < t) & (t < prog.t_fea))
+        assert np.all((0.9 * prog.h2 < t) & (t < prog.t_fea))
 
     def test_pins_a_full_budget_apart_leave_no_interior(self):
         prog = no_interior_program()

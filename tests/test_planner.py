@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from secuav import convex_backend, planner, trajectory_sca
-from secuav.convex_backend import TROUBLE
+from secuav.convex_backend import OPTIMAL, TROUBLE
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
 from secuav.harness import derive_scenario, export_plan, load_scenario
 from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
@@ -390,6 +390,7 @@ class TestRandomValidScenarios:
         for res in (optimize(scen), optimize_non_robust(scen)):
             objs = [r.objective for r in res.iterations]
             assert all(r.status != TROUBLE for r in res.iterations)
+            assert all(r.solve.status == OPTIMAL for r in res.iterations[1:])
             assert trajectory_violations(res.trajectory, scen) == []
             assert power_violations(res.powers, scen) == []
             assert all(b >= a - 1e-6 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))

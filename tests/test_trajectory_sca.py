@@ -6,13 +6,14 @@ import pytest
 from secuav import convex_backend, trajectory_sca
 from secuav.convex_backend import _Workspace
 from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
+from secuav.harness import load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory, trajectory_violations
 from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 
 from arrowhead import psd_check
-from conftest import (hover_trajectory, make_scenario, benchmark_fields,
-                      P_BAR_NEG5_DBM)
+from conftest import (BENCHMARK_SCENARIO, hover_trajectory, make_scenario,
+                      benchmark_fields, P_BAR_NEG5_DBM)
 
 LN2 = math.log(2.0)
 
@@ -115,8 +116,7 @@ class TestTaylorSurrogate:
 
 class TestAssemble:
     def test_benchmark_constraint_counts(self):
-        # 321 mobility steps, 320 t floors and 2 x 320 disk margins, over
-        # rows x, y, t
+        # 321 mobility steps and 2 x 320 disk margins, over rows x, y, t
         scen = make_scenario(**benchmark_fields(160.0))
         traj = best_effort_trajectory(scen)
         prog = assemble(traj, equal_power(scen), scen)
@@ -124,16 +124,20 @@ class TestAssemble:
         assert list(prog.eve_r) == [20.0, 80.0]
         ws = _Workspace(prog)
         assert ws.z0.shape == (3, 320)
-        assert ws.table(ws.z0).m.size == ws.m_bar == 321 + 320 + 2 * 320
+        assert ws.table(ws.z0).m.size == ws.m_bar == 321 + 2 * 320
 
     def test_zero_power_program_still_solvable(self):
-        scen = make_scenario()
-        traj = best_effort_trajectory(scen)
-        powers = PowerSchedule(np.zeros(scen.n_slots))
-        sol = solve_step(traj, powers, scen)
-        assert sol.status == "optimal"
-        assert sol.true_objective == 0.0
-        assert sol.solve.objective == pytest.approx(0.0, abs=1e-12)
+        # every slot is kept and t has no objective: both Newton steps are 0,
+        # sigma = 0 and the gap shrinks 100x per iteration, with t > 0
+        for scen in (make_scenario(), load_scenario(BENCHMARK_SCENARIO)):
+            traj = best_effort_trajectory(scen)
+            powers = PowerSchedule(np.zeros(scen.n_slots))
+            sol = solve_step(traj, powers, scen)
+            assert sol.status == "optimal"
+            assert sol.true_objective == 0.0
+            assert sol.solve.objective == pytest.approx(0.0, abs=1e-12)
+            assert sol.solve.newton_iters <= 6
+            assert sol.solve.t.size == scen.n_slots and np.all(sol.solve.t > 0.0)
 
     def test_infeasible_expansion_rejected(self):
         scen = make_scenario(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
@@ -244,11 +248,11 @@ class TestPoweredSlotsOnly:
         assert prog.x_fea.size == prog.g_u.size == prog.eve_k0.shape[1] == 3
         ws = _Workspace(prog)
         steps = np.array([3, 1, 3, 2])  # pin -> 2 -> 3 -> 6 -> pin
-        assert ws.m_bar == 4 + 3 + 2 * 3
+        assert ws.m_bar == 4 + 2 * 3
         assert ws.L2 == pytest.approx((steps * scen.max_step) ** 2, rel=1e-15)
         assert list(ws.weight[ws.chain]) == list(steps)
-        assert np.all(ws.weight[ws.floor.start:] == 1.0)
-        assert ws.weight_sum == (scen.n_slots + 1) + 3 + 2 * 3
+        assert np.all(ws.weight[ws.disks] == 1.0)
+        assert ws.weight_sum == (scen.n_slots + 1) + 2 * 3
 
     def test_silent_slots_lie_on_segments_between_their_neighbours(self):
         scen = make_scenario()
