@@ -5,12 +5,13 @@ The script runs ``planner.optimize`` on one scenario with ``max_iters`` set to
 ``--steps``, so the plan stops at convergence, as any plan does, or after
 ``--steps`` outer iterations, whichever comes first.  It reads the plan's
 iteration records: the slots the convex step kept (the powered ones, out of
-N), the primal-dual iterations, duality gap, KKT residual, smallest
-constraint margin and surrogate objective printed are those of the step's own
-solve (``IterationRecord.solve``).  The ms column is the whole
+N; at step 1, those that the start record's exact power update on the
+best-effort track powers), the primal-dual iterations, duality gap, KKT
+residual, smallest constraint margin and surrogate objective printed are those
+of the step's own solve (``IterationRecord.solve``).  The ms column is the whole
 outer iteration's time, the convex step plus the power update, taken from the
 records' ``wall_s``.  A last line totals the primal-dual iterations and the
-time of the outer iterations.
+time of the outer iterations, without the start record's power update.
 ``--slot-len`` replaces the scenario's slot length: ``--duration 160
 --slot-len 0.1`` profiles the fine-slot (N = 1600) case.
 """

@@ -2,9 +2,9 @@
 
 The main algorithm alternates an exact power update with one convex
 trajectory step per iteration, starting from the best-effort trajectory with
-equal power, until the fractional objective increase drops below the
-scenario's threshold.  The non-robust benchmark runs the same loop with all
-uncertainty radii zeroed and is then judged under the true radii; the
+its exact power update, until the fractional objective increase drops below
+the scenario's threshold.  The non-robust benchmark runs the same loop with
+all uncertainty radii zeroed and is then judged under the true radii; the
 best-effort benchmark skips optimization entirely.
 """
 from __future__ import annotations
@@ -38,8 +38,9 @@ class IterationRecord:
     powers: PowerSchedule
     status: str
     wall_s: float             # since the plan started
-    # the step's own solve and power update, both None on the start record;
-    # dual is None on a trouble step too, whose iterate is the previous one
+    # the step's own solve (None on the start record) and power update (None
+    # only on a trouble step); a trouble step, or one whose iterate rates no
+    # better than the previous one, keeps the previous iterate
     solve: SolverResult | None = None
     dual: PowerDual | None = None
 
@@ -117,35 +118,33 @@ def optimize(scenario: Scenario) -> PlanResult:
     require_valid(scenario)
     t0 = time.perf_counter()
     traj = best_effort_trajectory(scenario)
-    powers = equal_power(scenario)
+    dual = optimize_power(traj, scenario, 1.0)
+    powers = dual.schedule
     objective = secrecy_sum(traj, powers, scenario)
     records = [IterationRecord(0, objective, traj, powers, "init",
-                               time.perf_counter() - t0)]
+                               time.perf_counter() - t0, dual=dual)]
     converged = False
-    lam = 1.0  # the power dual's start, then the previous update's dual
     for m in range(1, scenario.max_iters + 1):
         sol = solve_step(traj, powers, scenario)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
                                            time.perf_counter() - t0, sol.solve))
             break
-        traj = sol.trajectory
-        dual = optimize_power(traj, scenario, lam)
-        powers, lam = dual.schedule, dual.lam
-        new_objective = secrecy_sum(traj, powers, scenario)
-        records.append(IterationRecord(m, new_objective, traj, powers, sol.status,
+        # the power dual starts from the previous update's dual
+        dual = optimize_power(sol.trajectory, scenario, dual.lam)
+        new_objective = secrecy_sum(sol.trajectory, dual.schedule, scenario)
+        gain = 0.0
+        if new_objective > objective:
+            gain = _fractional_increase(new_objective, objective)
+            traj, powers, objective = sol.trajectory, dual.schedule, new_objective
+        records.append(IterationRecord(m, objective, traj, powers, sol.status,
                                        time.perf_counter() - t0, sol.solve, dual))
-        gain = _fractional_increase(new_objective, objective)
-        objective = new_objective
         if gain < scenario.epsilon:
             converged = True
             break
-    best = max(records, key=lambda r: r.objective)
-    _check_feasible(best.trajectory, best.powers, scenario)
-    return PlanResult(trajectory=best.trajectory, powers=best.powers,
-                      iterations=tuple(records),
-                      secrecy_rate=avg_worst_case_secrecy_rate(
-                          best.trajectory, best.powers, scenario),
+    _check_feasible(traj, powers, scenario)
+    return PlanResult(trajectory=traj, powers=powers, iterations=tuple(records),
+                      secrecy_rate=avg_worst_case_secrecy_rate(traj, powers, scenario),
                       converged=converged, algorithm=ROBUST)
 
 

@@ -13,9 +13,10 @@ from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
 from secuav.harness import derive_scenario, export_plan, load_scenario
 from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
                             optimize, optimize_non_robust, run_best_effort)
-from secuav.power_alloc import PowerDual, optimize_power
-from secuav.scenario import (EveRegion, InvalidScenario, PowerSchedule, Trajectory,
-                             trajectory_violations, power_violations, validate)
+from secuav.power_alloc import POWER_RESIDUAL_REL, PowerDual, optimize_power
+from secuav.scenario import (EveRegion, InvalidScenario, PowerSchedule, Scenario,
+                             Trajectory, trajectory_violations, power_violations,
+                             validate)
 
 from conftest import BENCHMARK_SCENARIO, make_scenario, benchmark_fields
 
@@ -159,8 +160,14 @@ class TestOptimize:
         assert names == ["iteration", "objective", "trajectory", "powers", "status",
                          "wall_s", "solve", "dual"]
         start, *steps = res.iterations
-        assert (start.solve, start.dual) == (None, None)
-        lam0 = 1.0
+        assert start.solve is None
+        # the start is the best-effort track with its exact power update
+        traj = best_effort_trajectory(tiny_scenario)
+        assert np.array_equal(start.trajectory.xs, traj.xs)
+        dual = optimize_power(traj, tiny_scenario, 1.0)
+        assert (start.dual.lam, start.dual.iterations) == (dual.lam, dual.iterations)
+        assert np.array_equal(start.powers.p, dual.schedule.p)
+        lam0 = start.dual.lam
         for r in steps:
             assert r.status == "optimal"
             assert r.solve.newton_iters > 0 and r.solve.min_margin > 0.0
@@ -189,9 +196,10 @@ class TestOptimize:
     def test_step_records_hold_the_steps_own_results(self, tiny_scenario, monkeypatch):
         solves = self.capture(monkeypatch, convex_backend, "solve")
         duals = self.capture(monkeypatch, planner, "optimize_power")
-        steps = optimize(tiny_scenario).iterations[1:]
-        assert len(steps) == len(solves) == len(duals) > 1
-        for r, res, dual in zip(steps, solves, duals):
+        start, *steps = optimize(tiny_scenario).iterations
+        assert len(steps) == len(solves) == len(duals) - 1 > 1
+        assert start.dual is duals[0] and start.powers is duals[0].schedule
+        for r, res, dual in zip(steps, solves, duals[1:]):
             assert r.solve is res and r.dual is dual
             assert r.powers is dual.schedule
 
@@ -204,9 +212,9 @@ class TestOptimize:
             return inner(traj, scenario, lam0)
 
         monkeypatch.setattr(planner, "optimize_power", recording)
-        steps = optimize(tiny_scenario).iterations[1:]
-        assert len(steps) > 1
-        assert starts == [1.0] + [r.dual.lam for r in steps[:-1]]
+        records = optimize(tiny_scenario).iterations
+        assert len(records) > 2
+        assert starts == [1.0] + [r.dual.lam for r in records[:-1]]
 
     def test_trouble_step_keeps_its_solve(self, tiny_scenario, monkeypatch, tmp_path):
         solves = self.capture(monkeypatch, convex_backend, "solve")
@@ -230,7 +238,7 @@ class TestOptimize:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert (summary["iterations"], summary["converged"]) == (2, False)
         assert summary["newton_steps"] == solves[0].newton_iters + solves[1].newton_iters
-        assert summary["power_iters"] == first.dual.iterations
+        assert summary["power_iters"] == start.dual.iterations + first.dual.iterations
         assert summary["max_kkt_residual"] == max(s.kkt_residual for s in solves)
 
     def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
@@ -381,13 +389,26 @@ def valid_scenarios(draw):
                          max_iters=12)
 
 
+def assert_not_below_best_effort(robust, scen):
+    """The robust plan's start is the best-effort track with exact power, which
+    has no negative slot term; the benchmark's equal power with its negative
+    slots silenced is a feasible schedule on that track, so the start rates at
+    least the benchmark.  The power dual may stop with the mean power up to
+    POWER_RESIDUAL_REL below the budget, and the optimum is concave in the
+    budget and 0 at 0, so that costs at most that share of the rate."""
+    best_effort = run_best_effort(scen).secrecy_rate
+    assert robust.secrecy_rate >= (1.0 - POWER_RESIDUAL_REL) * best_effort
+
+
 class TestRandomValidScenarios:
     @given(scen=valid_scenarios())
     @settings(max_examples=50, deadline=None)
     def test_plans_improve_on_the_start_without_trouble(self, scen):
         assert validate(scen) == []
         assert_matches_numpy_loop(scen)
-        for res in (optimize(scen), optimize_non_robust(scen)):
+        robust = optimize(scen)
+        assert_not_below_best_effort(robust, scen)
+        for res in (robust, optimize_non_robust(scen)):
             objs = [r.objective for r in res.iterations]
             assert all(r.status != TROUBLE for r in res.iterations)
             assert all(r.solve.status == OPTIMAL for r in res.iterations[1:])
@@ -395,3 +416,23 @@ class TestRandomValidScenarios:
             assert power_violations(res.powers, scen) == []
             assert all(b >= a - 1e-6 * max(1.0, abs(a)) for a, b in zip(objs, objs[1:]))
             assert objs[-1] >= objs[0]
+
+    def test_not_below_best_effort_at_tiny_snr(self):
+        # H ~ 1.8 km and gamma0 ~ 1.6 dB: the benchmark rates ~1.7e-12.  A first
+        # step at equal power moves the track so that no slot's receiver link
+        # beats the eavesdroppers'; exact power is then 0 everywhere, rate 0
+        scen = Scenario(
+            altitude=1821.4731581500541, flight_duration=3.0, slot_len=0.5, n_slots=6,
+            v_max=10.0, start_xy=(8.173902854322217, -0.99416084067419),
+            end_xy=(-2.1236572770225317, -13.294655059922015),
+            avg_power=2.636840943301087, peak_power=3.194625581528718,
+            gamma0=1.447996656354214,
+            eves=(EveRegion(3.365010986602146, 5.350735433856332, 2.9154985983680666),
+                  EveRegion(5.5099776717538465, -0.6701577119124009, 2.9368259891655124)),
+            epsilon=1e-4, max_iters=200)
+        assert validate(scen) == []
+        robust = optimize(scen)
+        assert robust.secrecy_rate > 0.0
+        assert_not_below_best_effort(robust, scen)
+        objs = [r.objective for r in robust.iterations]
+        assert all(b >= a for a, b in zip(objs, objs[1:]))

@@ -20,12 +20,17 @@ def run_script(name, *args):
 
 def test_profile_solver_runs():
     # the script prints each step record's solve, timed by the records' wall_s,
-    # with the slots its program kept: all of them at the first step's equal power
+    # with the slots its program kept: at the first step, those that the start
+    # record's exact power update powers
     out = run_script("profile_solver.py", "--steps", "2")
     assert out.returncode == 0, out.stderr
     assert out.stdout.count("primal-dual iters") == 3
     assert out.stdout.count("slots kept") == 2
-    assert " 160/160 slots kept" in out.stdout.splitlines()[1]
+    scen = dataclasses.replace(derive_scenario(load_scenario(BENCHMARK_SCENARIO), "T", 80.0),
+                               max_iters=2)
+    kept = int((optimize(scen).iterations[0].powers.p > 0.0).sum())
+    assert 0 < kept < scen.n_slots == 160
+    assert f" {kept:4d}/160 slots kept" in out.stdout.splitlines()[1]
 
 
 def test_plan_digest_runs():
@@ -45,8 +50,11 @@ def test_plan_digest_runs():
     assert plan["plan_sha256"] == hashlib.sha256(plan_bytes).hexdigest()[:16]
     assert plan["secrecy_rate"] == repr(result.secrecy_rate)
     assert plan["outer_iters"] == len(plan["statuses"]) > 0 and plan["primal_dual_iters"] > 0
+    # the power dual's evaluations, the start record's included
+    assert plan["power_evals"] == sum(r.dual.iterations for r in result.iterations) > 0
     assert total == {"total": {"plans": 1, "outer_iters": plan["outer_iters"],
                                "primal_dual_iters": plan["primal_dual_iters"],
+                               "power_evals": plan["power_evals"],
                                "optimal": plan["outer_iters"]}}
 
 
