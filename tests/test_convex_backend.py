@@ -680,8 +680,54 @@ def small_program():
     return assemble(traj, powers, scen)
 
 
+def detour_program(altitude, bow, eve):
+    """N = 8 between pins 30 m apart on the x axis, expanded at a track that
+    bows ``bow`` m off the straight one at full speed, so the expansion
+    point's largest mobility margin is 0."""
+    s = np.linspace(0.0, 1.0, 10)
+    xs, ys = -15.0 + 30.0 * s, bow * np.sin(np.pi * s)
+    xs[0], xs[-1], ys[0], ys[-1] = -15.0, 15.0, 0.0, 0.0
+    v_max = float(np.sqrt((np.diff(xs) ** 2 + np.diff(ys) ** 2).max())) / 0.5
+    scen = make_scenario(flight_duration=4.0, n_slots=8, altitude=altitude, v_max=v_max,
+                         start_xy=(-15.0, 0.0), end_xy=(15.0, 0.0), eves=(eve,))
+    return assemble(Trajectory(xs, ys), PowerSchedule(np.full(8, 1e-3)), scen)
+
+
+def track_best_program():
+    """The straight track, farther from the disk than the detour, has the
+    least barrier: k = 0."""
+    return detour_program(20.0, 5.0, EveRegion(0.0, 60.0, 3.0))
+
+
+def disk_on_track_program():
+    """The straight track crosses a disk that the detour skirts 0.5 m off, at
+    1 m altitude, so only points close to the detour are interior and the
+    least barrier lies past the first eight steps: k = 9."""
+    return detour_program(1.0, 10.5, EveRegion(0.0, 0.0, 10.0))
+
+
+def point_by_point_start(ws):
+    """(k, z) of the search one table at a time along the segment, stopping
+    at the barrier's first rise, with the solver's own table."""
+    track = straight_track(ws.prog, ws.z0)
+    best, best_barrier = None, math.inf
+    for k in range(60):
+        z = ws.z0 + 0.5**k * (track - ws.z0)
+        m = ws.table(z).m
+        barrier = -np.log(m).sum() if m.min() > 0.0 else math.inf
+        if barrier < best_barrier:
+            best, best_barrier = (k, z), barrier
+        elif best is not None:
+            break
+    return best
+
+
+START_PROGRAMS = [kernel_program, fine_slot_program, small_program, track_best_program,
+                  disk_on_track_program]
+
+
 class TestInteriorStart:
-    @pytest.mark.parametrize("make", [kernel_program, fine_slot_program, small_program])
+    @pytest.mark.parametrize("make", START_PROGRAMS)
     def test_least_barrier_power_of_two_step_on_the_segment(self, make):
         prog = make()
         ws = _Workspace(prog)
@@ -700,7 +746,27 @@ class TestInteriorStart:
         k = int(np.argmin(barriers))
         assert np.allclose(z, z0 + 0.5**k * (track - z0), rtol=0.0, atol=1e-9)
 
-    @pytest.mark.parametrize("make", [kernel_program, fine_slot_program, small_program])
+    @pytest.mark.parametrize("make, ks", [(kernel_program, None), (small_program, {4}),
+                                          (track_best_program, {0}),
+                                          (disk_on_track_program, {9})])
+    def test_batched_scoring_picks_the_point_by_point_k(self, make, ks):
+        """The batched margin passes pick the very point, bit for bit, of the
+        search one table at a time, also past the first batch of eight."""
+        ws = _Workspace(make())
+        k, want = point_by_point_start(ws)
+        assert ks is None or k in ks
+        z, tab = _interior_start(ws)
+        assert np.array_equal(z, want)
+        assert all(np.array_equal(a, b) for a, b in zip(tab, ws.table(want)))
+
+    def test_k_zero_is_a_strict_minimum(self):
+        ws = _Workspace(track_best_program())
+        track = straight_track(ws.prog, ws.z0)
+        m0, m1 = (ws.table(ws.z0 + s * (track - ws.z0)).m for s in (1.0, 0.5))
+        assert min(m0.min(), m1.min()) > 0.0
+        assert -np.log(m0).sum() < -np.log(m1).sum()
+
+    @pytest.mark.parametrize("make", START_PROGRAMS)
     def test_warm_start_is_the_expansion_point_below_the_tight_t(self, make):
         prog = make()
         ws = _Workspace(prog)
@@ -741,6 +807,37 @@ class TestResultRows:
         ws.table(ws.z0 + 1.0)
         for got, want, other in zip((res.x, res.y, res.t), rows, (again.x, again.y, again.t)):
             assert np.array_equal(got, want) and np.array_equal(other, want)
+
+    @pytest.mark.parametrize("make", [kernel_program, no_interior_program])
+    def test_rows_are_not_workspace_buffers(self, make, monkeypatch):
+        """No result array shares memory with an array of its workspace (the
+        rows of ws.z0 included, on the exit without an interior start)."""
+        made = []
+
+        class Recording(_Workspace):
+            def __init__(self, prog):
+                super().__init__(prog)
+                made.append(self)
+
+        monkeypatch.setattr(convex_backend, "_Workspace", Recording)
+        res = solve(make())
+        buffers = [v for v in vars(made[0]).values() if isinstance(v, np.ndarray)]
+        assert buffers
+        for row in (res.x, res.y, res.t):
+            assert not any(np.shares_memory(row, b) for b in buffers)
+
+    def test_a_second_assemble_leaves_the_first_as_it_was(self):
+        """assemble returns new arrays: the gradient, the band (in LAPACK's
+        column-major layout) and the terms that eliminate t."""
+        prog, ws, points = kernel_points()
+        lam = np.random.default_rng(20261023).uniform(0.1, 2.0, (2, ws.m_bar))
+        g0, ab, (v, tt) = first = ws.assemble(ws.table(points["start"]), points["start"], lam[0])
+        kept = [a.copy() for a in (g0, ab, v, tt)]
+        second = ws.assemble(ws.table(points["inside"]), points["inside"], lam[1])
+        assert not np.array_equal(second[1], ab)
+        for got, want in zip((g0, ab, v, tt), kept):
+            assert np.array_equal(got, want)
+        assert first[1].flags.f_contiguous
 
 
 def test_paper_fig2_first_steps_meet_kkt_tol():

@@ -64,3 +64,15 @@ def test_reproduce_benchmarks_runs(tmp_path):
     for name in ("duration_sweep", "power_sweep"):
         assert (tmp_path / name / "sweep.csv").exists()
     assert (tmp_path / "trajectories" / "robust" / "summary.json").exists()
+
+
+def test_solver_bench_runs():
+    # fine_slots s0 is one robust plan of 3 convex steps and 29 primal-dual
+    # iterations (plan_digest.py prints the same totals)
+    out = run_script("solver_bench.py", "--workload", "fine_slots", "--seed", "0", "--reps", "1")
+    assert out.returncode == 0, out.stderr
+    head, solve_s, per_iter, calls = out.stdout.splitlines()
+    assert head == "fine_slots s0: 3 programs, 29 primal-dual iterations, 1 reps"
+    assert float(solve_s.split(": ")[1].split()[0]) > 0.0
+    assert float(per_iter.split(": ")[1].split()[0]) > 0.0
+    assert float(calls.split(": ")[1]) > 0.0
