@@ -9,10 +9,10 @@ point of each sweep in the order ``harness.run_sweep`` does.  Each line holds
 the plan's key, ``repr`` of its secrecy rate, a short sha256 of the returned
 track's ``xs`` and ``ys`` bytes and the power bytes, its outer iterations, its
 primal-dual iterations, its power-law evaluations (the power dual's, summed
-over every record, the start's included) and the status of each outer
-iteration's step; a last line totals them.  No timing is printed, so two
-checkouts that plan alike print the same lines, and ``diff`` shows every plan
-that moved.
+over every record, the start's included), its warm-started solves and the
+status of each outer iteration's step; a last line totals them.  No timing is
+printed, so two checkouts that plan alike print the same lines, and ``diff``
+shows every plan that moved.
 """
 import argparse
 import hashlib
@@ -57,11 +57,13 @@ def main() -> int:
                         "primal_dual_iters": sum(r.solve.newton_iters for r in steps),
                         "power_evals": sum(r.dual.iterations
                                            for r in result.iterations if r.dual),
+                        "warm_starts": sum(r.solve.warm_start for r in steps),
                         "statuses": [r.status for r in steps]}
                 print(json.dumps(plan))
                 total.update(plans=1, outer_iters=plan["outer_iters"],
                              primal_dual_iters=plan["primal_dual_iters"],
-                             power_evals=plan["power_evals"])
+                             power_evals=plan["power_evals"],
+                             warm_starts=plan["warm_starts"])
                 total.update(plan["statuses"])
     print(json.dumps({"total": dict(total)}))
     return 0

@@ -6,8 +6,13 @@
 The script imports ``planbench/workloads.py`` (it changes nothing there) and
 plans every (value, algorithm) point of the workload's sweeps once, in the
 order ``plan_digest.py`` does, keeping each program that ``trajectory_sca``
-hands to ``convex_backend.solve``.  It then solves every kept program
-``--reps`` times, each solve timed alone in process CPU time, and prints:
+hands to ``convex_backend.solve`` with the previous step's hand-off that came
+with it (None for a plan's first step).  It then solves every kept program
+``--reps`` times from its hand-off, as the plan did, each solve timed alone in
+process CPU time, and prints:
+
+  * how many solves started warm from their hand-off and how many cold (a
+    hand-off that maps to no interior point falls back cold);
 
   * the sum over the programs of each one's fastest solve (the minimum
     filters out the host's noise, which a median over a short run does not);
@@ -18,7 +23,7 @@ hands to ``convex_backend.solve``.  It then solves every kept program
     cut: each one costs a different amount.
 
 The programs, their iterations and statuses are deterministic, so two
-checkouts that solve alike print the same ``programs`` and ``iterations``.
+checkouts that solve alike print the same first line.
 """
 import argparse
 import cProfile
@@ -37,13 +42,13 @@ from secuav.harness import _run_algorithm, derive_scenario
 
 
 def capture_programs(workload: str, seed: int) -> list:
-    """Every program the workload's plans solve, in solve order."""
+    """Every (program, hand-off) the workload's plans solve, in solve order."""
     programs = []
     solve = convex_backend.solve
 
-    def keep(program):
-        programs.append(program)
-        return solve(program)
+    def keep(program, warm=None):
+        programs.append((program, warm))
+        return solve(program, warm)
 
     convex_backend.solve = keep
     try:
@@ -70,25 +75,27 @@ def main() -> int:
     programs = capture_programs(args.workload, args.seed)
     solve = convex_backend.solve
     best = [float("inf")] * len(programs)
-    iters = 0
+    iters = warm_starts = 0
     for rep in range(args.reps):
-        for i, program in enumerate(programs):
+        for i, (program, warm) in enumerate(programs):
             start = time.process_time()
-            res = solve(program)
+            res = solve(program, warm)
             best[i] = min(best[i], time.process_time() - start)
             if rep == 0:
                 iters += res.newton_iters
+                warm_starts += res.warm_start
     profile = cProfile.Profile()
     profile.enable()
-    for program in programs:
-        solve(program)
+    for program, warm in programs:
+        solve(program, warm)
     profile.disable()
     calls = pstats.Stats(profile).total_calls
 
     solve_s = sum(best)
     per_iter = 1e6 * solve_s / iters if iters else float("nan")
-    print(f"{args.workload} s{args.seed}: {len(programs)} programs, "
-          f"{iters} primal-dual iterations, {args.reps} reps")
+    print(f"{args.workload} s{args.seed}: {len(programs)} programs ({warm_starts} warm, "
+          f"{len(programs) - warm_starts} cold), {iters} primal-dual iterations, "
+          f"{args.reps} reps")
     print(f"solve CPU (sum of per-program minima): {solve_s:.6f} s")
     print(f"per primal-dual iteration: {per_iter:.1f} us")
     print(f"Python calls per primal-dual iteration: {calls / iters if iters else 0.0:.1f}")

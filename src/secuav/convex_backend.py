@@ -63,7 +63,7 @@ positive root, capped at 1, and halved until the trial point lies in the
 domain: every t positive (no margin models t > 0) and every margin of its
 table positive (the model of a disk row outside its disk is inexact); its
 dual step is 0.99 times the distance to lambda = 0, capped at 1.  No merit
-function judges a step.  The solve starts at the interior start below with
+function judges a step.  A cold solve starts at the interior start below with
 lambda_i = (TAU0_GAP/sum(w))*w_i/m_i, so lambda^T m = TAU0_GAP.
 
 Stop and certificate.  The status is "optimal" once
@@ -81,7 +81,7 @@ sect. 5.2), a tilt of at most KKT_TOL per coordinate.  The argument needs no
 quadratic or self-concordant margins, so the disk rows, whose Hessian jumps
 at the rim, leave it intact.
 
-Interior start.  The warm start ``_Workspace.z0`` is the expansion point
+Interior start.  The cold start's ``_Workspace.z0`` is the expansion point
 with t a tenth of the way from the tight t (at least H^2) down to H^2/2, so
 t >= 0.95*H^2 > 0.  There each disk's lin - huber_r is the true worst-case
 squared distance, at least the tight t, so the disk margins are positive; the
@@ -97,6 +97,19 @@ barrier; the barrier is convex there, so the search stops at its first
 increase.  Eight points share one margin pass (the table's own arithmetic,
 ``_Workspace._margins``; fewer where that exceeds START_BATCH_MARGINS), the
 next eight only if the barrier has not risen, so k is the point-by-point one.
+
+Warm start.  A plan's programs differ only in the expansion point and the
+kept slots, so a solve may start from the previous solve's hand-off: its
+first iterate with lambda^T m <= sqrt(OPT_TOL)*max(1, |objective|), not its
+final one, whose tiny margins on the boundary stalled a later solve
+(Yildirim & Wright, SIAM J. Optim. 2002).  Kept slots take its x, y, t and
+disk lambdas, and chain rows whose ends are consecutive in both programs their
+lambda; a new slot takes x, y interpolated by slot index, as ``solve_step``
+fills silent slots (``fill_track``), and t its least disk margin at t = 0
+less the median over the old slots of mu/max_k lambda; every other row takes
+lambda = mu*w/m.  If some t or margin there is not positive, the solve starts
+cold.  Only the first iterate moves, so the stop test and its certificate are
+unchanged.
 
 Layout.  The point z, every step dz, the objective gradient and every Newton
 right-hand side are one (3, n) array of rows x, y, t.  Only the band
@@ -153,6 +166,15 @@ TAU0_GAP = 64.0        # duality gap lambda^T m of the start
 START_BATCH_MARGINS = 4096  # margins per batch of the interior start
 
 
+class Handoff(NamedTuple):
+    """A solve's first iterate within sqrt(OPT_TOL) of its stop test."""
+
+    slots: np.ndarray       # the program's slots
+    z: np.ndarray           # (3, n)
+    lam: np.ndarray         # (m_bar,)
+    mu: float               # lambda^T m / sum(w) there
+
+
 @dataclass
 class SolverResult:
     x: np.ndarray
@@ -164,6 +186,8 @@ class SolverResult:
     duality_gap: float      # lambda^T m, objective units
     kkt_residual: float     # |grad f0 - sum lambda_i grad m_i|_inf
     min_margin: float       # smallest margin, evaluated directly at the result
+    warm_start: bool = False  # started from a hand-off
+    handoff: Handoff | None = None  # for the next step's solve
 
 
 OPTIMAL = "optimal"
@@ -296,7 +320,7 @@ class _Workspace:
         self.c = prog.eve_c[:, :, None]
         self.r = np.repeat(prog.eve_r, n).reshape(K, n)
         self.curv = np.repeat(2.0 * prog.g_u[None], 2, axis=0)  # f0's in x, y
-        # the warm start (see "Interior start")
+        # the cold start's anchor (see "Interior start")
         self.z0 = np.stack((prog.x_fea, prog.y_fea,
                             prog.t_fea - 0.1 * (prog.t_fea - 0.5 * prog.h2)))
         # the disks' entries xy, xx, yy, -xt, -yt, tt of (lam/m) grad m grad m^T
@@ -496,15 +520,54 @@ def _interior_start(ws: _Workspace):
     return z, ws.table(z)
 
 
-def solve(program) -> SolverResult:
+def fill_track(prog, slots, q, at):
+    """x, y at the track indices ``at`` (slot s is index s + 1), linear in the
+    index between the points q (2, n) of ``slots`` and the program's pins."""
+    knots = np.concatenate(([0], slots + 1, [prog.n_slots + 1]))
+    return [np.interp(at, knots, np.concatenate(([a], v, [b])))
+            for a, v, b in zip(prog.pin_start, q, prog.pin_end)]
+
+
+def _warm_start(ws: _Workspace, warm: Handoff):
+    """The hand-off mapped onto ws's program, (z, table at z, lam), or None
+    when that point is not interior (see "Warm start")."""
+    p, n, K = ws.prog, ws.n, ws.prog.eve_r.size
+    old, old_disks = warm.slots, warm.lam[warm.slots.size + 1:].reshape(K, -1)
+    at = np.minimum(np.searchsorted(old, p.slots), old.size - 1)
+    kept = old[at] == p.slots
+    z = np.empty((3, n))
+    z[:2] = fill_track(p, old, warm.z[:2], p.slots + 1)
+    z[T] = np.where(kept, warm.z[T, at], 0.0)
+    if not kept.all():  # new slots: the smallest disk margin at t = 0, less delta
+        spread = warm.mu / np.maximum.reduce(old_disks)
+        delta = np.partition(spread, spread.size // 2)[spread.size // 2]
+        rows = ws.table(z).m[ws.disks].reshape(K, n)[:, ~kept]
+        z[T, ~kept] = np.minimum.reduce(rows) - delta
+    tab = ws.table(z)
+    if not (np.minimum.reduce(z[T]) > 0.0 and np.minimum.reduce(tab.m) > 0.0):
+        return None
+    lam = warm.mu * ws.weight / tab.m
+    lam[ws.disks].reshape(K, n)[:, kept] = old_disks[:, at[kept]]
+    # each chain row's ends in the old row order (-2: a new slot); a row whose
+    # ends are consecutive there is an old row
+    ends = np.concatenate(([0], np.where(kept, at + 1, -2), [old.size + 1]))
+    same = ends[1:] - ends[:-1] == 1
+    lam[ws.chain][same] = warm.lam[ends[:-1][same]]
+    return z, tab, lam
+
+
+def solve(program, warm: Handoff | None = None) -> SolverResult:
     """Solve the assembled subproblem; deterministic for fixed inputs.
 
-    ``program`` is a ConvexProgram (see trajectory_sca).  A returned status of
+    ``program`` is a ConvexProgram (see trajectory_sca), ``warm`` a hand-off
+    or None (see "Warm start").  A returned status of
     "optimal" certifies strict feasibility (checked by direct evaluation), a
     duality gap at most OPT_TOL relative to the objective scale and a
     stationarity residual at most KKT_TOL ("Stop and certificate").
     """
     ws = _Workspace(program)
+    start = None if warm is None else _warm_start(ws, warm)
+    warm_start, handoff = start is not None, None
 
     def result(z, tab, status, iters, gap, kkt):
         x, y, t = z
@@ -513,25 +576,29 @@ def solve(program) -> SolverResult:
         return SolverResult(x=x, y=y, t=t, objective=objective,
                             status=status, newton_iters=iters,
                             duality_gap=gap, kkt_residual=kkt,
-                            min_margin=min_margin)
+                            min_margin=min_margin, warm_start=warm_start,
+                            handoff=handoff)
 
     def residual(z, tab, lam):  # |r|_inf
         return float(np.maximum.reduce(np.abs(ws.gradient(z)[0] - ws.jt(tab, lam)), axis=None))
 
-    start = _interior_start(ws)
-    if start is None:
-        z0 = ws.z0.copy()
-        return result(z0, ws.table(z0), TROUBLE, 0, math.inf, math.inf)
-
-    z, tab = start
-    lam = (TAU0_GAP / ws.weight_sum) * ws.weight / tab.m
+    if not warm_start:
+        start = _interior_start(ws)
+        if start is None:
+            z0 = ws.z0.copy()
+            return result(z0, ws.table(z0), TROUBLE, 0, math.inf, math.inf)
+        start = (*start, (TAU0_GAP / ws.weight_sum) * ws.weight / start[1].m)
+    z, tab, lam = start
     iters = 0
     while True:
         m = tab.m
         gap = float(lam @ m)
         # the stop test before the Newton matrix, and the residual only where
         # the gap test passes, as it rarely does
-        if gap <= OPT_TOL * max(1.0, abs(surrogate(program, *z))):
+        scale = max(1.0, abs(surrogate(program, *z)))
+        if handoff is None and gap <= math.sqrt(OPT_TOL) * scale:
+            handoff = Handoff(program.slots, z, lam, gap / ws.weight_sum)
+        if gap <= OPT_TOL * scale:
             kkt = residual(z, tab, lam)
             if kkt <= KKT_TOL:
                 return result(z, tab, OPTIMAL, iters, gap, kkt)

@@ -89,23 +89,25 @@ def worst_case_dist_sq_oracle(uav_xy, eve: EveRegion, altitude: float,
     return float(d2.min())
 
 
-def per_slot_secrecy_terms(traj: Trajectory, powers: PowerSchedule,
-                           scenario: Scenario) -> np.ndarray:
-    """Unclamped per-slot secrecy terms: legitimate rate minus worst-case leak."""
-    geo = worst_case_geometry(traj, scenario)
+def per_slot_secrecy_terms(traj: Trajectory, powers: PowerSchedule, scenario: Scenario,
+                           geo: WorstCaseGeometry | None = None) -> np.ndarray:
+    """Unclamped per-slot secrecy terms: legitimate rate minus worst-case leak.
+    A ``geo`` argument, here and elsewhere, is the track's ``worst_case_geometry``."""
+    geo = worst_case_geometry(traj, scenario) if geo is None else geo
     snr = scenario.gamma0 * powers.p
     return log2_1p(snr / geo.d2) - log2_1p(snr / geo.theta)
 
 
-def secrecy_sum(traj: Trajectory, powers: PowerSchedule, scenario: Scenario) -> float:
+def secrecy_sum(traj: Trajectory, powers: PowerSchedule, scenario: Scenario,
+                geo: WorstCaseGeometry | None = None) -> float:
     """Optimizer objective: sum over slots of the unclamped secrecy terms."""
-    return float(per_slot_secrecy_terms(traj, powers, scenario).sum())
+    return float(per_slot_secrecy_terms(traj, powers, scenario, geo).sum())
 
 
-def avg_worst_case_secrecy_rate(traj: Trajectory, powers: PowerSchedule,
-                                scenario: Scenario) -> float:
+def avg_worst_case_secrecy_rate(traj: Trajectory, powers: PowerSchedule, scenario: Scenario,
+                                geo: WorstCaseGeometry | None = None) -> float:
     """Reported metric: slot average of the secrecy terms clamped at zero."""
-    terms = per_slot_secrecy_terms(traj, powers, scenario)
+    terms = per_slot_secrecy_terms(traj, powers, scenario, geo)
     return float(np.maximum(terms, 0.0).mean())
 
 

@@ -257,6 +257,7 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
         "iterations": max(len(result.iterations) - 1, 0),
         "newton_steps": sum(r.solve.newton_iters for r in result.iterations if r.solve),
         "power_iters": sum(r.dual.iterations for r in result.iterations if r.dual),
+        "warm_starts": sum(r.solve.warm_start for r in result.iterations if r.solve),
         # null when a solve had no interior start (an infinite residual)
         "max_kkt_residual": max_kkt if math.isfinite(max_kkt) else None,
         "wall_s": wall_s,
@@ -381,8 +382,9 @@ def _check_sca_monotone(n_steps: int):
     traj = planner.best_effort_trajectory(scen)
     powers = planner.equal_power(scen)
     prev = geometry.secrecy_sum(traj, powers, scen)
+    warm = None  # each step starts from the previous step's hand-off, as in optimize
     for _ in range(n_steps):
-        sol = trajectory_sca.solve_step(traj, powers, scen)
+        sol = trajectory_sca.solve_step(traj, powers, scen, warm)
         if sol.status == "numerical_trouble":
             return False, "trajectory step reported numerical trouble"
         if sol.true_objective < prev - 1e-6:
@@ -390,7 +392,7 @@ def _check_sca_monotone(n_steps: int):
         if np.any(trajectory_sca.initialize_slacks(sol.trajectory, scen) < sol.solve.t - 1e-6):
             return False, "robust distance requirement violated after a step"
         prev = sol.true_objective
-        traj = sol.trajectory
+        traj, warm = sol.trajectory, sol.handoff
     return True, f"objective non-decreasing over {n_steps} steps (final {prev:.6f})"
 
 

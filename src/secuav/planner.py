@@ -6,6 +6,12 @@ its exact power update, until the fractional objective increase drops below
 the scenario's threshold.  The non-robust benchmark runs the same loop with
 all uncertainty radii zeroed and is then judged under the true radii; the
 best-effort benchmark skips optimization entirely.
+
+Between steps the planner keeps each accepted track's ``WorstCaseGeometry``,
+which ``solve_step`` computes once for the power update, both objectives, the
+next program and the final rate, and the step's solver hand-off, from which
+the next convex step starts warm; both are locals of one ``optimize`` call, so
+a plan's first step is cold and no plan sees another's.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convex_backend import TROUBLE, SolverResult
-from .geometry import avg_worst_case_secrecy_rate, secrecy_sum
+from .geometry import avg_worst_case_secrecy_rate, secrecy_sum, worst_case_geometry
 from .power_alloc import PowerDual, optimize_power
 from .scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
                        require_valid, trajectory_violations)
@@ -118,25 +124,27 @@ def optimize(scenario: Scenario) -> PlanResult:
     require_valid(scenario)
     t0 = time.perf_counter()
     traj = best_effort_trajectory(scenario)
-    dual = optimize_power(traj, scenario, 1.0)
+    geo = worst_case_geometry(traj, scenario)
+    dual = optimize_power(traj, scenario, 1.0, geo)
     powers = dual.schedule
-    objective = secrecy_sum(traj, powers, scenario)
+    objective = secrecy_sum(traj, powers, scenario, geo)
     records = [IterationRecord(0, objective, traj, powers, "init",
                                time.perf_counter() - t0, dual=dual)]
-    converged = False
+    converged, warm = False, None
     for m in range(1, scenario.max_iters + 1):
-        sol = solve_step(traj, powers, scenario)
+        sol = solve_step(traj, powers, scenario, warm, geo)
         if sol.status == TROUBLE:
             records.append(IterationRecord(m, objective, traj, powers, TROUBLE,
                                            time.perf_counter() - t0, sol.solve))
             break
         # the power dual starts from the previous update's dual
-        dual = optimize_power(sol.trajectory, scenario, dual.lam)
-        new_objective = secrecy_sum(sol.trajectory, dual.schedule, scenario)
+        dual = optimize_power(sol.trajectory, scenario, dual.lam, sol.geometry)
+        new_objective = secrecy_sum(sol.trajectory, dual.schedule, scenario, sol.geometry)
         gain = 0.0
         if new_objective > objective:
             gain = _fractional_increase(new_objective, objective)
             traj, powers, objective = sol.trajectory, dual.schedule, new_objective
+            geo, warm = sol.geometry, sol.handoff
         records.append(IterationRecord(m, objective, traj, powers, sol.status,
                                        time.perf_counter() - t0, sol.solve, dual))
         if gain < scenario.epsilon:
@@ -144,7 +152,7 @@ def optimize(scenario: Scenario) -> PlanResult:
             break
     _check_feasible(traj, powers, scenario)
     return PlanResult(trajectory=traj, powers=powers, iterations=tuple(records),
-                      secrecy_rate=avg_worst_case_secrecy_rate(traj, powers, scenario),
+                      secrecy_rate=avg_worst_case_secrecy_rate(traj, powers, scenario, geo),
                       converged=converged, algorithm=ROBUST)
 
 

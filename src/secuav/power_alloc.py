@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import LN2, worst_case_geometry
+from .geometry import LN2, WorstCaseGeometry, worst_case_geometry
 from .scenario import PowerSchedule, Scenario, Trajectory
 
 POWER_RESIDUAL_REL = 1e-9
@@ -110,9 +110,10 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float,
     return PowerDual(lam=hi, schedule=PowerSchedule(p_hi), iterations=iters)
 
 
-def optimize_power(traj: Trajectory, scenario: Scenario, lam0: float = 1.0) -> PowerDual:
+def optimize_power(traj: Trajectory, scenario: Scenario, lam0: float = 1.0,
+                   geo: WorstCaseGeometry | None = None) -> PowerDual:
     """Solve the power subproblem exactly for a fixed trajectory, from lam0."""
-    geo = worst_case_geometry(traj, scenario)
+    geo = worst_case_geometry(traj, scenario) if geo is None else geo
     return solve_power_subproblem(scenario.gamma0 / geo.d2,
                                   scenario.gamma0 / geo.theta,
                                   scenario.avg_power, scenario.peak_power, lam0)

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import convex_backend
 from .convex_backend import TROUBLE
-from .geometry import LN2, log2_1p, secrecy_sum, worst_case_geometry
+from .geometry import LN2, WorstCaseGeometry, log2_1p, secrecy_sum, worst_case_geometry
 from .scenario import PowerSchedule, Scenario, Trajectory, trajectory_violations
 
 ROBUST_FEAS_TOL = 1e-6   # meters^2, allowed slack when re-checking t against disks
@@ -87,15 +87,18 @@ class SubproblemSolution:
     true_objective: float
     status: str
     solve: convex_backend.SolverResult  # the solve's own result, kept on fallback
+    geometry: WorstCaseGeometry         # the trajectory's
+    handoff: convex_backend.Handoff | None = None  # for the next step's solve
 
 
-def initialize_slacks(traj: Trajectory, scenario: Scenario) -> np.ndarray:
+def initialize_slacks(traj: Trajectory, scenario: Scenario,
+                      geo: WorstCaseGeometry | None = None) -> np.ndarray:
     """Tight t at a trajectory: the worst-case squared distance to any disk."""
-    return worst_case_geometry(traj, scenario).theta
+    return (worst_case_geometry(traj, scenario) if geo is None else geo).theta
 
 
-def assemble(traj_fea: Trajectory, powers: PowerSchedule,
-             scenario: Scenario) -> ConvexProgram:
+def assemble(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
+             geo: WorstCaseGeometry | None = None) -> ConvexProgram:
     """Build the convex step program around a feasible expansion point."""
     if trajectory_violations(traj_fea, scenario):
         raise ValueError("expansion trajectory violates the mobility constraint")
@@ -103,7 +106,7 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     powered = powers.p > 0.0  # see "Silent slots"
     slots = np.flatnonzero(powered) if powered.any() else np.arange(scenario.n_slots)
     x, y = (v[slots] for v in traj_fea.slot_positions())
-    geo = worst_case_geometry(traj_fea, scenario)
+    geo = worst_case_geometry(traj_fea, scenario) if geo is None else geo
 
     p_scaled = scenario.gamma0 * powers.p[slots]
     d2_fea = geo.d2[slots]
@@ -126,42 +129,49 @@ def assemble(traj_fea: Trajectory, powers: PowerSchedule,
     )
 
 
-def _fallback(traj_fea: Trajectory, powers, scenario, res) -> SubproblemSolution:
-    return SubproblemSolution(traj_fea, secrecy_sum(traj_fea, powers, scenario),
-                              TROUBLE, res)
+def _fallback(traj_fea: Trajectory, powers, scenario, res, geo) -> SubproblemSolution:
+    return SubproblemSolution(traj_fea, secrecy_sum(traj_fea, powers, scenario, geo),
+                              TROUBLE, res, geo)
 
 
-def solve_step(traj_fea: Trajectory, powers: PowerSchedule,
-               scenario: Scenario) -> SubproblemSolution:
+def solve_step(traj_fea: Trajectory, powers: PowerSchedule, scenario: Scenario,
+               warm: convex_backend.Handoff | None = None,
+               geo: WorstCaseGeometry | None = None) -> SubproblemSolution:
     """Solve one convex step and extract a validated trajectory.
 
     On solver failure the expansion point is returned unchanged, so a caller
     can always treat the result as the current iterate.  Extraction re-checks
     the mobility bound and, on the kept slots, the robust distance requirement
     directly against the closed-form worst case.
+
+    ``warm`` is the previous step's solver hand-off and ``geo`` the expansion
+    point's geometry.  The result carries the new track's geometry and the
+    solve's hand-off, which leaves the solver result, so that records keeping
+    that result keep no hand-off arrays (see ``planner``).
     """
-    prog = assemble(traj_fea, powers, scenario)
-    res = convex_backend.solve(prog)
+    geo = worst_case_geometry(traj_fea, scenario) if geo is None else geo
+    prog = assemble(traj_fea, powers, scenario, geo)
+    res = convex_backend.solve(prog, warm)
+    handoff, res.handoff = res.handoff, None
     if res.status == TROUBLE:
-        return _fallback(traj_fea, powers, scenario, res)
+        return _fallback(traj_fea, powers, scenario, res, geo)
 
-    # silent slots on the segments between the kept ones (track index s + 1)
-    track = np.arange(scenario.n_slots + 2)
-    knots = np.concatenate(([0], prog.slots + 1, [track[-1]]))
-    traj = Trajectory(*(np.interp(track, knots, np.concatenate(([a], v, [b])))
-                        for a, v, b in zip(scenario.start_xy, (res.x, res.y), scenario.end_xy)))
+    # silent slots on the segments between the kept ones
+    traj = Trajectory(*convex_backend.fill_track(prog, prog.slots, (res.x, res.y),
+                                                 np.arange(scenario.n_slots + 2)))
     if trajectory_violations(traj, scenario):
-        return _fallback(traj_fea, powers, scenario, res)
+        return _fallback(traj_fea, powers, scenario, res, geo)
 
-    if np.any(initialize_slacks(traj, scenario)[prog.slots] < res.t - ROBUST_FEAS_TOL):
-        return _fallback(traj_fea, powers, scenario, res)
+    geo_new = worst_case_geometry(traj, scenario)
+    if np.any(initialize_slacks(traj, scenario, geo_new)[prog.slots] < res.t - ROBUST_FEAS_TOL):
+        return _fallback(traj_fea, powers, scenario, res, geo)
 
     # improvement chain, checked numerically every step: the surrogate under-
     # estimates the truth at the new point and cannot fall below its value at
     # the expansion point, so the true objective never decreases
-    true_val = secrecy_sum(traj, powers, scenario)
+    true_val = secrecy_sum(traj, powers, scenario, geo_new)
     sur_fea = convex_backend.surrogate(prog, prog.x_fea, prog.y_fea, prog.t_fea)
     if (res.objective > true_val + 1e-9 * max(1.0, abs(true_val))
             or res.objective < sur_fea - 1e-6 * max(1.0, abs(sur_fea))):
-        return _fallback(traj_fea, powers, scenario, res)
-    return SubproblemSolution(traj, true_val, res.status, res)
+        return _fallback(traj_fea, powers, scenario, res, geo)
+    return SubproblemSolution(traj, true_val, res.status, res, geo_new, handoff)

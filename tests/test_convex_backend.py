@@ -13,9 +13,10 @@ import scipy.linalg
 from scipy.optimize import minimize
 
 from secuav import convex_backend
-from secuav.convex_backend import _interior_start, _Workspace, dual_root, first_root, solve
+from secuav.convex_backend import (_interior_start, _warm_start, _Workspace, dual_root,
+                                   first_root, solve)
 from secuav.harness import derive_scenario, load_scenario
-from secuav.planner import best_effort_trajectory, equal_power
+from secuav.planner import best_effort_trajectory, equal_power, optimize
 from secuav.power_alloc import optimize_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, solve_step
@@ -861,6 +862,132 @@ def test_fine_slot_first_program_reaches_optimal():
     res = solve(fine_slot_program())
     assert res.status == "optimal"
     assert res.newton_iters <= 30
+
+
+def plan_solves(monkeypatch, T):
+    """Every (program, hand-off) the robust plan of paper_fig2 at T solves."""
+    pairs, inner = [], convex_backend.solve
+
+    def keep(program, warm=None):
+        pairs.append((program, warm))
+        return inner(program, warm)
+
+    with monkeypatch.context() as m:
+        m.setattr(convex_backend, "solve", keep)
+        optimize(derive_scenario(load_scenario(BENCHMARK_SCENARIO), "T", T))
+    return pairs
+
+
+def drop_slot(prog, i):
+    """``prog`` without its i-th kept slot, as if that slot fell silent."""
+    keep = np.arange(prog.slots.size) != i
+    return dataclasses.replace(
+        prog, slots=prog.slots[keep], p_scaled=prog.p_scaled[keep], g_u=prog.g_u[keep],
+        x_fea=prog.x_fea[keep], y_fea=prog.y_fea[keep], t_fea=prog.t_fea[keep],
+        eve_k=prog.eve_k[:, :, keep], eve_k0=prog.eve_k0[:, keep])
+
+
+def check_mapping(prog, handoff):
+    """The warm start of ``prog`` from ``handoff`` against the mapping rules
+    of the convex_backend docstring, row by row; returns (new slots, rows
+    kept)."""
+    ws = _Workspace(prog)
+    z, tab, lam = _warm_start(ws, handoff)
+    K, n, old = prog.eve_r.size, ws.n, list(handoff.slots)
+    assert np.array_equal(tab.m, ws.table(z).m)
+    disks, old_disks = lam[ws.disks].reshape(K, n), handoff.lam[len(old) + 1:].reshape(K, -1)
+    knots = [0] + [s + 1 for s in old] + [prog.n_slots + 1]
+    spread = sorted(handoff.mu / old_disks.max(axis=0))
+    delta = spread[len(spread) // 2]
+    new = 0
+    for j, s in enumerate(prog.slots):
+        if s in old:
+            i = old.index(s)
+            assert np.array_equal(z[:, j], handoff.z[:, i])
+            assert np.array_equal(disks[:, j], old_disks[:, i])
+        else:
+            new += 1
+            for row, a, b in ((0, prog.pin_start[0], prog.pin_end[0]),
+                              (1, prog.pin_start[1], prog.pin_end[1])):
+                track = [a, *handoff.z[row], b]
+                assert z[row, j] == pytest.approx(np.interp(s + 1, knots, track), rel=1e-12)
+            rows = tab.m[ws.disks].reshape(K, n)[:, j]
+            # t = (least margin at t = 0) - delta, up to the margins' rounding
+            assert rows.min() == pytest.approx(delta, rel=1e-6)
+            assert disks[:, j] * rows == pytest.approx(np.full(K, handoff.mu), rel=1e-9)
+    ends, old_ends = [-1, *prog.slots, prog.n_slots], [-1, *old, prog.n_slots]
+    old_rows = {pair: i for i, pair in enumerate(zip(old_ends, old_ends[1:]))}
+    kept_rows = 0
+    for j, pair in enumerate(zip(ends, ends[1:])):
+        if pair in old_rows:
+            kept_rows += 1
+            assert lam[j] == handoff.lam[old_rows[pair]]
+        else:
+            assert lam[j] * tab.m[j] == pytest.approx(handoff.mu * ws.weight[j], rel=1e-9)
+    return new, kept_rows
+
+
+class TestWarmStart:
+    """``solve(program, warm)`` starts from the previous step's hand-off."""
+
+    @pytest.mark.parametrize("T", [80.0, 160.0])
+    def test_warm_solves_match_cold_solves_in_fewer_iterations(self, monkeypatch, T):
+        # 15 warm against 21 cold iterations at T = 80 s, 11 against 14 at 160 s
+        (_, first), *later = plan_solves(monkeypatch, T)
+        assert first is None and later
+        warm_iters = cold_iters = 0
+        for program, handoff in later:
+            warm, cold = solve(program, handoff), solve(program)
+            assert warm.warm_start and not cold.warm_start
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-7, abs=0.0)
+            warm_iters += warm.newton_iters
+            cold_iters += cold.newton_iters
+        assert warm_iters < cold_iters
+
+    def test_hand_off_is_the_first_iterate_within_sqrt_opt_tol(self, monkeypatch):
+        (program, _), (_, handoff), *_ = plan_solves(monkeypatch, 80.0)
+        threshold, full = math.sqrt(convex_backend.OPT_TOL), solve(program).newton_iters
+        for k in range(full + 1):
+            monkeypatch.setattr(convex_backend, "MAX_NEWTON", k)
+            res = solve(program)  # ends at iterate k
+            if res.duality_gap <= threshold * max(1.0, abs(res.objective)):
+                break
+            assert res.handoff is None
+        assert 0 < k < full
+        z = np.stack((res.x, res.y, res.t))
+        assert np.array_equal(res.handoff.z, z) and np.array_equal(handoff.z, z)
+        assert handoff.mu == res.duality_gap / _Workspace(program).weight_sum
+
+    @pytest.mark.parametrize("T", [80.0, 160.0])
+    def test_mapping_rules(self, monkeypatch, T):
+        pairs = plan_solves(monkeypatch, T)
+        new = 0
+        for (prev, _), (program, handoff) in zip(pairs, pairs[1:]):
+            # into the program it came from, the hand-off is its own start
+            z, _, lam = _warm_start(_Workspace(prev), handoff)
+            assert np.array_equal(z, handoff.z) and np.array_equal(lam, handoff.lam)
+            added, kept_rows = check_mapping(program, handoff)
+            new += added
+            # a slot that falls silent merges its two chain rows into a new one
+            assert np.isin(program.slots[4:7], handoff.slots).all()
+            assert check_mapping(drop_slot(program, 5), handoff)[1] == kept_rows - 2
+        assert new > 0
+
+    def test_hand_off_outside_the_interior_is_a_cold_solve(self, monkeypatch):
+        (_, _), (program, handoff), *_ = plan_solves(monkeypatch, 80.0)
+        z = handoff.z.copy()
+        z[2] = 1e12  # t above every margin
+        got, want = solve(program, handoff._replace(z=z)), solve(program)
+        assert not got.warm_start and not want.warm_start
+        for name in ("x", "y", "t"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert ((got.objective, got.status, got.newton_iters, got.duality_gap,
+                 got.kkt_residual, got.min_margin)
+                == (want.objective, want.status, want.newton_iters, want.duality_gap,
+                    want.kkt_residual, want.min_margin))
+        for a, b in zip(got.handoff, want.handoff):
+            assert np.array_equal(a, b)
 
 
 class TestFailureExits:

@@ -190,6 +190,7 @@ class TestCli:
         assert 0.0 < summary["max_kkt_residual"] <= 1e-7
         plan = optimize(load_scenario(scen_file))
         assert summary["power_iters"] == sum(r.dual.iterations for r in plan.iterations) > 0
+        assert summary["warm_starts"] == sum(r.solve.warm_start for r in plan.iterations[1:]) > 0
         assert (outs[0] / "iterations.csv").read_text().splitlines()[0] == \
             "iter,objective,status,wall_ms"
 

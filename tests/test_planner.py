@@ -207,9 +207,9 @@ class TestOptimize:
         starts = []
         inner = planner.optimize_power
 
-        def recording(traj, scenario, lam0):
+        def recording(traj, scenario, lam0, geo):
             starts.append(lam0)
-            return inner(traj, scenario, lam0)
+            return inner(traj, scenario, lam0, geo)
 
         monkeypatch.setattr(planner, "optimize_power", recording)
         records = optimize(tiny_scenario).iterations
@@ -241,10 +241,44 @@ class TestOptimize:
         assert summary["power_iters"] == start.dual.iterations + first.dual.iterations
         assert summary["max_kkt_residual"] == max(s.kkt_residual for s in solves)
 
+    def test_warm_starts_do_not_stall_on_a_short_hover(self, monkeypatch):
+        # drawn by TestRandomValidScenarios; with the final iterate as the
+        # hand-off, step 3 started at margins 5.7e-14 and 3.1e-12 and ended
+        # max_iter after 3000 iterations, its gap stuck at 2.0e-6
+        scen = Scenario(altitude=20.0, flight_duration=2.0, slot_len=0.5, n_slots=4,
+                        v_max=10.0, start_xy=(5.0, 0.0), end_xy=(0.0, 0.0), avg_power=1e-3,
+                        peak_power=4e-3, gamma0=1e6, eves=(EveRegion(0.5, 0.0, 0.0),),
+                        epsilon=1e-2, max_iters=12)
+        solves = self.capture(monkeypatch, convex_backend, "solve")
+        for res in (optimize(scen), optimize_non_robust(scen)):
+            assert all(r.status == OPTIMAL for r in res.iterations[1:])
+        assert sum(s.warm_start for s in solves) >= 2
+        assert max(s.newton_iters for s in solves) <= 30
+
+    def test_no_state_crosses_plans(self, tiny_scenario):
+        # a plan of the first step alone, whose hand-off would fit the first
+        # program of the next plan, were it carried over
+        other = dataclasses.replace(tiny_scenario, max_iters=1)
+        first, _, again = optimize(tiny_scenario), optimize(other), optimize(tiny_scenario)
+        assert first.iterations[1].solve.warm_start is False
+        assert sum(r.solve.warm_start for r in first.iterations[2:]) > 0
+        for a, b in ((first.trajectory.xs, again.trajectory.xs),
+                     (first.trajectory.ys, again.trajectory.ys),
+                     (first.powers.p, again.powers.p)):
+            assert np.array_equal(a, b)
+        assert first.secrecy_rate == again.secrecy_rate
+        assert ([(r.objective, r.status) for r in first.iterations]
+                == [(r.objective, r.status) for r in again.iterations])
+        steps = list(zip(first.iterations[1:], again.iterations[1:]))
+        assert all(a.solve.newton_iters == b.solve.newton_iters
+                   and a.solve.warm_start == b.solve.warm_start for a, b in steps)
+        # the records keep no hand-off arrays
+        assert all(r.solve.handoff is None for r in first.iterations[1:])
+
     def test_infeasible_plan_raises(self, tiny_scenario, monkeypatch):
         # a power block that overspends both budgets: the plan must not be
         # returned as if it were valid
-        def overspend(traj, scenario, lam0):
+        def overspend(traj, scenario, lam0, geo):
             p = np.full(scenario.n_slots, 2.0 * scenario.peak_power)
             return PowerDual(lam=0.0, schedule=PowerSchedule(p), iterations=0)
 

@@ -52,9 +52,12 @@ def test_plan_digest_runs():
     assert plan["outer_iters"] == len(plan["statuses"]) > 0 and plan["primal_dual_iters"] > 0
     # the power dual's evaluations, the start record's included
     assert plan["power_evals"] == sum(r.dual.iterations for r in result.iterations) > 0
+    # every step after the first starts from its predecessor's hand-off
+    assert plan["warm_starts"] == sum(r.solve.warm_start for r in result.iterations[1:]) == 2
     assert total == {"total": {"plans": 1, "outer_iters": plan["outer_iters"],
                                "primal_dual_iters": plan["primal_dual_iters"],
                                "power_evals": plan["power_evals"],
+                               "warm_starts": plan["warm_starts"],
                                "optimal": plan["outer_iters"]}}
 
 
@@ -67,12 +70,12 @@ def test_reproduce_benchmarks_runs(tmp_path):
 
 
 def test_solver_bench_runs():
-    # fine_slots s0 is one robust plan of 3 convex steps and 29 primal-dual
-    # iterations (plan_digest.py prints the same totals)
+    # fine_slots s0 is one robust plan of 3 convex steps, the later two warm,
+    # and 24 primal-dual iterations (plan_digest.py prints the same totals)
     out = run_script("solver_bench.py", "--workload", "fine_slots", "--seed", "0", "--reps", "1")
     assert out.returncode == 0, out.stderr
     head, solve_s, per_iter, calls = out.stdout.splitlines()
-    assert head == "fine_slots s0: 3 programs, 29 primal-dual iterations, 1 reps"
+    assert head == "fine_slots s0: 3 programs (2 warm, 1 cold), 24 primal-dual iterations, 1 reps"
     assert float(solve_s.split(": ")[1].split()[0]) > 0.0
     assert float(per_iter.split(": ")[1].split()[0]) > 0.0
     assert float(calls.split(": ")[1]) > 0.0

@@ -306,8 +306,8 @@ class TestSolveFacts:
         results = []
         solve = convex_backend.solve
 
-        def capturing(prog):
-            results.append(solve(prog))
+        def capturing(prog, warm=None):
+            results.append(solve(prog, warm))
             return results[-1]
 
         monkeypatch.setattr(convex_backend, "solve", capturing)
