@@ -7,12 +7,13 @@ The script imports ``planbench/workloads.py`` (it changes nothing there),
 builds the workload's sweeps for the seed and plans every (value, algorithm)
 point of each sweep in the order ``harness.run_sweep`` does.  Each line holds
 the plan's key, ``repr`` of its secrecy rate, a short sha256 of the returned
-track's ``xs`` and ``ys`` bytes and the power bytes, its outer iterations, its
+track's ``xs`` and ``ys`` bytes and the power bytes, whether it converged
+(false when it stopped at ``max_iters``), its outer iterations, its
 primal-dual iterations, its power-law evaluations (the power dual's, summed
 over every record, the start's included), its warm-started solves and the
-status of each outer iteration's step; a last line totals them.  No timing is
-printed, so two checkouts that plan alike print the same lines, and ``diff``
-shows every plan that moved.
+status of each outer iteration's step; a last line totals them and counts the
+unconverged plans.  No timing is printed, so two checkouts that plan alike
+print the same lines, and ``diff`` shows every plan that moved.
 """
 import argparse
 import hashlib
@@ -53,6 +54,7 @@ def main() -> int:
                 plan = {"key": f"{args.workload}/s{args.seed}/{i}/{spec.param}={value:g}/{tag}",
                         "secrecy_rate": repr(result.secrecy_rate),
                         "plan_sha256": plan_sha256(result),
+                        "converged": result.converged,
                         "outer_iters": len(steps),
                         "primal_dual_iters": sum(r.solve.newton_iters for r in steps),
                         "power_evals": sum(r.dual.iterations
@@ -63,7 +65,8 @@ def main() -> int:
                 total.update(plans=1, outer_iters=plan["outer_iters"],
                              primal_dual_iters=plan["primal_dual_iters"],
                              power_evals=plan["power_evals"],
-                             warm_starts=plan["warm_starts"])
+                             warm_starts=plan["warm_starts"],
+                             unconverged=int(not result.converged))
                 total.update(plan["statuses"])
     print(json.dumps({"total": dict(total)}))
     return 0

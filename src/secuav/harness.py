@@ -108,9 +108,9 @@ def load_scenario(path) -> Scenario:
         if not (isinstance(doc[key], list) and len(doc[key]) == 2):
             raise HarnessError(f"field '{key}' must be a 2-element array", file=str(path))
         pins[key] = tuple(number(c, f"{key}[{i}]") for i, c in enumerate(doc[key]))
-    max_iters = doc.get("max_iters", 200)
-    if isinstance(max_iters, bool) or not isinstance(max_iters, int):
-        raise HarnessError(f"field 'max_iters' must be an integer (got {max_iters!r})",
+    iters = {"max_iters": doc["max_iters"]} if "max_iters" in doc else {}  # absent: the default
+    if any(isinstance(v, bool) or not isinstance(v, int) for v in iters.values()):
+        raise HarnessError(f"field 'max_iters' must be an integer (got {doc['max_iters']!r})",
                            file=str(path), field="max_iters")
     try:
         gamma0 = 10.0 ** (nums.pop("gamma0_db") / 10.0)
@@ -122,7 +122,7 @@ def load_scenario(path) -> Scenario:
     except ValueError as e:
         raise HarnessError(str(e), file=str(path), field="flight_duration") from e
     scenario = Scenario(n_slots=n, gamma0=gamma0, eves=tuple(eves),
-                        max_iters=max_iters, **nums, **pins)
+                        **iters, **nums, **pins)
     violations = validate(scenario)
     if violations:
         raise HarnessError("scenario validation failed", file=str(path),

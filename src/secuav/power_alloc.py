@@ -28,12 +28,13 @@ class PowerDual:
     iterations: int           # power-law evaluations at lam > 0
 
 
-def _stationary(half_diff, half_sum, lam: float):
-    """Stationary point of the per-slot Lagrangian at lam > 0, unclamped, with
-    its square-root term; NaN where half_diff < 0 (alpha < beta)."""
+def _power_law(active, half_diff, half_sum, lam: float, peak: float):
+    """Slot powers at lam > 0: the per-slot Lagrangian's stationary point, clamped to
+    [0, peak] on active slots; also the unclamped point and its sqrt (NaN if alpha < beta)."""
     with np.errstate(invalid="ignore"):
         root = np.sqrt(half_diff**2 + 2.0 * half_diff / (lam * LN2))
-    return root - half_sum, root
+    p_hat = root - half_sum
+    return np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak), 0.0), p_hat, root
 
 
 def power_for_dual(alpha, beta, lam: float, peak: float):
@@ -50,8 +51,8 @@ def power_for_dual(alpha, beta, lam: float, peak: float):
     active = alpha > beta
     if lam <= 0.0:
         return np.where(active, peak, 0.0)
-    p_hat, _ = _stationary(0.5 / beta - 0.5 / alpha, 0.5 / beta + 0.5 / alpha, lam)
-    return np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak), 0.0)
+    return _power_law(active, 0.5 / beta - 0.5 / alpha, 0.5 / beta + 0.5 / alpha,
+                      lam, peak)[0]
 
 
 def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float,
@@ -86,8 +87,7 @@ def solve_power_subproblem(alpha, beta, avg_power: float, peak_power: float,
     lo, hi, p_hi = 0.0, math.inf, None
     lam = lam0 if lam0 > 0.0 else 1.0
     for iters in range(1, MAX_DUAL_ITERS + 1):
-        p_hat, root = _stationary(half_diff, half_sum, lam)
-        p = np.where(active, np.minimum(np.maximum(p_hat, 0.0), peak_power), 0.0)
+        p, p_hat, root = _power_law(active, half_diff, half_sum, lam, peak_power)
         mean = p.mean()
         if abs(mean - avg_power) <= tol:
             return PowerDual(lam=lam, schedule=PowerSchedule(p), iterations=iters)

@@ -1,28 +1,25 @@
 """Acceptance criteria, one test per criterion, printed pass/fail lines.
 
 Heavy optimization runs are shared across criteria through a module-scoped
-cache, so the suite performs each (scenario, algorithm) run exactly once.
+cache, so the suite performs each (scenario, algorithm) run exactly once;
+c01 and c03 read the session's one run of ``secuav verify``'s full-level
+theta-oracle and power-grid suites.
 """
-import json
 import math
 import time
 
 import numpy as np
 import pytest
 
-from secuav.geometry import (secrecy_sum, worst_case_dist_sq,
-                             worst_case_dist_sq_oracle)
-from secuav.harness import dbm_to_watts, main
+from secuav.geometry import secrecy_sum, worst_case_dist_sq_oracle
+from secuav.harness import _run_algorithm, dbm_to_watts, main
 from secuav.planner import (best_effort_trajectory, equal_power, optimize,
-                            optimize_non_robust, run_best_effort)
-from secuav.power_alloc import solve_power_subproblem
+                            optimize_non_robust)
 from secuav.scenario import EveRegion, Scenario
 from secuav.trajectory_sca import solve_step
 
 from arrowhead import psd_check_many, soc_feasible_many
-from conftest import make_scenario, benchmark_fields
-
-LN2 = math.log(2.0)
+from conftest import make_scenario, benchmark_fields, write_tiny
 
 
 def _report(num: int, ok: bool, text: str):
@@ -43,10 +40,7 @@ class RunCache:
     def plan(self, T: float, dbm: float, algorithm: str):
         key = (T, dbm, algorithm)
         if key not in self._plans:
-            scen = self.scenario(T, dbm)
-            runner = {"robust": optimize, "non_robust": optimize_non_robust,
-                      "best_effort": run_best_effort}[algorithm]
-            self._plans[key] = runner(scen)
+            self._plans[key] = _run_algorithm(algorithm, self.scenario(T, dbm))
         return self._plans[key]
 
 
@@ -55,22 +49,10 @@ def runs() -> RunCache:
     return RunCache()
 
 
-def test_c01_theta_oracle_equivalence():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(20260809)
-    worst_gap = 0.0
-    for i in range(1000):
-        eve = EveRegion(float(rng.uniform(-300, 300)), float(rng.uniform(-300, 300)),
-                        float(rng.uniform(0.0, 100.0)))
-        uav = (float(rng.uniform(-400, 400)), float(rng.uniform(-400, 400)))
-        closed = worst_case_dist_sq(uav, eve, 100.0)
-        sampled = worst_case_dist_sq_oracle(uav, eve, 100.0, 10_000, int(i))
-        if sampled < closed:
-            _report(1, False, f"sampled {sampled} fell below closed form {closed}")
-        worst_gap = max(worst_gap, (sampled - closed) / closed)
-    elapsed = time.perf_counter() - t0
-    _report(1, worst_gap <= 5e-3 and elapsed < 10.0,
-            f"1000 disks, worst relative gap {worst_gap:.2e}, {elapsed:.1f} s")
+def test_c01_theta_oracle_equivalence(full_verify):
+    # secuav verify's theta-oracle suite: 1000 disks, 10,000 samples each
+    ok, detail, elapsed = full_verify["theta-oracle"]
+    _report(1, ok and elapsed < 10.0, f"{detail}, {elapsed:.1f} s")
 
 
 def test_c02_psd_soc_equivalence():
@@ -90,42 +72,10 @@ def test_c02_psd_soc_equivalence():
             f"{n} blocks, {disagreements} disagreements off-boundary, {elapsed:.1f} s")
 
 
-def test_c03_power_subproblem_optimality():
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(11)
-    worst_p = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 17))
-        alpha = 10.0 ** rng.uniform(2, 6, n)
-        beta = 10.0 ** rng.uniform(2, 6, n)
-        p_bar = 10.0 ** rng.uniform(-5, -2)
-        peak = p_bar * rng.uniform(1.5, 6.0)
-        dual = solve_power_subproblem(alpha, beta, p_bar, peak)
-        p = dual.schedule.p
-        if p.mean() > p_bar * (1 + 1e-9):
-            _report(3, False, "average-power constraint violated")
-        if dual.lam > 1e-12 and abs(p.mean() - p_bar) > 1e-9 * p_bar:
-            _report(3, False, "complementary slackness violated at 1e-9")
-        grid = np.linspace(0.0, peak, 100_000)
-        for i in range(n):
-            vals = (np.log1p(alpha[i] * grid) - np.log1p(beta[i] * grid)) / LN2 \
-                - dual.lam * grid
-            j = int(np.argmax(vals))
-            lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, grid.size - 1)]
-            for _ in range(120):
-                m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
-                f1 = (math.log1p(alpha[i] * m1) - math.log1p(beta[i] * m1)) / LN2 \
-                    - dual.lam * m1
-                f2 = (math.log1p(alpha[i] * m2) - math.log1p(beta[i] * m2)) / LN2 \
-                    - dual.lam * m2
-                if f1 < f2:
-                    lo = m1
-                else:
-                    hi = m2
-            worst_p = max(worst_p, abs(p[i] - 0.5 * (lo + hi)) / peak)
-    elapsed = time.perf_counter() - t0
-    _report(3, worst_p <= 1e-6 and elapsed < 30.0,
-            f"100 instances, worst slot gap {worst_p:.2e} of peak, {elapsed:.1f} s")
+def test_c03_power_subproblem_optimality(full_verify):
+    # secuav verify's power-grid suite: 100 instances on a 100,000-point grid
+    ok, detail, elapsed = full_verify["power-grid"]
+    _report(3, ok and elapsed < 30.0, f"{detail}, {elapsed:.1f} s")
 
 
 def test_c04_sca_step_soundness():
@@ -244,16 +194,7 @@ def test_c09_zero_radius_degeneracy():
 
 
 def test_c10_cli_byte_determinism(tmp_path):
-    doc = {
-        "altitude": 20.0, "flight_duration": 4.0, "slot_len": 0.5, "v_max": 10.0,
-        "start_xy": [-15.0, -10.0], "end_xy": [15.0, -10.0],
-        "avg_power": 1e-3, "peak_power": 4e-3, "gamma0_db": 60.0,
-        "eves": [{"center_x": -10.0, "center_y": 4.0, "radius": 2.0},
-                 {"center_x": 10.0, "center_y": 4.0, "radius": 3.0}],
-        "epsilon": 1e-4, "max_iters": 50,
-    }
-    scen_file = tmp_path / "scen.json"
-    scen_file.write_text(json.dumps(doc))
+    scen_file = write_tiny(tmp_path)
     identical = True
     for cmd, files in [
         (["optimize", "--scenario", str(scen_file), "--algorithm", "robust"],

@@ -15,6 +15,7 @@ from scipy.optimize import minimize
 from secuav import convex_backend
 from secuav.convex_backend import (_interior_start, _warm_start, _Workspace, dual_root,
                                    first_root, solve)
+from secuav.geometry import LN2
 from secuav.harness import derive_scenario, load_scenario
 from secuav.planner import best_effort_trajectory, equal_power, optimize
 from secuav.power_alloc import optimize_power
@@ -22,8 +23,6 @@ from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, solve_step
 
 from conftest import BENCHMARK_SCENARIO, REPO_ROOT, make_scenario
-
-LN2 = math.log(2.0)
 
 
 def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,

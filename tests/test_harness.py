@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,34 +11,10 @@ from secuav.harness import (_VERIFY_SUITES, HarnessError, SweepSpec,
                             derive_scenario, export_plan, load_scenario, main,
                             run_sweep, verify_suites)
 from secuav.planner import run_best_effort, optimize
-from secuav.scenario import (PowerSchedule, Trajectory, power_violations,
+from secuav.scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
                              trajectory_violations, validate)
 
-from conftest import BENCHMARK_SCENARIO, make_scenario
-
-TINY_DOC = {
-    "altitude": 20.0,
-    "flight_duration": 4.0,
-    "slot_len": 0.5,
-    "v_max": 10.0,
-    "start_xy": [-15.0, -10.0],
-    "end_xy": [15.0, -10.0],
-    "avg_power": 1e-3,
-    "peak_power": 4e-3,
-    "gamma0_db": 60.0,
-    "eves": [
-        {"center_x": -10.0, "center_y": 4.0, "radius": 2.0},
-        {"center_x": 10.0, "center_y": 4.0, "radius": 3.0},
-    ],
-    "epsilon": 1e-4,
-    "max_iters": 50,
-}
-
-
-def write_tiny(tmp_path: Path) -> Path:
-    path = tmp_path / "tiny.json"
-    path.write_text(json.dumps(TINY_DOC))
-    return path
+from conftest import BENCHMARK_SCENARIO, TINY_DOC, make_scenario, write_tiny
 
 
 class TestLoadScenario:
@@ -52,23 +27,25 @@ class TestLoadScenario:
         assert len(scen.eves) == 2
         assert scen.eves[0].radius == 20.0 and scen.eves[1].radius == 80.0
 
+    def test_tiny_doc_is_the_tiny_scenario(self, tmp_path):
+        assert load_scenario(write_tiny(tmp_path)) == make_scenario()
+
+    def test_max_iters_defaults_to_the_scenario_field(self, tmp_path):
+        path = write_tiny(tmp_path, {k: v for k, v in TINY_DOC.items() if k != "max_iters"})
+        default = next(f.default for f in dataclasses.fields(Scenario) if f.name == "max_iters")
+        assert load_scenario(path).max_iters == default
+
     def test_gamma_db_conversion(self, tmp_path):
-        doc = dict(TINY_DOC, gamma0_db=80.0)
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path = write_tiny(tmp_path, dict(TINY_DOC, gamma0_db=80.0))
         assert load_scenario(path).gamma0 == pytest.approx(1e8)
 
     def test_missing_eves_named(self, tmp_path):
-        doc = {k: v for k, v in TINY_DOC.items() if k != "eves"}
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path = write_tiny(tmp_path, {k: v for k, v in TINY_DOC.items() if k != "eves"})
         with pytest.raises(HarnessError, match="eves"):
             load_scenario(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        doc = dict(TINY_DOC, altitude_m=3.0)
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path = write_tiny(tmp_path, dict(TINY_DOC, altitude_m=3.0))
         with pytest.raises(HarnessError, match="altitude_m"):
             load_scenario(path)
 
@@ -80,9 +57,7 @@ class TestLoadScenario:
         assert err.value.context.get("line") == 2
 
     def test_validation_violations_surfaced(self, tmp_path):
-        doc = dict(TINY_DOC, peak_power=TINY_DOC["avg_power"])
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path = write_tiny(tmp_path, dict(TINY_DOC, peak_power=TINY_DOC["avg_power"]))
         with pytest.raises(HarnessError) as err:
             load_scenario(path)
         assert any("avg_power < peak_power" in v
@@ -296,8 +271,7 @@ class TestCli:
         ("is above the ceiling", dict(flight_duration=1e300)),
     ])
     def test_bad_field_error_json(self, tmp_path, capsys, field, change):
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(dict(TINY_DOC, **change)))
+        path = write_tiny(tmp_path, dict(TINY_DOC, **change))
         code = main(["optimize", "--scenario", str(path),
                      "--algorithm", "robust", "--out", str(tmp_path / "o")])
         assert code == 2
@@ -322,11 +296,14 @@ class TestCli:
 
 class TestVerifySuites:
     @pytest.mark.parametrize("level", ["quick", "full"])
-    def test_quick_all_pass(self, level):
-        results = verify_suites(level)
+    def test_quick_all_pass(self, level, request):
+        # the full level reads the session's one run of the suites
+        results = verify_suites(level) if level == "quick" else [
+            (name, ok, detail)
+            for name, (ok, detail, _) in request.getfixturevalue("full_verify").items()]
         assert [name for name, _, _ in results] == [
             "theta-oracle", "huber-margin", "power-grid", "sca-monotone"]
-        assert all(ok for _, ok, _ in results)
+        assert all(ok for _, ok, _ in results), results
 
     def test_huber_margin_fails_on_shifted_disk_rows(self, monkeypatch):
         assemble = trajectory_sca.assemble

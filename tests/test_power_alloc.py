@@ -6,36 +6,15 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from secuav import power_alloc
-from secuav.geometry import worst_case_geometry
+from secuav.geometry import LN2, worst_case_geometry
+from secuav.harness import _grid_power_oracle
 from secuav.power_alloc import (POWER_RESIDUAL_REL, optimize_power, power_for_dual,
                                 solve_power_subproblem)
 from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
 
-LN2 = math.log(2.0)
-
 ALPHA_HOVER = 1e4
 BETA_HOVER = 1e8 / 24400.0
 PEAK = 4.0 * P_BAR_NEG5_DBM
-
-
-def dualized_slot_value(alpha, beta, lam, p):
-    return (math.log1p(alpha * p) - math.log1p(beta * p)) / LN2 - lam * p
-
-
-def grid_refine_argmax(alpha, beta, lam, peak, n_grid=100_000):
-    """Independent maximizer: coarse grid plus ternary polish in the bracket."""
-    grid = np.linspace(0.0, peak, n_grid)
-    vals = (np.log1p(alpha * grid) - np.log1p(beta * grid)) / LN2 - lam * grid
-    i = int(np.argmax(vals))
-    lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, n_grid - 1)]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if dualized_slot_value(alpha, beta, lam, m1) < dualized_slot_value(alpha, beta, lam, m2):
-            lo = m1
-        else:
-            hi = m2
-    return 0.5 * (lo + hi)
 
 
 class TestPowerForDual:
@@ -55,7 +34,7 @@ class TestPowerForDual:
                                       P_BAR_NEG5_DBM, PEAK)
         p = power_for_dual(ALPHA_HOVER, BETA_HOVER, dual.lam, PEAK)
         assert p == pytest.approx(P_BAR_NEG5_DBM, rel=1e-8)
-        ref = grid_refine_argmax(ALPHA_HOVER, BETA_HOVER, dual.lam, PEAK)
+        ref = _grid_power_oracle(ALPHA_HOVER, BETA_HOVER, dual.lam, PEAK, 100_000)
         assert abs(p - ref) <= 1e-6 * PEAK
 
     @given(alpha=st.floats(10.0, 1e6), gap=st.floats(0.01, 0.99),
@@ -109,20 +88,15 @@ class TestSolvePowerSubproblem:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_kkt_and_grid_agreement_random(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 17))
-        alpha = 10.0 ** rng.uniform(2, 6, n)
-        beta = 10.0 ** rng.uniform(2, 6, n)
-        p_bar = 10.0 ** rng.uniform(-5, -2)
-        peak = p_bar * rng.uniform(1.5, 6.0)
+        (alpha, beta, p_bar, peak), = c03_draws(seed, count=1)
         dual = solve_power_subproblem(alpha, beta, p_bar, peak)
         p = dual.schedule.p
         assert np.all(p >= 0.0) and np.all(p <= peak * (1 + 1e-12))
         assert p.mean() <= p_bar * (1 + 1e-9)
         if dual.lam > 1e-12:
             assert abs(p.mean() - p_bar) <= 1e-9 * p_bar
-        for i in range(n):
-            ref = grid_refine_argmax(alpha[i], beta[i], dual.lam, peak, n_grid=20_000)
+        for i in range(p.size):
+            ref = _grid_power_oracle(alpha[i], beta[i], dual.lam, peak, 20_000)
             assert abs(p[i] - ref) <= 1e-6 * peak
 
     @given(seed=st.integers(0, 10_000))
@@ -154,7 +128,7 @@ class TestSolvePowerSubproblem:
 
 
 def c03_draws(seed, count=100):
-    """(alpha, beta, p_bar, peak) drawn as the c03 acceptance check draws them."""
+    """(alpha, beta, p_bar, peak) drawn as the power-grid verify suite (c03) draws them."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(1, 17))

@@ -50,6 +50,7 @@ def test_plan_digest_runs():
     assert plan["plan_sha256"] == hashlib.sha256(plan_bytes).hexdigest()[:16]
     assert plan["secrecy_rate"] == repr(result.secrecy_rate)
     assert plan["outer_iters"] == len(plan["statuses"]) > 0 and plan["primal_dual_iters"] > 0
+    assert plan["converged"] is result.converged is True
     # the power dual's evaluations, the start record's included
     assert plan["power_evals"] == sum(r.dual.iterations for r in result.iterations) > 0
     # every step after the first starts from its predecessor's hand-off
@@ -58,7 +59,7 @@ def test_plan_digest_runs():
                                "primal_dual_iters": plan["primal_dual_iters"],
                                "power_evals": plan["power_evals"],
                                "warm_starts": plan["warm_starts"],
-                               "optimal": plan["outer_iters"]}}
+                               "unconverged": 0, "optimal": plan["outer_iters"]}}
 
 
 def test_reproduce_benchmarks_runs(tmp_path):

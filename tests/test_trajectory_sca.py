@@ -5,7 +5,7 @@ import pytest
 
 from secuav import convex_backend, trajectory_sca
 from secuav.convex_backend import _Workspace
-from secuav.geometry import log2_1p, secrecy_sum, worst_case_dist_sq
+from secuav.geometry import LN2, log2_1p, secrecy_sum, worst_case_dist_sq
 from secuav.harness import load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory, trajectory_violations
@@ -14,8 +14,6 @@ from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 from arrowhead import psd_check
 from conftest import (BENCHMARK_SCENARIO, hover_trajectory, make_scenario,
                       benchmark_fields, P_BAR_NEG5_DBM)
-
-LN2 = math.log(2.0)
 
 
 def taylor_rate_surrogate(d2, d2_fea, p_scaled):
