@@ -3,17 +3,13 @@
 
     python3 scripts/plan_digest.py --workload fig2_sweep --seed 0
 
-The script imports ``planbench/workloads.py`` (it changes nothing there),
-builds the workload's sweeps for the seed and plans every (value, algorithm)
-point of each sweep in the order ``harness.run_sweep`` does.  Each line holds
-the plan's key, ``repr`` of its secrecy rate, a short sha256 of the returned
-track's ``xs`` and ``ys`` bytes and the power bytes, whether it converged
-(false when it stopped at ``max_iters``), its outer iterations, its
-primal-dual iterations, its power-law evaluations (the power dual's, summed
-over every record, the start's included), its warm-started solves and the
-status of each outer iteration's step; a last line totals them and counts the
-unconverged plans.  No timing is printed, so two checkouts that plan alike
-print the same lines, and ``diff`` shows every plan that moved.
+The script imports ``planbench/workloads.py`` (it changes nothing there) and
+plans every point of the workload's sweeps through ``harness.sweep_plans``.
+Each line holds the plan's key, a short sha256 of its track and power bytes,
+each outer iteration's step status and ``harness.plan_summary`` (the facts of
+``summary.json``, under its names); a last line totals the counts and statuses
+and counts the unconverged plans.  No timing is printed, so two checkouts that
+plan alike print the same lines, and ``diff`` shows every plan that moved.
 """
 import argparse
 import hashlib
@@ -27,7 +23,9 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "planbench"))
 
 import workloads
-from secuav.harness import _run_algorithm, derive_scenario
+from secuav.harness import plan_summary, sweep_plans
+
+COUNTS = ("iterations", "newton_steps", "power_iters", "warm_starts")  # totalled
 
 
 def plan_sha256(result) -> str:
@@ -43,31 +41,20 @@ def main() -> int:
     parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
     total = Counter()
     for i, spec in enumerate(workloads.generate(args.workload, args.seed)):
-        for value in sorted(spec.values):
-            scenario = derive_scenario(spec.base, spec.param, value)
-            for tag in sorted(spec.algorithms):
-                result = _run_algorithm(tag, scenario)
-                steps = result.iterations[1:]
-                plan = {"key": f"{args.workload}/s{args.seed}/{i}/{spec.param}={value:g}/{tag}",
-                        "secrecy_rate": repr(result.secrecy_rate),
-                        "plan_sha256": plan_sha256(result),
-                        "converged": result.converged,
-                        "outer_iters": len(steps),
-                        "primal_dual_iters": sum(r.solve.newton_iters for r in steps),
-                        "power_evals": sum(r.dual.iterations
-                                           for r in result.iterations if r.dual),
-                        "warm_starts": sum(r.solve.warm_start for r in steps),
-                        "statuses": [r.status for r in steps]}
-                print(json.dumps(plan))
-                total.update(plans=1, outer_iters=plan["outer_iters"],
-                             primal_dual_iters=plan["primal_dual_iters"],
-                             power_evals=plan["power_evals"],
-                             warm_starts=plan["warm_starts"],
-                             unconverged=int(not result.converged))
-                total.update(plan["statuses"])
+        for value, tag, result in sweep_plans(spec):
+            key = f"{args.workload}/s{args.seed}/{i}/{spec.param}={value:g}/{tag}"
+            statuses = [r.status for r in result.iterations[1:]]
+            facts = plan_summary(result)
+            print(json.dumps({"key": key, "plan_sha256": plan_sha256(result),
+                              "statuses": statuses, **facts}))
+            total.update(plans=1, **{k: facts[k] for k in COUNTS},
+                         unconverged=int(not facts["converged"]))
+            total.update(statuses)
     print(json.dumps({"total": dict(total)}))
     return 0
 

@@ -22,8 +22,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from secuav.harness import derive_scenario, load_scenario
+from secuav.harness import HarnessError, derive_scenario, load_scenario, plan_summary
 from secuav.planner import optimize
+from secuav.scenario import require_valid
 
 
 def main() -> int:
@@ -37,26 +38,29 @@ def main() -> int:
                         help="cap on the outer iterations (default: 8)")
     args = parser.parse_args()
 
-    base = load_scenario(args.scenario)
-    if args.slot_len is not None:
-        base = dataclasses.replace(base, slot_len=args.slot_len)
-    scen = dataclasses.replace(derive_scenario(base, "T", args.duration),
-                               max_iters=args.steps)
+    try:
+        base = load_scenario(args.scenario)
+        if args.slot_len is not None:
+            base = dataclasses.replace(base, slot_len=args.slot_len)
+        scen = dataclasses.replace(derive_scenario(base, "T", args.duration), max_iters=args.steps)
+        require_valid(scen)
+    except (HarnessError, ValueError) as e:  # ValueError: InvalidScenario, slot_count
+        parser.error(str(e))
     print(f"N = {scen.n_slots} slots, K = {scen.n_eves} eavesdroppers")
 
     def per_iter(ms, iters):
         return f"{ms / iters:6.3f}" if iters else "     -"
 
-    records = optimize(scen).iterations
-    for prev, rec in zip(records, records[1:]):
+    result = optimize(scen)
+    for prev, rec in zip(result.iterations, result.iterations[1:]):
         res, ms = rec.solve, 1e3 * (rec.wall_s - prev.wall_s)
         print(f"step {rec.iteration}: {res.x.size:4d}/{scen.n_slots} slots kept "
               f"{res.status:9s} {res.newton_iters:4d} primal-dual iters "
               f"{ms:7.1f} ms ({per_iter(ms, res.newton_iters)} ms/iter)  "
               f"gap {res.duality_gap:.2e} kkt {res.kkt_residual:.2e} "
               f"margin {res.min_margin:.2e} objective {res.objective:+.6f}")
-    pd_iters = sum(rec.solve.newton_iters for rec in records[1:])
-    step_ms = 1e3 * (records[-1].wall_s - records[0].wall_s)
+    pd_iters = plan_summary(result)["newton_steps"]
+    step_ms = 1e3 * (result.iterations[-1].wall_s - result.iterations[0].wall_s)
     print(f"total: {pd_iters} primal-dual iters {step_ms:.1f} ms "
           f"({per_iter(step_ms, pd_iters)} ms/iter)")
     return 0

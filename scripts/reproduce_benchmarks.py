@@ -14,7 +14,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from secuav.harness import (SweepSpec, _run_algorithm, derive_scenario, export_plan,
-                            load_scenario, run_sweep)
+                            load_scenario, plan_summary, run_sweep)
 from secuav.planner import BEST_EFFORT, NON_ROBUST, ROBUST
 
 ALGORITHMS = (ROBUST, NON_ROBUST, BEST_EFFORT)  # also the trajectories/ directory names
@@ -37,7 +37,7 @@ def main() -> int:
         export_plan(result, out / "trajectories" / name,
                     wall_s=time.perf_counter() - t0)
         print(f"  {name:12s} rate {result.secrecy_rate:.4f} bps/Hz "
-              f"({max(len(result.iterations) - 1, 0)} iterations, "
+              f"({plan_summary(result)['iterations']} iterations, "
               f"{time.perf_counter() - t0:.1f} s)")
 
     print("== secrecy rate vs flight duration ==")

@@ -4,8 +4,8 @@
     python3 scripts/solver_bench.py --workload fig2_sweep --seed 0 --reps 20
 
 The script imports ``planbench/workloads.py`` (it changes nothing there) and
-plans every (value, algorithm) point of the workload's sweeps once, in the
-order ``plan_digest.py`` does, keeping each program that ``trajectory_sca``
+plans every point of the workload's sweeps once through
+``harness.sweep_plans``, keeping each program that ``trajectory_sca``
 hands to ``convex_backend.solve`` with the previous step's hand-off that came
 with it (None for a plan's first step).  It then solves every kept program
 ``--reps`` times from its hand-off, as the plan did, each solve timed alone in
@@ -38,7 +38,7 @@ sys.path.insert(0, str(ROOT / "planbench"))
 
 import workloads
 from secuav import convex_backend
-from secuav.harness import _run_algorithm, derive_scenario
+from secuav.harness import sweep_plans
 
 
 def capture_programs(workload: str, seed: int) -> list:
@@ -53,10 +53,8 @@ def capture_programs(workload: str, seed: int) -> list:
     convex_backend.solve = keep
     try:
         for spec in workloads.generate(workload, seed):
-            for value in sorted(spec.values):
-                scenario = derive_scenario(spec.base, spec.param, value)
-                for tag in sorted(spec.algorithms):
-                    _run_algorithm(tag, scenario)
+            for _ in sweep_plans(spec):
+                pass
     finally:
         convex_backend.solve = solve
     return programs
@@ -69,8 +67,8 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=10,
                         help="solves per program; the fastest counts (default: 10)")
     args = parser.parse_args()
-    if args.reps < 1:
-        parser.error("--reps must be at least 1")
+    if args.seed < 0 or args.reps < 1:
+        parser.error("--seed must be >= 0 and --reps at least 1")
 
     programs = capture_programs(args.workload, args.seed)
     solve = convex_backend.solve

@@ -185,17 +185,20 @@ def _run_algorithm(tag: str, scenario: Scenario) -> PlanResult:
     return run_best_effort(scenario)
 
 
-def run_sweep(spec: SweepSpec, out_dir) -> Path:
-    """Run every (value, algorithm) point in turn and write sweep.csv."""
-    out_dir = _make_out_dir(out_dir)
-    rows = []
+def sweep_plans(spec: SweepSpec):
+    """Yield (value, tag, PlanResult) per point in turn: sorted values by sorted tags."""
     for value in sorted(spec.values):
         scenario = derive_scenario(spec.base, spec.param, value)
         for tag in sorted(spec.algorithms):
-            result = _run_algorithm(tag, scenario)
-            iters = max(len(result.iterations) - 1, 0)
-            rows.append(f"{spec.param},{_fmt(value)},{tag},"
-                        f"{_fmt(result.secrecy_rate)},{iters},0\n")
+            yield value, tag, _run_algorithm(tag, scenario)
+
+
+def run_sweep(spec: SweepSpec, out_dir) -> Path:
+    """Run every point of ``sweep_plans`` and write sweep.csv."""
+    out_dir = _make_out_dir(out_dir)
+    rows = [f"{spec.param},{_fmt(value)},{tag},{_fmt(result.secrecy_rate)},"
+            f"{plan_summary(result)['iterations']},0\n"
+            for value, tag, result in sweep_plans(spec)]
     body = "param,value,algorithm,secrecy_rate_bps_hz,iters,wall_ms\n" + "".join(rows)
     target = out_dir / "sweep.csv"
     _atomic_write(target, body)
@@ -232,6 +235,19 @@ def _atomic_write(path: Path, text: str):
                            file=str(path)) from e
 
 
+def plan_summary(result: PlanResult) -> dict:
+    """A plan's deterministic facts: summary.json without its wall_s."""
+    solves = [r.solve for r in result.iterations if r.solve]
+    max_kkt = max((s.kkt_residual for s in solves), default=0.0)
+    return {"algorithm": result.algorithm, "secrecy_rate_bps_hz": result.secrecy_rate,
+            "converged": result.converged, "iterations": max(len(result.iterations) - 1, 0),
+            "newton_steps": sum(s.newton_iters for s in solves),
+            "power_iters": sum(r.dual.iterations for r in result.iterations if r.dual),
+            "warm_starts": sum(s.warm_start for s in solves),
+            # null when a solve had no interior start (an infinite residual)
+            "max_kkt_residual": max_kkt if math.isfinite(max_kkt) else None}
+
+
 def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> list[Path]:
     out_dir = _make_out_dir(out_dir)
     traj = result.trajectory
@@ -249,21 +265,8 @@ def export_plan(result: PlanResult, out_dir, wall_s: float | None = None) -> lis
               for r in result.iterations]
     _atomic_write(out_dir / "iterations.csv", "\n".join(lines) + "\n")
 
-    max_kkt = max((r.solve.kkt_residual for r in result.iterations if r.solve), default=0.0)
-    summary = {
-        "algorithm": result.algorithm,
-        "secrecy_rate_bps_hz": result.secrecy_rate,
-        "converged": result.converged,
-        "iterations": max(len(result.iterations) - 1, 0),
-        "newton_steps": sum(r.solve.newton_iters for r in result.iterations if r.solve),
-        "power_iters": sum(r.dual.iterations for r in result.iterations if r.dual),
-        "warm_starts": sum(r.solve.warm_start for r in result.iterations if r.solve),
-        # null when a solve had no interior start (an infinite residual)
-        "max_kkt_residual": max_kkt if math.isfinite(max_kkt) else None,
-        "wall_s": wall_s,
-    }
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2,
-                                                       sort_keys=True) + "\n")
+    summary = json.dumps({**plan_summary(result), "wall_s": wall_s}, indent=2, sort_keys=True)
+    _atomic_write(out_dir / "summary.json", summary + "\n")
     return [out_dir / n for n in
             ("trajectory.csv", "power.csv", "iterations.csv", "summary.json")]
 
@@ -356,22 +359,27 @@ def _grid_power_oracle(alpha: float, beta: float, lam: float, peak: float,
     return 0.5 * (lo + hi)
 
 
-def _check_power_alloc(n_instances: int, n_grid: int, seed: int):
+def _power_grid_draws(n_instances: int, seed: int):
+    """The power-grid suite's instances: (alpha, beta, p_bar, peak) of 1-16 slots."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
     for _ in range(n_instances):
         n = int(rng.integers(1, 17))
         alpha = 10.0 ** rng.uniform(2, 6, n)
         beta = 10.0 ** rng.uniform(2, 6, n)
         p_bar = 10.0 ** rng.uniform(-5, -2)
-        peak = p_bar * rng.uniform(1.5, 6.0)
+        yield alpha, beta, p_bar, p_bar * rng.uniform(1.5, 6.0)
+
+
+def _check_power_alloc(n_instances: int, n_grid: int, seed: int):
+    worst = 0.0
+    for alpha, beta, p_bar, peak in _power_grid_draws(n_instances, seed):
         dual = power_alloc.solve_power_subproblem(alpha, beta, p_bar, peak)
         p = dual.schedule.p
         if p.mean() > p_bar * (1 + 1e-9):
             return False, "average power budget violated"
         if dual.lam > 1e-12 and abs(p.mean() - p_bar) > 1e-9 * p_bar:
             return False, "complementary slackness violated"
-        for i in range(n):
+        for i in range(p.size):
             ref = _grid_power_oracle(alpha[i], beta[i], dual.lam, peak, n_grid)
             worst = max(worst, abs(p[i] - ref) / peak)
     return worst <= 1e-6, f"worst per-slot gap {worst:.2e} of peak over {n_instances} instances"
@@ -425,7 +433,7 @@ def _cmd_optimize(args) -> int:
     result = _run_algorithm(tag, scenario)
     export_plan(result, args.out, wall_s=time.perf_counter() - t0)
     print(f"{tag}: secrecy rate {result.secrecy_rate:.6f} bps/Hz "
-          f"({max(len(result.iterations) - 1, 0)} iterations) -> {args.out}")
+          f"({plan_summary(result)['iterations']} iterations) -> {args.out}")
     return 0
 
 

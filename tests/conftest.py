@@ -8,7 +8,7 @@ import pytest
 from hypothesis import settings as hyp_settings
 
 from secuav import harness
-from secuav.scenario import EveRegion, Scenario, Trajectory
+from secuav.scenario import Scenario, Trajectory
 
 hyp_settings.register_profile("det", derandomize=True)
 hyp_settings.load_profile("det")
@@ -43,23 +43,9 @@ def make_scenario(**overrides) -> Scenario:
     return dataclasses.replace(harness._tiny_scenario(), **overrides)
 
 
-def benchmark_fields(flight_duration=160.0) -> dict:
-    n = int(round(flight_duration / 0.5))
-    return dict(
-        altitude=100.0,
-        flight_duration=flight_duration,
-        slot_len=0.5,
-        n_slots=n,
-        v_max=10.0,
-        start_xy=(-400.0, -200.0),
-        end_xy=(400.0, -200.0),
-        avg_power=P_BAR_NEG5_DBM,
-        peak_power=4.0 * P_BAR_NEG5_DBM,
-        gamma0=1e8,
-        eves=(EveRegion(-200.0, 0.0, 20.0), EveRegion(200.0, 0.0, 80.0)),
-        epsilon=1e-4,
-        max_iters=200,
-    )
+def paper_fig2(flight_duration: float = 160.0) -> Scenario:
+    """The shipped benchmark scenario at a flight duration, as ``secuav sweep`` derives it."""
+    return harness.derive_scenario(harness.load_scenario(BENCHMARK_SCENARIO), "T", flight_duration)
 
 
 @pytest.fixture()
@@ -76,14 +62,6 @@ def full_verify() -> dict:
         t0 = time.perf_counter()
         results[name] = (*check(*full), time.perf_counter() - t0)
     return results
-
-
-def straight_line_trajectory(scenario: Scenario) -> Trajectory:
-    n = scenario.n_slots
-    f = np.linspace(0.0, 1.0, n + 2)
-    xs = scenario.start_xy[0] + f * (scenario.end_xy[0] - scenario.start_xy[0])
-    ys = scenario.start_xy[1] + f * (scenario.end_xy[1] - scenario.start_xy[1])
-    return Trajectory(xs=xs, ys=ys)
 
 
 def hover_trajectory(scenario: Scenario, xy=(0.0, 0.0)) -> Trajectory:

@@ -5,6 +5,7 @@ cache, so the suite performs each (scenario, algorithm) run exactly once;
 c01 and c03 read the session's one run of ``secuav verify``'s full-level
 theta-oracle and power-grid suites.
 """
+import dataclasses
 import math
 import time
 
@@ -12,14 +13,14 @@ import numpy as np
 import pytest
 
 from secuav.geometry import secrecy_sum, worst_case_dist_sq_oracle
-from secuav.harness import _run_algorithm, dbm_to_watts, main
+from secuav.harness import _run_algorithm, derive_scenario, main
 from secuav.planner import (best_effort_trajectory, equal_power, optimize,
                             optimize_non_robust)
 from secuav.scenario import EveRegion, Scenario
 from secuav.trajectory_sca import solve_step
 
 from arrowhead import psd_check_many, soc_feasible_many
-from conftest import make_scenario, benchmark_fields, write_tiny
+from conftest import make_scenario, paper_fig2, write_tiny
 
 
 def _report(num: int, ok: bool, text: str):
@@ -27,21 +28,16 @@ def _report(num: int, ok: bool, text: str):
     assert ok, f"criterion {num}: {text}"
 
 
-class RunCache:
-    def __init__(self):
-        self._plans = {}
+class RunCache(dict):
+    """Plans of paper_fig2 at (T, dbm) as ``secuav sweep`` derives it, each run once."""
 
     def scenario(self, T: float, dbm: float = -5.0) -> Scenario:
-        fields = benchmark_fields(flight_duration=T)
-        watts = dbm_to_watts(dbm)
-        fields.update(avg_power=watts, peak_power=4.0 * watts)
-        return make_scenario(**fields)
+        return derive_scenario(paper_fig2(T), "avg-power-dbm", dbm)
 
     def plan(self, T: float, dbm: float, algorithm: str):
-        key = (T, dbm, algorithm)
-        if key not in self._plans:
-            self._plans[key] = _run_algorithm(algorithm, self.scenario(T, dbm))
-        return self._plans[key]
+        if (T, dbm, algorithm) not in self:
+            self[T, dbm, algorithm] = _run_algorithm(algorithm, self.scenario(T, dbm))
+        return self[T, dbm, algorithm]
 
 
 @pytest.fixture(scope="module")
@@ -176,9 +172,8 @@ def test_c08_power_sweep_saturation(runs):
 
 
 def test_c09_zero_radius_degeneracy():
-    fields = benchmark_fields(flight_duration=80.0)
-    fields.update(eves=(EveRegion(-200.0, 0.0, 0.0), EveRegion(200.0, 0.0, 0.0)))
-    scen = make_scenario(**fields)
+    scen = dataclasses.replace(paper_fig2(80.0), eves=(EveRegion(-200.0, 0.0, 0.0),
+                                                      EveRegion(200.0, 0.0, 0.0)))
     a = optimize(scen)
     b = optimize_non_robust(scen)
     same_iters = len(a.iterations) == len(b.iterations)

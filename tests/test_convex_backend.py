@@ -16,13 +16,13 @@ from secuav import convex_backend
 from secuav.convex_backend import (_interior_start, _warm_start, _Workspace, dual_root,
                                    first_root, solve)
 from secuav.geometry import LN2
-from secuav.harness import derive_scenario, load_scenario
+from secuav.harness import derive_scenario
 from secuav.planner import best_effort_trajectory, equal_power, optimize
 from secuav.power_alloc import optimize_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, solve_step
 
-from conftest import BENCHMARK_SCENARIO, REPO_ROOT, make_scenario
+from conftest import REPO_ROOT, make_scenario, paper_fig2
 
 
 def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
@@ -659,8 +659,7 @@ class TestNewtonKernel:
 def fine_slot_program():
     """paper_fig2 at 0.1 s slots (N = 1600): the first convex step from the
     best-effort track at equal power."""
-    base = load_scenario(BENCHMARK_SCENARIO)
-    scen = derive_scenario(dataclasses.replace(base, slot_len=0.1), "T", 160.0)
+    scen = derive_scenario(dataclasses.replace(paper_fig2(), slot_len=0.1), "T", 160.0)
     assert scen.n_slots == 1600
     return assemble(best_effort_trajectory(scen), equal_power(scen), scen)
 
@@ -844,7 +843,7 @@ def test_paper_fig2_first_steps_meet_kkt_tol():
     """The first four convex steps of paper_fig2 at T = 80 s all end
     optimal with a stationarity residual within KKT_TOL, not only a small
     gap."""
-    scen = derive_scenario(load_scenario(BENCHMARK_SCENARIO), "T", 80.0)
+    scen = paper_fig2(80.0)
     traj, powers = best_effort_trajectory(scen), equal_power(scen)
     for step in range(4):
         sol = solve_step(traj, powers, scen)
@@ -873,7 +872,7 @@ def plan_solves(monkeypatch, T):
 
     with monkeypatch.context() as m:
         m.setattr(convex_backend, "solve", keep)
-        optimize(derive_scenario(load_scenario(BENCHMARK_SCENARIO), "T", T))
+        optimize(paper_fig2(T))
     return pairs
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from secuav.geometry import (avg_worst_case_secrecy_rate, disk_samples, log2_1p,
                              worst_case_geometry)
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 
-from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
+from conftest import P_BAR_NEG5_DBM, hover_trajectory, make_scenario, paper_fig2
 
 EVE1 = EveRegion(-200.0, 0.0, 20.0)
 EVE2 = EveRegion(200.0, 0.0, 80.0)
@@ -117,15 +118,13 @@ class TestRates:
 
 class TestSecrecyMetrics:
     def test_zero_power_zero_rate(self):
-        scen = make_scenario(**benchmark_fields(flight_duration=80.0))
+        scen = paper_fig2(80.0)
         traj = hover_trajectory(scen)  # pins unreachable but metric ignores that
         powers = PowerSchedule(np.zeros(scen.n_slots))
         assert avg_worst_case_secrecy_rate(traj, powers, scen) == 0.0
 
     def test_single_slot_hover_value(self):
-        fields = benchmark_fields(flight_duration=0.5)
-        fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(0.5), start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         traj = hover_trajectory(scen)
         powers = PowerSchedule(np.array([P_BAR_NEG5_DBM]))
         want = (math.log2(1 + 1e8 * P_BAR_NEG5_DBM / 1e4)
@@ -136,9 +135,7 @@ class TestSecrecyMetrics:
 
     def test_negative_slots_clamp_to_zero(self):
         # hover directly above an eavesdropper estimate: leak beats the link
-        fields = benchmark_fields(flight_duration=0.5)
-        fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(0.5), start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         traj = hover_trajectory(scen, xy=(-200.0, 0.0))
         powers = PowerSchedule(np.array([P_BAR_NEG5_DBM]))
         assert secrecy_sum(traj, powers, scen) < 0.0
@@ -148,9 +145,8 @@ class TestSecrecyMetrics:
     @settings(max_examples=6, deadline=None)
     def test_eve_relabeling_invariance(self, perm):
         eves = (EVE1, EVE2, EveRegion(0.0, 300.0, 50.0))
-        fields = benchmark_fields(flight_duration=2.0)
-        scen_a = make_scenario(**{**fields, "eves": eves})
-        scen_b = make_scenario(**{**fields, "eves": tuple(eves[i] for i in perm)})
+        scen_a = dataclasses.replace(paper_fig2(2.0), eves=eves)
+        scen_b = dataclasses.replace(scen_a, eves=tuple(eves[i] for i in perm))
         traj = hover_trajectory(scen_a, xy=(-350.0, -180.0))
         powers = PowerSchedule(np.full(scen_a.n_slots, P_BAR_NEG5_DBM))
         assert avg_worst_case_secrecy_rate(traj, powers, scen_a) == pytest.approx(
@@ -159,9 +155,8 @@ class TestSecrecyMetrics:
     @given(extra=st.floats(0.0, 80.0), base=st.floats(0.0, 60.0))
     @settings(max_examples=40, deadline=None)
     def test_growing_disk_never_helps(self, base, extra):
-        fields = benchmark_fields(flight_duration=2.0)
-        scen_small = make_scenario(**{**fields, "eves": (EveRegion(-200.0, 0.0, base),)})
-        scen_big = make_scenario(**{**fields, "eves": (EveRegion(-200.0, 0.0, base + extra),)})
+        scen_small = dataclasses.replace(paper_fig2(2.0), eves=(EveRegion(-200.0, 0.0, base),))
+        scen_big = dataclasses.replace(scen_small, eves=(EveRegion(-200.0, 0.0, base + extra),))
         traj = hover_trajectory(scen_small, xy=(-380.0, -190.0))
         powers = PowerSchedule(np.full(scen_small.n_slots, P_BAR_NEG5_DBM))
         assert (avg_worst_case_secrecy_rate(traj, powers, scen_big)
@@ -173,18 +168,14 @@ class TestRateCoefficients:
     subproblem reads off ``worst_case_geometry``."""
 
     def test_hover_at_origin(self):
-        fields = benchmark_fields(flight_duration=1.0)
-        fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(1.0), start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         geo = worst_case_geometry(hover_trajectory(scen), scen)
         assert scen.gamma0 / geo.d2 == pytest.approx([1e4, 1e4])
         assert scen.gamma0 / geo.theta == pytest.approx([1e8 / 24400.0] * 2)
         assert geo.theta == pytest.approx([24400.0, 24400.0])
 
     def test_above_eve_center_beta_dominates(self):
-        fields = benchmark_fields(flight_duration=1.0)
-        fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(1.0), start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         geo = worst_case_geometry(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
         alpha, beta = scen.gamma0 / geo.d2, scen.gamma0 / geo.theta
         assert beta == pytest.approx([1e4, 1e4])

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from secuav import geometry, harness, power_alloc, trajectory_sca
+from secuav import convex_backend, geometry, harness, power_alloc, trajectory_sca
 from secuav.harness import (_VERIFY_SUITES, HarnessError, SweepSpec,
                             _check_huber_margin, _huber_margin_draw, dbm_to_watts,
                             derive_scenario, export_plan, load_scenario, main,
-                            run_sweep, verify_suites)
+                            plan_summary, run_sweep, verify_suites)
 from secuav.planner import run_best_effort, optimize
 from secuav.scenario import (PowerSchedule, Scenario, Trajectory, power_violations,
                              trajectory_violations, validate)
@@ -21,9 +21,9 @@ class TestLoadScenario:
     def test_shipped_benchmark_file(self):
         scen = load_scenario(BENCHMARK_SCENARIO)
         assert scen.n_slots == 320
-        assert scen.gamma0 == pytest.approx(1e8)
-        assert scen.avg_power == pytest.approx(10.0**-3.5)
-        assert scen.peak_power == pytest.approx(4.0 * 10.0**-3.5)
+        # exactly the floats of -5 dBm, a 4x peak and 80 dB
+        assert (scen.avg_power, scen.peak_power) == (10.0**-3.5, 4.0 * 10.0**-3.5)
+        assert scen.gamma0 == 1e8
         assert len(scen.eves) == 2
         assert scen.eves[0].radius == 20.0 and scen.eves[1].radius == 80.0
 
@@ -82,6 +82,16 @@ class TestExport:
         assert power_lines[0] == "slot,p_watt"
         assert len(power_lines) == 1 + 3
 
+    def test_no_interior_start_is_a_null_kkt_residual(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(convex_backend, "_interior_start", lambda ws: None)
+        res = optimize(make_scenario())
+        assert [(r.status, r.solve.newton_iters) for r in res.iterations[1:]] == [
+            ("numerical_trouble", 0)]
+        assert plan_summary(res)["max_kkt_residual"] is None
+        export_plan(res, tmp_path)
+        summary = (tmp_path / "summary.json").read_text()
+        assert '"max_kkt_residual": null' in summary and "Infinity" not in summary
+
     def test_export_byte_identical(self, tmp_path):
         scen = make_scenario()
         res = optimize(scen)
@@ -127,12 +137,13 @@ class TestSweep:
     def test_sweep_csv_schema_and_order(self, tmp_path):
         scen = make_scenario()
         spec = SweepSpec(base=scen, param="T", values=(6.0, 4.0),
-                         algorithms=("best_effort",))
+                         algorithms=("robust", "best_effort"))
         target = run_sweep(spec, tmp_path)
         lines = target.read_text().strip().splitlines()
         assert lines[0] == "param,value,algorithm,secrecy_rate_bps_hz,iters,wall_ms"
-        values = [float(l.split(",")[1]) for l in lines[1:]]
-        assert values == sorted(values)
+        # sweep_plans' order: sorted values by sorted tags
+        assert [(float(l.split(",")[1]), l.split(",")[2]) for l in lines[1:]] == [
+            (4.0, "best_effort"), (4.0, "robust"), (6.0, "best_effort"), (6.0, "robust")]
         assert all(l.split(",")[0] == "T" for l in lines[1:])
         assert not (tmp_path / ".sweep_parts").exists()
 

@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import math
 
 import hypothesis.strategies as st
@@ -10,7 +9,7 @@ from hypothesis import given, settings
 from secuav import convex_backend, planner, trajectory_sca
 from secuav.convex_backend import OPTIMAL, TROUBLE
 from secuav.geometry import avg_worst_case_secrecy_rate, per_slot_secrecy_terms
-from secuav.harness import derive_scenario, export_plan, load_scenario
+from secuav.harness import plan_summary
 from secuav.planner import (IterationRecord, best_effort_trajectory, equal_power,
                             optimize, optimize_non_robust, run_best_effort)
 from secuav.power_alloc import POWER_RESIDUAL_REL, PowerDual, optimize_power
@@ -18,7 +17,7 @@ from secuav.scenario import (EveRegion, InvalidScenario, PowerSchedule, Scenario
                              Trajectory, trajectory_violations, power_violations,
                              validate)
 
-from conftest import BENCHMARK_SCENARIO, make_scenario, benchmark_fields
+from conftest import make_scenario, paper_fig2
 
 
 def numpy_loop_best_effort(scenario):
@@ -65,18 +64,17 @@ def assert_matches_numpy_loop(scen):
 class TestBestEffortTrajectory:
     @pytest.mark.parametrize("flight_duration", [80.0 + 10.0 * i for i in range(10)])
     def test_bit_identical_to_numpy_loop_on_paper_fig2(self, flight_duration):
-        scen = derive_scenario(load_scenario(BENCHMARK_SCENARIO), "T", flight_duration)
+        scen = paper_fig2(flight_duration)
         got, want = best_effort_trajectory(scen), numpy_loop_best_effort(scen)
         assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
 
     def test_bit_identical_to_numpy_loop_on_fine_slots(self):
-        scen = dataclasses.replace(load_scenario(BENCHMARK_SCENARIO),
-                                   slot_len=0.1, n_slots=1600)
+        scen = dataclasses.replace(paper_fig2(), slot_len=0.1, n_slots=1600)
         got, want = best_effort_trajectory(scen), numpy_loop_best_effort(scen)
         assert np.array_equal(got.xs, want.xs) and np.array_equal(got.ys, want.ys)
 
     def test_long_flight_hovers_above_receiver(self):
-        scen = make_scenario(**benchmark_fields(160.0))
+        scen = paper_fig2(160.0)
         traj = best_effort_trajectory(scen)
         assert_matches_numpy_loop(scen)
         assert trajectory_violations(traj, scen) == []
@@ -88,7 +86,7 @@ class TestBestEffortTrajectory:
         assert idx[-1] - idx[0] + 1 == idx.size
 
     def test_short_flight_turns_midway(self):
-        scen = make_scenario(**benchmark_fields(80.0))
+        scen = paper_fig2(80.0)
         traj = best_effort_trajectory(scen)
         assert_matches_numpy_loop(scen)
         assert trajectory_violations(traj, scen) == []
@@ -107,7 +105,7 @@ class TestBestEffortTrajectory:
         assert np.all(traj.xs == 0.0) and np.all(traj.ys == 0.0)
 
     def test_departure_is_as_late_as_possible(self):
-        scen = make_scenario(**benchmark_fields(160.0))
+        scen = paper_fig2(160.0)
         traj = best_effort_trajectory(scen)
         at_bob = np.nonzero(np.hypot(traj.xs, traj.ys) < 1e-9)[0]
         last = at_bob[-1]
@@ -216,7 +214,7 @@ class TestOptimize:
         assert len(records) > 2
         assert starts == [1.0] + [r.dual.lam for r in records[:-1]]
 
-    def test_trouble_step_keeps_its_solve(self, tiny_scenario, monkeypatch, tmp_path):
+    def test_trouble_step_keeps_its_solve(self, tiny_scenario, monkeypatch):
         solves = self.capture(monkeypatch, convex_backend, "solve")
         calls = []
 
@@ -234,8 +232,7 @@ class TestOptimize:
         assert trouble.solve is solves[1] and solves[1].status == "optimal"
         assert trouble.dual is None and first.dual is not None
         assert (trouble.trajectory, trouble.powers) == (first.trajectory, first.powers)
-        export_plan(res, tmp_path)
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = plan_summary(res)
         assert (summary["iterations"], summary["converged"]) == (2, False)
         assert summary["newton_steps"] == solves[0].newton_iters + solves[1].newton_iters
         assert summary["power_iters"] == start.dual.iterations + first.dual.iterations
@@ -356,7 +353,7 @@ class TestInvalidScenario:
     @pytest.mark.parametrize("entry", [optimize, optimize_non_robust, run_best_effort])
     def test_stale_slot_count_raises_named_error(self, entry):
         # replace() keeps the stored n_slots = 320 of T = 160 s at 0.5 s slots
-        scen = dataclasses.replace(load_scenario(BENCHMARK_SCENARIO), slot_len=0.1)
+        scen = dataclasses.replace(paper_fig2(), slot_len=0.1)
         with pytest.raises(InvalidScenario, match="n_slots=320 inconsistent") as err:
             entry(scen)
         assert isinstance(err.value, ValueError)

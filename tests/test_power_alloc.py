@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,10 @@ import hypothesis.strategies as st
 
 from secuav import power_alloc
 from secuav.geometry import LN2, worst_case_geometry
-from secuav.harness import _grid_power_oracle
+from secuav.harness import _grid_power_oracle, _power_grid_draws
 from secuav.power_alloc import (POWER_RESIDUAL_REL, optimize_power, power_for_dual,
                                 solve_power_subproblem)
-from conftest import hover_trajectory, make_scenario, benchmark_fields, P_BAR_NEG5_DBM
+from conftest import P_BAR_NEG5_DBM, hover_trajectory, paper_fig2
 
 ALPHA_HOVER = 1e4
 BETA_HOVER = 1e8 / 24400.0
@@ -88,7 +89,7 @@ class TestSolvePowerSubproblem:
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_kkt_and_grid_agreement_random(self, seed):
-        (alpha, beta, p_bar, peak), = c03_draws(seed, count=1)
+        (alpha, beta, p_bar, peak), = _power_grid_draws(1, seed)
         dual = solve_power_subproblem(alpha, beta, p_bar, peak)
         p = dual.schedule.p
         assert np.all(p >= 0.0) and np.all(p <= peak * (1 + 1e-12))
@@ -127,17 +128,6 @@ class TestSolvePowerSubproblem:
         assert np.array_equal(a.schedule.p, b.schedule.p) and a.lam == b.lam
 
 
-def c03_draws(seed, count=100):
-    """(alpha, beta, p_bar, peak) drawn as the power-grid verify suite (c03) draws them."""
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(1, 17))
-        alpha = 10.0 ** rng.uniform(2, 6, n)
-        beta = 10.0 ** rng.uniform(2, 6, n)
-        p_bar = 10.0 ** rng.uniform(-5, -2)
-        yield alpha, beta, p_bar, p_bar * rng.uniform(1.5, 6.0)
-
-
 def assert_pinned(dual, p_bar):
     """The schedule is the power law at the returned dual, and its mean meets
     the budget within POWER_RESIDUAL_REL."""
@@ -150,7 +140,7 @@ class TestNewtonDual:
     @pytest.mark.parametrize("seed", [11, 12, 13])
     def test_evaluation_count_on_c03_draws(self, seed):
         counts = []
-        for alpha, beta, p_bar, peak in c03_draws(seed):
+        for alpha, beta, p_bar, peak in _power_grid_draws(100, seed):
             dual = solve_power_subproblem(alpha, beta, p_bar, peak)
             if dual.lam > 0.0:
                 assert_pinned(dual, p_bar)
@@ -208,7 +198,7 @@ class TestNewtonDual:
         # dual gives it, pins the same budget in fewer evaluations
         rng = np.random.default_rng(seed)
         cold_total = warm_total = 0
-        for alpha, beta, p_bar, peak in c03_draws(seed):
+        for alpha, beta, p_bar, peak in _power_grid_draws(100, seed):
             cold = solve_power_subproblem(alpha, beta, p_bar, peak)
             if cold.lam == 0.0:
                 continue
@@ -221,7 +211,7 @@ class TestNewtonDual:
         assert warm_total < 0.7 * cold_total
 
     def test_start_at_zero_or_below_is_the_cold_start(self):
-        for alpha, beta, p_bar, peak in c03_draws(13, count=20):
+        for alpha, beta, p_bar, peak in _power_grid_draws(20, 13):
             cold = solve_power_subproblem(alpha, beta, p_bar, peak)
             for lam0 in (0.0, -1.0):
                 again = solve_power_subproblem(alpha, beta, p_bar, peak, lam0)
@@ -240,9 +230,7 @@ class TestNewtonDual:
 
 class TestOptimizePower:
     def test_hover_trajectory_roundtrip(self):
-        fields = benchmark_fields(flight_duration=1.0)
-        fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(1.0), start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         traj = hover_trajectory(scen)
         dual = optimize_power(traj, scen)
         geo = worst_case_geometry(traj, scen)

@@ -9,7 +9,7 @@ from secuav.planner import optimize
 from secuav.scenario import (MAX_SLOTS, EveRegion, PowerSchedule, Trajectory, slot_count,
                              power_violations, trajectory_violations, validate)
 
-from conftest import make_scenario, benchmark_fields
+from conftest import make_scenario, paper_fig2
 
 
 class TestSlotCount:
@@ -42,8 +42,7 @@ class TestSlotCount:
 
 class TestValidate:
     def test_benchmark_instance_ok(self):
-        scen = dataclasses.replace(make_scenario(**benchmark_fields()))
-        assert validate(scen) == []
+        assert validate(paper_fig2()) == []
 
     def test_avg_equal_peak_rejected(self):
         scen = make_scenario(avg_power=1e-3, peak_power=1e-3)
@@ -52,16 +51,16 @@ class TestValidate:
 
     def test_unreachable_endpoints(self):
         # 159 slots of 5 m from (-400,-200) to (400,-200): 795 m < 800 m
-        scen = make_scenario(**benchmark_fields(flight_duration=79.0))
+        scen = paper_fig2(79.0)
         msgs = validate(scen)
         assert any("endpoints unreachable" in m for m in msgs)
 
     def test_endpoints_a_full_budget_apart_rejected(self):
         # 159 slots of 5 m: the pins are 800 m apart, the whole budget, so the
         # only track is the straight line at full speed
-        msgs = validate(make_scenario(**benchmark_fields(flight_duration=79.5)))
+        msgs = validate(paper_fig2(79.5))
         assert any("forced" in m and "no interior" in m for m in msgs)
-        assert validate(make_scenario(**benchmark_fields(flight_duration=80.0))) == []
+        assert validate(paper_fig2(80.0)) == []
 
     def test_eve_disk_over_receiver_rejected(self):
         scen = make_scenario(eves=(EveRegion(1.0, 1.0, 5.0),))
@@ -136,13 +135,13 @@ class TestValidate:
     def test_slot_count_above_ceiling_named(self):
         """A huge flight duration gives a slot count no plan could finish;
         validate() names it.  Only validated here, never planned."""
-        assert validate(make_scenario(**benchmark_fields(MAX_SLOTS * 0.5))) == []
-        over = make_scenario(**benchmark_fields(MAX_SLOTS * 0.5 + 0.5))
+        assert validate(paper_fig2(MAX_SLOTS * 0.5)) == []
+        over = paper_fig2(MAX_SLOTS * 0.5 + 0.5)
         assert validate(over) == [
             f"n_slots={MAX_SLOTS + 1} is above the ceiling of {MAX_SLOTS} slots"]
         n = slot_count(1e300, 0.5)
         assert n.bit_length() == 998
-        huge = make_scenario(**dict(benchmark_fields(), flight_duration=1e300, n_slots=n))
+        huge = dataclasses.replace(paper_fig2(), flight_duration=1e300, n_slots=n)
         assert validate(huge) == [f"n_slots={n} is above the ceiling of {MAX_SLOTS} slots"]
         # a count past the float range is named too, not raised on
         assert len(validate(dataclasses.replace(huge, n_slots=10**400))) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,12 @@ import pytest
 from secuav import convex_backend, trajectory_sca
 from secuav.convex_backend import _Workspace
 from secuav.geometry import LN2, log2_1p, secrecy_sum, worst_case_dist_sq
-from secuav.harness import load_scenario
 from secuav.planner import best_effort_trajectory, equal_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory, trajectory_violations
 from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 
 from arrowhead import psd_check
-from conftest import (BENCHMARK_SCENARIO, hover_trajectory, make_scenario,
-                      benchmark_fields, P_BAR_NEG5_DBM)
+from conftest import hover_trajectory, make_scenario, paper_fig2
 
 
 def taylor_rate_surrogate(d2, d2_fea, p_scaled):
@@ -30,24 +29,19 @@ def taylor_rate_surrogate(d2, d2_fea, p_scaled):
 
 class TestInitializeSlacks:
     def test_hover_at_origin_benchmark_values(self):
-        fields = benchmark_fields(flight_duration=1.0)
-        fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(1.0), start_xy=(0.0, 0.0), end_xy=(0.0, 0.0))
         t = initialize_slacks(hover_trajectory(scen), scen)
         assert t == pytest.approx([24_400.0, 24_400.0])
 
     def test_above_eve_center_t_at_floor(self):
-        fields = benchmark_fields(flight_duration=1.0)
-        fields.update(start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(paper_fig2(1.0), start_xy=(-200.0, 0.0), end_xy=(-200.0, 0.0))
         t = initialize_slacks(hover_trajectory(scen, xy=(-200.0, 0.0)), scen)
         assert t == pytest.approx([1e4, 1e4])
 
     def test_zero_radius_needs_no_multiplier(self):
-        fields = benchmark_fields(flight_duration=1.0)
-        fields.update(start_xy=(0.0, 0.0), end_xy=(0.0, 0.0),
-                      eves=(EveRegion(-200.0, 0.0, 0.0), EveRegion(200.0, 0.0, 0.0)))
-        scen = make_scenario(**fields)
+        scen = dataclasses.replace(
+            paper_fig2(1.0), start_xy=(0.0, 0.0), end_xy=(0.0, 0.0),
+            eves=(EveRegion(-200.0, 0.0, 0.0), EveRegion(200.0, 0.0, 0.0)))
         t = initialize_slacks(hover_trajectory(scen), scen)
         assert t == pytest.approx([200.0**2 + 1e4] * 2)
 
@@ -115,7 +109,7 @@ class TestTaylorSurrogate:
 class TestAssemble:
     def test_benchmark_constraint_counts(self):
         # 321 mobility steps and 2 x 320 disk margins, over rows x, y, t
-        scen = make_scenario(**benchmark_fields(160.0))
+        scen = paper_fig2(160.0)
         traj = best_effort_trajectory(scen)
         prog = assemble(traj, equal_power(scen), scen)
         assert prog.eve_k.shape == (2, 2, 320) and prog.eve_k0.shape == (2, 320)
@@ -127,7 +121,7 @@ class TestAssemble:
     def test_zero_power_program_still_solvable(self):
         # every slot is kept and t has no objective: both Newton steps are 0,
         # sigma = 0 and the gap shrinks 100x per iteration, with t > 0
-        for scen in (make_scenario(), load_scenario(BENCHMARK_SCENARIO)):
+        for scen in (make_scenario(), paper_fig2()):
             traj = best_effort_trajectory(scen)
             powers = PowerSchedule(np.zeros(scen.n_slots))
             sol = solve_step(traj, powers, scen)
