@@ -569,24 +569,24 @@ def solve(program, warm: Handoff | None = None) -> SolverResult:
     start = None if warm is None else _warm_start(ws, warm)
     warm_start, handoff = start is not None, None
 
-    def result(z, tab, status, iters, gap, kkt):
+    def result(z, tab, status, iters, gap, kkt, objective):
         x, y, t = z
-        min_margin = float(np.minimum.reduce(tab.m))
-        objective = surrogate(program, x, y, t) if min_margin > 0.0 else -math.inf
         return SolverResult(x=x, y=y, t=t, objective=objective,
                             status=status, newton_iters=iters,
                             duality_gap=gap, kkt_residual=kkt,
-                            min_margin=min_margin, warm_start=warm_start,
-                            handoff=handoff)
+                            min_margin=float(np.minimum.reduce(tab.m)),
+                            warm_start=warm_start, handoff=handoff)
 
     def residual(z, tab, lam):  # |r|_inf
         return float(np.maximum.reduce(np.abs(ws.gradient(z)[0] - ws.jt(tab, lam)), axis=None))
 
     if not warm_start:
         start = _interior_start(ws)
-        if start is None:
+        if start is None:  # the objective only where z0 itself is interior
             z0 = ws.z0.copy()
-            return result(z0, ws.table(z0), TROUBLE, 0, math.inf, math.inf)
+            tab = ws.table(z0)
+            return result(z0, tab, TROUBLE, 0, math.inf, math.inf, surrogate(program, *z0)
+                          if np.minimum.reduce(tab.m) > 0.0 else -math.inf)
         start = (*start, (TAU0_GAP / ws.weight_sum) * ws.weight / start[1].m)
     z, tab, lam = start
     iters = 0
@@ -594,21 +594,23 @@ def solve(program, warm: Handoff | None = None) -> SolverResult:
         m = tab.m
         gap = float(lam @ m)
         # the stop test before the Newton matrix, and the residual only where
-        # the gap test passes, as it rarely does
-        scale = max(1.0, abs(surrogate(program, *z)))
+        # the gap test passes, as it rarely does; every iterate is interior,
+        # so its objective is the result's on each exit below
+        objective = surrogate(program, *z)
+        scale = max(1.0, abs(objective))
         if handoff is None and gap <= math.sqrt(OPT_TOL) * scale:
             handoff = Handoff(program.slots, z, lam, gap / ws.weight_sum)
         if gap <= OPT_TOL * scale:
             kkt = residual(z, tab, lam)
             if kkt <= KKT_TOL:
-                return result(z, tab, OPTIMAL, iters, gap, kkt)
+                return result(z, tab, OPTIMAL, iters, gap, kkt, objective)
         if iters >= MAX_NEWTON:
-            return result(z, tab, MAX_ITER, iters, gap, residual(z, tab, lam))
+            return result(z, tab, MAX_ITER, iters, gap, residual(z, tab, lam), objective)
         g0, ab, elim = ws.assemble(tab, z, lam)
         try:
             c = cholesky_banded(ab)
         except np.linalg.LinAlgError:
-            return result(z, tab, TROUBLE, iters, gap, residual(z, tab, lam))
+            return result(z, tab, TROUBLE, iters, gap, residual(z, tab, lam), objective)
         iters += 1
         mu = gap / ws.weight_sum
         # predictor: the affine-scaling step towards lam*m = 0
@@ -631,6 +633,6 @@ def solve(program, warm: Handoff | None = None) -> SolverResult:
                 break
             a_p *= 0.5
         else:
-            return result(z, tab, TROUBLE, iters, gap, residual(z, tab, lam))
+            return result(z, tab, TROUBLE, iters, gap, residual(z, tab, lam), objective)
         z, tab = z_new, tab_new
         lam = lam + min(1.0, 0.99 * dual_root(lam, dlam)) * dlam

@@ -154,6 +154,9 @@ def validate(scenario: Scenario) -> list[str]:
         "gamma0", "epsilon")}
     v = [f"{name} must be finite (got {value})"
          for name, value in {**lengths, **numbers}.items() if not math.isfinite(value)]
+    v += [f"{name} must be an integer (got {value!r})"
+          for name, value in (("n_slots", scenario.n_slots), ("max_iters", scenario.max_iters))
+          if isinstance(value, bool) or not isinstance(value, (int, np.integer))]
     if all(math.isfinite(value) for value in lengths.values()):
         # the planner squares squared distances (the rate tangent's d2^2, the
         # solver's step model), so bound the scene's squared scale: the span

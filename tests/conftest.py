@@ -10,6 +10,8 @@ from hypothesis import settings as hyp_settings
 from secuav import harness
 from secuav.scenario import Scenario, Trajectory
 
+from arrowhead import psd_check_many, soc_feasible_many
+
 hyp_settings.register_profile("det", derandomize=True)
 hyp_settings.load_profile("det")
 
@@ -62,6 +64,37 @@ def full_verify() -> dict:
         t0 = time.perf_counter()
         results[name] = (*check(*full), time.perf_counter() - t0)
     return results
+
+
+@pytest.fixture(scope="session")
+def psd_soc_sweep() -> tuple[int, float]:
+    """One run of the PSD / rotated-cone agreement sweep over 100,000 random
+    blocks, shared by c02 and the LMI unit test: (disagreements outside the
+    boundary band, seconds)."""
+    t0 = time.perf_counter()
+    rng = np.random.default_rng(7)
+    n = 100_000
+    a = 1.0 + rng.exponential(2.0, n)
+    b = rng.normal(0.0, 30.0, n)
+    c = rng.normal(0.0, 30.0, n)
+    d = rng.normal(200.0, 500.0, n)
+    near = np.abs(a * d - b**2 - c**2) <= 1e-9 * np.maximum.reduce(
+        [np.ones(n), np.abs(a * d), b**2 + c**2])
+    off = (psd_check_many(a, b, c, d) != soc_feasible_many(a, b, c, d)) & ~near
+    return int(off.sum()), time.perf_counter() - t0
+
+
+def record_calls(monkeypatch, module, name) -> list:
+    """Wrap ``module.name`` through ``monkeypatch``; returns the list of the
+    (args, result) pairs of its calls, in the order they return."""
+    calls, inner = [], getattr(module, name)
+
+    def recording(*args):
+        calls.append((args, inner(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 def hover_trajectory(scenario: Scenario, xy=(0.0, 0.0)) -> Trajectory:

@@ -22,7 +22,7 @@ from secuav.power_alloc import optimize_power
 from secuav.scenario import EveRegion, PowerSchedule, Trajectory
 from secuav.trajectory_sca import ConvexProgram, assemble, solve_step
 
-from conftest import REPO_ROOT, make_scenario, paper_fig2
+from conftest import REPO_ROOT, make_scenario, paper_fig2, record_calls
 
 
 def toy_program(n=1, g_u=0.0, p_scaled=1.0, theta_max=30_000.0, h2=10_000.0,
@@ -789,20 +789,13 @@ class TestResultRows:
         """A result's x, y, t are rows of the solve's last point (of ws.z0
         when there is no interior start); neither another solve of the same
         program nor a table pass of the solve's own workspace writes them."""
-        made = []
-
-        class Recording(_Workspace):
-            def __init__(self, prog):
-                super().__init__(prog)
-                made.append(self)
-
-        monkeypatch.setattr(convex_backend, "_Workspace", Recording)
+        made = record_calls(monkeypatch, convex_backend, "_Workspace")
         prog = make()
         res = solve(prog)
         assert res.status == status
         rows = [v.copy() for v in (res.x, res.y, res.t)]
         again = solve(prog)
-        ws = made[0]
+        (_, ws), _ = made
         ws.table(ws.z0 + 1.0)
         for got, want, other in zip((res.x, res.y, res.t), rows, (again.x, again.y, again.t)):
             assert np.array_equal(got, want) and np.array_equal(other, want)
@@ -811,16 +804,10 @@ class TestResultRows:
     def test_rows_are_not_workspace_buffers(self, make, monkeypatch):
         """No result array shares memory with an array of its workspace (the
         rows of ws.z0 included, on the exit without an interior start)."""
-        made = []
-
-        class Recording(_Workspace):
-            def __init__(self, prog):
-                super().__init__(prog)
-                made.append(self)
-
-        monkeypatch.setattr(convex_backend, "_Workspace", Recording)
+        made = record_calls(monkeypatch, convex_backend, "_Workspace")
         res = solve(make())
-        buffers = [v for v in vars(made[0]).values() if isinstance(v, np.ndarray)]
+        [(_, ws)] = made
+        buffers = [v for v in vars(ws).values() if isinstance(v, np.ndarray)]
         assert buffers
         for row in (res.x, res.y, res.t):
             assert not any(np.shares_memory(row, b) for b in buffers)
@@ -863,17 +850,12 @@ def test_fine_slot_first_program_reaches_optimal():
 
 
 def plan_solves(monkeypatch, T):
-    """Every (program, hand-off) the robust plan of paper_fig2 at T solves."""
-    pairs, inner = [], convex_backend.solve
-
-    def keep(program, warm=None):
-        pairs.append((program, warm))
-        return inner(program, warm)
-
+    """Every (program, hand-off) the robust plan of paper_fig2 at T solves;
+    later calls of ``solve`` in the test are not recorded."""
     with monkeypatch.context() as m:
-        m.setattr(convex_backend, "solve", keep)
+        calls = record_calls(m, convex_backend, "solve")
         optimize(paper_fig2(T))
-    return pairs
+    return [args for args, _ in calls]
 
 
 def drop_slot(prog, i):

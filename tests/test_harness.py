@@ -127,6 +127,28 @@ class TestSweep:
             # 0.3 s is not a multiple of the 0.5 s slot length
             SweepSpec(base=scen, param="T", values=(0.3,), algorithms=("robust",))
 
+    @pytest.mark.parametrize("change, message", [
+        (dict(param="H"), "unknown sweep parameter 'H'"),
+        (dict(algorithms=("fast",)), "bad algorithm selection: ['fast']"),
+        (dict(algorithms=()), "bad algorithm selection: []"),
+        (["--values", "4,x"], "bad --values list: could not convert string to float: 'x'"),
+        (["--values", "4", "--algorithms", "robust,fast"], "unknown algorithm 'fast'"),
+    ], ids=["spec-param", "spec-tag", "spec-no-tags", "cli-values", "cli-algorithm"])
+    def test_bad_sweep_arguments_rejected(self, tmp_path, capsys, change, message):
+        """SweepSpec raises; the CLI exits 2 with the JSON error and makes no --out."""
+        if isinstance(change, dict):
+            spec = dict(base=make_scenario(), param="T", values=(4.0,), algorithms=("robust",))
+            with pytest.raises(HarnessError) as err:
+                SweepSpec(**dict(spec, **change))
+            assert err.value.payload() == {"error": message}
+            return
+        out = tmp_path / "o"
+        code = main(["sweep", "--scenario", str(write_tiny(tmp_path)), "--param", "T",
+                     *change, "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {"error": message}
+        assert not out.exists()
+
     def test_power_sweep_preserves_peak_ratio(self):
         scen = make_scenario()
         derived = derive_scenario(scen, "avg-power-dbm", 10.0)

@@ -17,7 +17,7 @@ from secuav.scenario import (EveRegion, InvalidScenario, PowerSchedule, Scenario
                              Trajectory, trajectory_violations, power_violations,
                              validate)
 
-from conftest import make_scenario, paper_fig2
+from conftest import make_scenario, paper_fig2, record_calls
 
 
 def numpy_loop_best_effort(scenario):
@@ -179,43 +179,26 @@ class TestOptimize:
             assert r.dual.lam > 0.0 and r.dual.iterations > 0
             lam0 = r.dual.lam
 
-    @staticmethod
-    def capture(monkeypatch, module, name):
-        """Record every result of ``module.name`` while the test runs."""
-        results, inner = [], getattr(module, name)
-
-        def capturing(*args):
-            results.append(inner(*args))
-            return results[-1]
-
-        monkeypatch.setattr(module, name, capturing)
-        return results
-
     def test_step_records_hold_the_steps_own_results(self, tiny_scenario, monkeypatch):
-        solves = self.capture(monkeypatch, convex_backend, "solve")
-        duals = self.capture(monkeypatch, planner, "optimize_power")
+        solves = record_calls(monkeypatch, convex_backend, "solve")
+        duals = record_calls(monkeypatch, planner, "optimize_power")
         start, *steps = optimize(tiny_scenario).iterations
         assert len(steps) == len(solves) == len(duals) - 1 > 1
-        assert start.dual is duals[0] and start.powers is duals[0].schedule
-        for r, res, dual in zip(steps, solves, duals[1:]):
+        (_, first), *later = duals
+        assert start.dual is first and start.powers is first.schedule
+        for r, (_, res), (_, dual) in zip(steps, solves, later):
             assert r.solve is res and r.dual is dual
             assert r.powers is dual.schedule
 
     def test_power_dual_starts_at_the_previous_dual(self, tiny_scenario, monkeypatch):
-        starts = []
-        inner = planner.optimize_power
-
-        def recording(traj, scenario, lam0, geo):
-            starts.append(lam0)
-            return inner(traj, scenario, lam0, geo)
-
-        monkeypatch.setattr(planner, "optimize_power", recording)
+        duals = record_calls(monkeypatch, planner, "optimize_power")
         records = optimize(tiny_scenario).iterations
         assert len(records) > 2
+        starts = [lam0 for (_, _, lam0, _), _ in duals]
         assert starts == [1.0] + [r.dual.lam for r in records[:-1]]
 
     def test_trouble_step_keeps_its_solve(self, tiny_scenario, monkeypatch):
-        solves = self.capture(monkeypatch, convex_backend, "solve")
+        solved = record_calls(monkeypatch, convex_backend, "solve")
         calls = []
 
         def second_falls_back(*args):
@@ -227,6 +210,7 @@ class TestOptimize:
 
         monkeypatch.setattr(planner, "solve_step", second_falls_back)
         res = optimize(tiny_scenario)
+        solves = [s for _, s in solved]
         start, first, trouble = res.iterations
         assert [r.status for r in res.iterations] == ["init", "optimal", TROUBLE]
         assert trouble.solve is solves[1] and solves[1].status == "optimal"
@@ -246,11 +230,11 @@ class TestOptimize:
                         v_max=10.0, start_xy=(5.0, 0.0), end_xy=(0.0, 0.0), avg_power=1e-3,
                         peak_power=4e-3, gamma0=1e6, eves=(EveRegion(0.5, 0.0, 0.0),),
                         epsilon=1e-2, max_iters=12)
-        solves = self.capture(monkeypatch, convex_backend, "solve")
+        calls = record_calls(monkeypatch, convex_backend, "solve")
         for res in (optimize(scen), optimize_non_robust(scen)):
             assert all(r.status == OPTIMAL for r in res.iterations[1:])
-        assert sum(s.warm_start for s in solves) >= 2
-        assert max(s.newton_iters for s in solves) <= 30
+        assert sum(s.warm_start for _, s in calls) >= 2
+        assert max(s.newton_iters for _, s in calls) <= 30
 
     def test_no_state_crosses_plans(self, tiny_scenario):
         # a plan of the first step alone, whose hand-off would fit the first

@@ -6,9 +6,8 @@ import hypothesis.strategies as st
 from secuav.geometry import disk_samples
 from secuav.scenario import EveRegion
 
-from arrowhead import (ArrowheadPatternError, LmiBlock, as_rotated_soc,
-                       block_coeffs, build_block, exact_c, linearized_c, psd_check,
-                       psd_check_many, soc_feasible_many)
+from arrowhead import (block_coeffs, exact_c, linearized_c, psd_check, psd_check_many,
+                       soc_feasible_many)
 
 EVE = EveRegion(-200.0, 0.0, 20.0)
 
@@ -75,37 +74,19 @@ class TestPsdCheck:
 
 
 class TestRotatedSoc:
-    def test_requires_arrowhead(self):
-        bad = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        with pytest.raises(ArrowheadPatternError):
-            as_rotated_soc(bad)
-
-    def test_from_matrix_roundtrip(self):
-        block = build_block(EVE, 0.0, 0.0, 100.0, x=10.0, y=5.0, t=1.1e4, xi=2.0)
-        again = LmiBlock.from_matrix(block.matrix())
-        assert (again.a, again.b, again.c, again.d) == (block.a, block.b, block.c, block.d)
-
     def test_zero_border_reduces_to_sign_conditions(self):
-        assert as_rotated_soc(LmiBlock(1.0, 0.0, 0.0, 0.0)).satisfied()
-        assert not as_rotated_soc(LmiBlock(1.0, 0.0, 0.0, -1e-9)).satisfied()
+        assert soc_feasible_many(1.0, 0.0, 0.0, 0.0)
+        assert not soc_feasible_many(1.0, 0.0, 0.0, -1e-9)
 
     def test_boundary_feasible_both_ways(self):
-        con = as_rotated_soc(LmiBlock(1.0, 1.0, 1.0, 2.0))
-        assert con.satisfied() and con.residual() == 0.0
+        # a*d = b^2 + c^2 exactly: the next d below is outside the cone
+        assert soc_feasible_many(1.0, 1.0, 1.0, 2.0)
+        assert not soc_feasible_many(1.0, 1.0, 1.0, np.nextafter(2.0, 0.0))
         assert psd_check(1.0, 1.0, 1.0, 2.0)
 
-    def test_agreement_sweep_excluding_boundary_band(self):
-        rng = np.random.default_rng(7)
-        n = 100_000
-        a = 1.0 + rng.exponential(2.0, n)
-        b = rng.normal(0.0, 30.0, n)
-        c = rng.normal(0.0, 30.0, n)
-        d = rng.normal(200.0, 500.0, n)
-        near = np.abs(a * d - b**2 - c**2) <= 1e-9 * np.maximum.reduce(
-            [np.ones(n), np.abs(a * d), b**2 + c**2])
-        psd = psd_check_many(a, b, c, d)
-        soc = soc_feasible_many(a, b, c, d)
-        assert not np.any((psd != soc) & ~near)
+    def test_agreement_sweep_excluding_boundary_band(self, psd_soc_sweep):
+        disagreements, _ = psd_soc_sweep
+        assert disagreements == 0
 
 
 class TestSProcedureSemantics:

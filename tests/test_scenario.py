@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from secuav.planner import optimize
-from secuav.scenario import (MAX_SLOTS, EveRegion, PowerSchedule, Trajectory, slot_count,
-                             power_violations, trajectory_violations, validate)
+from secuav.scenario import (MAX_SLOTS, EveRegion, InvalidScenario, PowerSchedule,
+                             Trajectory, slot_count, power_violations,
+                             trajectory_violations, validate)
 
 from conftest import make_scenario, paper_fig2
 
@@ -90,6 +91,16 @@ class TestValidate:
     ])
     def test_non_finite_number_rejected(self, name, overrides):
         assert f"{name} must be finite" in " ".join(validate(make_scenario(**overrides)))
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_iters", 2.5), ("max_iters", math.nan), ("max_iters", True), ("n_slots", 8.0)])
+    def test_non_integer_count_named(self, name, value):
+        """Such counts passed validate(): optimize then raised TypeError on a
+        float and planned a bool as a count."""
+        scen = make_scenario(**{name: value})
+        assert f"{name} must be an integer (got {value!r})" in validate(scen)
+        with pytest.raises(InvalidScenario, match=f"{name} must be an integer"):
+            optimize(scen)
 
     @pytest.mark.parametrize("name, overrides", [
         ("altitude", dict(altitude=1e200)),

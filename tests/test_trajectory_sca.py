@@ -12,7 +12,7 @@ from secuav.scenario import EveRegion, PowerSchedule, Trajectory, trajectory_vio
 from secuav.trajectory_sca import assemble, initialize_slacks, solve_step
 
 from arrowhead import psd_check
-from conftest import hover_trajectory, make_scenario, paper_fig2
+from conftest import hover_trajectory, make_scenario, paper_fig2, record_calls
 
 
 def taylor_rate_surrogate(d2, d2_fea, p_scaled):
@@ -293,32 +293,21 @@ class TestPoweredSlotsOnly:
 class TestSolveFacts:
     """solve_step keeps the solver's own result, on success and on fallback."""
 
-    @staticmethod
-    def capture(monkeypatch):
-        results = []
-        solve = convex_backend.solve
-
-        def capturing(prog, warm=None):
-            results.append(solve(prog, warm))
-            return results[-1]
-
-        monkeypatch.setattr(convex_backend, "solve", capturing)
-        return results
-
     def test_success_keeps_the_solver_result(self, monkeypatch):
-        results = self.capture(monkeypatch)
+        calls = record_calls(monkeypatch, convex_backend, "solve")
         scen = make_scenario()
         sol = solve_step(best_effort_trajectory(scen), equal_power(scen), scen)
         assert sol.status == "optimal"
-        assert len(results) == 1 and sol.solve is results[0]
+        [(_, res)] = calls
+        assert sol.solve is res
 
     def test_fallback_keeps_the_solver_result(self, monkeypatch):
-        results = self.capture(monkeypatch)
+        calls = record_calls(monkeypatch, convex_backend, "solve")
         # no returned t passes the robust re-check
         monkeypatch.setattr(trajectory_sca, "ROBUST_FEAS_TOL", -math.inf)
         scen = make_scenario()
         traj = best_effort_trajectory(scen)
         sol = solve_step(traj, equal_power(scen), scen)
         assert sol.status == "numerical_trouble" and sol.trajectory is traj
-        assert len(results) == 1 and sol.solve is results[0]
-        assert results[0].status == "optimal"
+        [(_, res)] = calls
+        assert sol.solve is res and res.status == "optimal"
